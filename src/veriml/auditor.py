@@ -121,7 +121,6 @@ class OracleProfile:
     behavior: str = HONEST
     offset: float = 0.0          # Byzantine: added to the true metric
     stale_value: float = 0.0     # Lazy: reported verbatim
-    balance: int = 0             # starting allocation at registration
 
     def __post_init__(self):
         if len(self.oracle_id) != 32:
@@ -130,8 +129,6 @@ class OracleProfile:
             raise ParameterError(f"unknown behavior {self.behavior!r}")
         if not 0.0 <= self.stale_value <= 1.0:
             raise ParameterError("stale_value must be in [0,1]")
-        if self.balance < 0:
-            raise ParameterError("balance must be >= 0")
 
 
 # -- transactions --------------------------------------------------------------
@@ -281,8 +278,8 @@ class Ledger:
     """Permissioned hash-chained ledger with token accounting.
 
     Constructed from initial balances; the genesis block is empty, and every
-    mutation appends exactly one block. The access-control list starts as
-    the set of funded identities and is mutable through the gatekeeper API.
+    mutation appends exactly one block. The access-control list is fixed at
+    construction: every identity given an initial balance, zero included.
     """
 
     def __init__(self, initial_balances: dict[bytes, int]):
@@ -331,14 +328,6 @@ class Ledger:
 
     def gatekeeper_check(self, ident: bytes) -> bool:
         return ident in self.acl
-
-    def grant_access(self, ident: bytes) -> None:
-        if len(ident) != 32:
-            raise ParameterError("identities must be 32 bytes")
-        self.acl.add(ident)
-
-    def revoke_access(self, ident: bytes) -> None:
-        self.acl.discard(ident)
 
     # -- token accounting --
 

@@ -49,7 +49,7 @@ def _load_config(path: str, seed_override: int | None) -> cfgmod.ScenarioConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    report = runner.run_scenario(cfg, jobs=args.jobs)
+    report = runner.run_scenario(cfg)
     _write_output(runner.report_to_json(report), args.out)
     agg = report["aggregates"]
     print(f"{cfg.scenario}: {cfg.trials} trials, "
@@ -78,7 +78,7 @@ def _parse_values(text: str) -> list:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed)
     values = _parse_values(args.values)
-    reports = runner.sweep(cfg, args.param, values, jobs=args.jobs)
+    reports = runner.sweep(cfg, args.param, values)
     bundle = {"schema_version": cfgmod.SCHEMA_VERSION, "version": __version__,
               "sweep_param": args.param, "values": values, "reports": reports}
     _write_output(json.dumps(bundle, sort_keys=True, indent=2) + "\n", args.out)
@@ -180,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to a scenario JSON file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config's master_seed")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent trials")
     p.add_argument("--out", default=None, help="write the report here "
                    "(default: stdout)")
     p.set_defaults(fn=_cmd_run)
@@ -192,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='dotted config path, e.g. "provider.cheat_rate"')
     p.add_argument("--values", required=True, help="comma-separated numbers")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_sweep)
 

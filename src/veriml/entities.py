@@ -71,13 +71,10 @@ class Response:
     probs: np.ndarray
     certificate: Certificate | None
     latency_ms: float
-    query_echo_digest: bytes
 
     def __post_init__(self):
         if self.latency_ms < 0:
             raise ParameterError("latency_ms must be >= 0")
-        if len(self.query_echo_digest) != 32:
-            raise ParameterError("query digest must be 32 bytes")
 
 
 @dataclass(frozen=True)
@@ -177,7 +174,7 @@ def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
         nonce, rng = rng_bytes(rng, 16)
         cert = issue_certificate(s.mac_key, x, probs, nonce)
     latency, rng = s.latency.sample(rng)
-    return Response(probs, cert, latency, canon.sha256(canon.vec(x))), rng
+    return Response(probs, cert, latency), rng
 
 
 def _cheat_answer(p: Provider, x: np.ndarray, rng: int) -> tuple[Response, int]:
@@ -191,7 +188,7 @@ def _cheat_answer(p: Provider, x: np.ndarray, rng: int) -> tuple[Response, int]:
         tag, rng = rng_bytes(rng, 32)
         cert = Certificate(nonce, tag)
     latency, rng = p.latency.sample(rng)
-    return Response(probs, cert, latency, canon.sha256(canon.vec(x))), rng
+    return Response(probs, cert, latency), rng
 
 
 def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
@@ -231,5 +228,4 @@ def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
     noisy = np.clip(noisy, 0.0, 1.0)
     total = noisy.sum()
     probs = noisy / total if total > 0 else np.full(len(noisy), 1.0 / len(noisy))
-    return Response(probs, resp.certificate, resp.latency_ms,
-                    resp.query_echo_digest), rng
+    return Response(probs, resp.certificate, resp.latency_ms), rng

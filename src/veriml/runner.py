@@ -1,15 +1,15 @@
 """Scenario execution: build the supplier/provider fixtures a config
 describes (training once per content digest, cached on disk), run seeded
-verification trials — concurrently if asked — and aggregate into a
-machine-readable report that is byte-reproducible apart from wall time.
+verification trials one after another, and aggregate into a machine-readable
+report that is byte-reproducible apart from wall time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
 from .data import BlobRecipe, Dataset, split_per_class
 from .entities import (LatencyModel, Provider, SeedPublication, Supplier,
                        provider_classify)
-from .errors import ParameterError
+from .errors import FixtureError, GenerationFailureError, ParameterError
 from .mlp import (SOFTMAX, MlpModel, SeedConfig, TrainConfig, forward,
                   init_mlp, load_model, save_model, train_sgd)
 from .rng import derive_seed, uniform_array
@@ -61,11 +61,31 @@ def _cache_store(key: bytes, blob: bytes) -> None:
     root = cache_dir()
     try:
         root.mkdir(parents=True, exist_ok=True)
-        tmp = root / (key.hex() + ".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, root / (key.hex() + ".bin"))
+        # one temp file per writer, so concurrent or crashed writers never collide
+        fd, tmp = tempfile.mkstemp(dir=root, prefix=key.hex() + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(blob)
+            os.replace(tmp, root / (key.hex() + ".bin"))
+        except OSError:
+            os.unlink(tmp)
+            raise
     except OSError:
         pass  # a cold cache only costs retraining time
+
+
+def _cached(key: bytes, load, build, save):
+    """`load` the cache entry for `key`; on a miss, or an entry `load` rejects
+    (stale or truncated), `build` a fresh value and store `save(value)`."""
+    blob = _cache_fetch(key)
+    if blob is not None:
+        try:
+            return load(blob)
+        except Exception:
+            pass  # fall through and rebuild
+    value = build()
+    _cache_store(key, save(value))
+    return value
 
 
 def _arch_bytes(arch: tuple[int, ...]) -> bytes:
@@ -121,19 +141,15 @@ def _trained_model(arch: tuple[int, ...], tcfg: TrainConfig, bundle: _DataBundle
                    stride: int, adversarial_epsilon: float) -> MlpModel:
     key = _model_cache_key(arch, tcfg, bundle.recipe, bundle.train_per_class,
                            stride, adversarial_epsilon)
-    blob = _cache_fetch(key)
-    if blob is not None:
-        try:
-            return load_model(blob, SOFTMAX)
-        except Exception:
-            pass  # stale or truncated entry: fall through and retrain
-    data = bundle.train
-    if stride > 1:
-        data = data.subset(range(0, len(data), stride))
-    model = train_sgd(init_mlp(arch, tcfg.seed_config.weight_seed), data, tcfg,
-                      adversarial_epsilon=adversarial_epsilon)
-    _cache_store(key, save_model(model))
-    return model
+
+    def train() -> MlpModel:
+        data = bundle.train
+        if stride > 1:
+            data = data.subset(range(0, len(data), stride))
+        return train_sgd(init_mlp(arch, tcfg.seed_config.weight_seed), data,
+                         tcfg, adversarial_epsilon=adversarial_epsilon)
+
+    return _cached(key, lambda blob: load_model(blob, SOFTMAX), train, save_model)
 
 
 def _latency_from(block: dict) -> LatencyModel:
@@ -153,8 +169,11 @@ class _Fixtures:
     suite: StegSuite | None = None
     probe_covers: np.ndarray | None = None
     publication: SeedPublication | None = None
-    mac_key: bytes | None = None
     model_spec: ModelSpec | None = None
+
+    @property
+    def mac_key(self) -> bytes | None:  # read by acceptance criterion c6
+        return self.supplier.mac_key if self.supplier else None
 
     def fresh_provider(self) -> Provider:
         """Providers carry per-run mutable state (the replay cache), so each
@@ -170,16 +189,10 @@ def _steg_pair(raw: dict, fx: _Fixtures) -> tuple[StegModel, RevealClassifier]:
     _, tcfg = _seed_and_train_cfg(block["train"], data_seed=0)
     key = _steg_cache_key(block["secret_dim"], block["beta"], tcfg,
                           fx.data.recipe, fx.data.train_per_class)
-    blob = _cache_fetch(key)
-    if blob is not None:
-        try:
-            return load_steg_bundle(blob)
-        except Exception:
-            pass
-    steg, reveal = train_steg_joint(fx.data.train, block["secret_dim"],
-                                    block["beta"], tcfg)
-    _cache_store(key, save_steg_bundle(steg, reveal))
-    return steg, reveal
+    return _cached(key, load_steg_bundle,
+                   lambda: train_steg_joint(fx.data.train, block["secret_dim"],
+                                            block["beta"], tcfg),
+                   lambda pair: save_steg_bundle(*pair))
 
 
 def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
@@ -196,8 +209,6 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
                                         ver["metric"], ver["metric_class"])
         return fx
 
-    mac_hex = sup_block.get("mac_key_hex")
-    fx.mac_key = bytes.fromhex(mac_hex) if mac_hex else None
     model = _trained_model(arch, tcfg, fx.data, stride=1,
                            adversarial_epsilon=sup_block["adversarial_epsilon"])
 
@@ -218,16 +229,21 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
     reveal = None
     if cfg.scenario == cfgmod.STEG_PROBE:
         steg, reveal = _steg_pair(raw, fx)
-    fx.supplier = Supplier(model=model, reveal=reveal, mac_key=fx.mac_key,
+    mac_hex = sup_block.get("mac_key_hex")
+    fx.supplier = Supplier(model=model, reveal=reveal,
+                           mac_key=bytes.fromhex(mac_hex) if mac_hex else None,
                            latency=_latency_from(sup_block))
 
     if cfg.scenario == cfgmod.STEG_PROBE:
         block = raw["steg"]
         cal = block["calibration_count"]
         covers = fx.data.held.inputs
-        p_detect, p_clean = measure_roundtrip(fx.supplier, steg, reveal, model,
-                                              covers[:cal],
-                                              block["calibration_seed"])
+        try:
+            p_detect, p_clean = measure_roundtrip(fx.supplier, steg, reveal,
+                                                  model, covers[:cal],
+                                                  block["calibration_seed"])
+        except GenerationFailureError as exc:
+            raise FixtureError(f"steg calibration failed: {exc}") from exc
         fx.suite = StegSuite(steg, reveal, model, p_detect, p_clean)
         fx.probe_covers = covers[cal:]
     elif cfg.scenario == cfgmod.DETERMINISTIC_BENCH:
@@ -288,7 +304,7 @@ def _trial_metaresult(fx: _Fixtures, raw: dict, seed: int) -> dict:
         x, state = uniform_array(state, dim)
         resp, state = provider_classify(provider, x, state)
         pairs.append((x, resp))
-    verdict = metaresult_verify(pairs, fx.mac_key)
+    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
     lat = _mean_latency(provider, dim, seed)
     return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
 
@@ -325,8 +341,8 @@ def _trial_robustness(fx: _Fixtures, raw: dict, seed: int) -> dict:
             "measured_scores": [s.to_dict() for s in measured]}
 
 
-def _trial_auditor(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    ver = raw["verifier"]
+def _audit_setup(ver: dict) -> tuple[list[OracleProfile], bytes, Ledger]:
+    """Oracles, client identity and funded ledger for a `verifier` block."""
     n, nb = ver["n_oracles"], ver["n_byzantine"]
     ids = [identity(f"oracle-{i}") for i in range(n)]
     oracles = [OracleProfile(ids[i], HONEST) for i in range(n - nb)]
@@ -336,7 +352,12 @@ def _trial_auditor(fx: _Fixtures, raw: dict, seed: int) -> dict:
     client = identity("client-0")
     balances = {client: ver["client_balance"]}
     balances.update({oid: ver["oracle_balance"] for oid in ids})
-    ledger = Ledger(balances)
+    return oracles, client, Ledger(balances)
+
+
+def _trial_auditor(fx: _Fixtures, raw: dict, seed: int) -> dict:
+    ver = raw["verifier"]
+    oracles, client, ledger = _audit_setup(ver)
     _, tally = run_audit_round(ledger, client, fx.model_spec, ver["fee"], oracles)
     truth = compute_metric(fx.model_spec)
     return {"seed": seed, "latency_ms": 0.0,
@@ -377,16 +398,12 @@ def _aggregate(scenario: str, trials: list[dict]) -> dict:
             "mean_p_value": mean_p, "mean_latency_ms": mean_latency}
 
 
-def run_scenario(cfg: cfgmod.ScenarioConfig, jobs: int = 1) -> dict:
+def run_scenario(cfg: cfgmod.ScenarioConfig) -> dict:
     started = time.time()
     fx = build_fixtures(cfg)
     trial_fn = _TRIAL_FNS[cfg.scenario]
-    seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: trial_fn(fx, cfg.raw, s), seeds))
-    else:
-        results = [trial_fn(fx, cfg.raw, s) for s in seeds]
+    results = [trial_fn(fx, cfg.raw, derive_seed(cfg.master_seed, t))
+               for t in range(cfg.trials)]
     return {
         "schema_version": cfgmod.SCHEMA_VERSION,
         "version": __version__,
@@ -400,14 +417,13 @@ def run_scenario(cfg: cfgmod.ScenarioConfig, jobs: int = 1) -> dict:
     }
 
 
-def sweep(cfg: cfgmod.ScenarioConfig, param_name: str, values: list,
-          jobs: int = 1) -> list[dict]:
+def sweep(cfg: cfgmod.ScenarioConfig, param_name: str, values: list) -> list[dict]:
     """One run_scenario per value of a numeric config field (dotted path,
     e.g. "provider.cheat_rate"); fixtures are shared through the disk cache."""
     reports = []
     for value in values:
         raw = cfgmod.set_config_value(cfg.raw, param_name, value)
-        reports.append(run_scenario(cfgmod.validate_config(raw), jobs=jobs))
+        reports.append(run_scenario(cfgmod.validate_config(raw)))
     return reports
 
 
@@ -450,23 +466,18 @@ def auditor_demo(master_seed: int = 42, rounds: int = 3) -> dict:
     chain export. Deterministic given the seed: reruns are byte-identical."""
     raw = cfgmod.builtin_config(cfgmod.AUDITOR, trials=1, master_seed=master_seed)
     cfg = cfgmod.validate_config(raw)
-    fx = build_fixtures(cfg)
     ver = cfg.raw["verifier"]
-
-    n, nb = ver["n_oracles"], ver["n_byzantine"]
-    ids = [identity(f"oracle-{i}") for i in range(n)]
-    oracles = [OracleProfile(ids[i], HONEST) for i in range(n - nb)]
-    for j in range(nb):
-        offset = ver["byzantine_offset"] * (1.0 if j % 2 == 0 else -1.0)
-        oracles.append(OracleProfile(ids[n - nb + j], BYZANTINE, offset=offset))
-    client = identity("client-0")
-    balances = {client: ver["client_balance"]}
-    balances.update({oid: ver["oracle_balance"] for oid in ids})
-    ledger = Ledger(balances)
+    if rounds < 1:
+        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    fees = [ver["fee"] + 3 * r for r in range(rounds)]  # exercise remainder splits
+    if sum(fees) > ver["client_balance"]:
+        raise ParameterError(f"{rounds} rounds cost {sum(fees)} in fees, more "
+                             f"than the client balance {ver['client_balance']}")
+    fx = build_fixtures(cfg)
+    oracles, client, ledger = _audit_setup(ver)
 
     round_entries = []
-    for r in range(rounds):
-        fee = ver["fee"] + 3 * r  # vary the fee so remainder handling shows up
+    for fee in fees:
         _, tally = run_audit_round(ledger, client, fx.model_spec, fee, oracles)
         round_entries.append({
             "fee": fee,

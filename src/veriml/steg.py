@@ -2,14 +2,9 @@
 instance so that a cooperating reveal classifier flags the container as the
 reserved message class while ordinary classifiers still see the cover class.
 
-Two interchangeable schemes live here:
-
-* a trained one — prep/hide/reveal networks optimized jointly so containers
-  stay close to their covers (L2), carry a recoverable secret, and are
-  flagged by the reveal net but not by object-class models;
-* a procedural keyed one (lsb_embed / lsb_detect) that plants sign-coded
-  quarter-offset residuals on key-selected components. It needs no training
-  and serves as a deterministic fallback for exercising probe protocols.
+Prep/hide/reveal networks are optimized jointly so containers stay close to
+their covers (L2), carry a recoverable secret, and are flagged by the reveal
+net but not by object-class models.
 """
 
 from __future__ import annotations
@@ -26,13 +21,13 @@ from .errors import (GenerationFailureError, ParameterError, ShapeError,
 from .mlp import (LINEAR, SOFTMAX, Grads, MlpModel, TrainConfig, apply_sgd,
                   backward, forward, forward_batch, forward_cached, init_mlp,
                   load_model, save_model)
-from .rng import derive_seed, rng_next, sample_indices, shuffled_indices, uniform_array
+from .rng import derive_seed, shuffled_indices, uniform_array
 
 _STEG_MAGIC = b"VSTG"
 _STEG_VERSION = 1
 
-# architecture knobs for the trained scheme (identical every run: the joint
-# model must be reproducible from seeds alone)
+# architecture knobs (identical every run: the joint model must be
+# reproducible from seeds alone)
 _HIDDEN = 32
 _ENC_DIM = 8
 
@@ -109,22 +104,6 @@ def reveal_detect(reveal: RevealClassifier, x) -> bool:
     """True when the message class wins the argmax."""
     probs = forward(reveal.model, x)
     return int(np.argmax(probs)) == reveal.message_class
-
-
-def steg_loss(c, c_prime, s: SecretMessage, s_prime: SecretMessage,
-              beta: float, order: float = 2) -> float:
-    """Reconstruction objective ``||c - c'|| + beta * ||s - s'||`` (L2 by
-    default; `order` picks another vector norm)."""
-    if beta < 0:
-        raise ParameterError("beta must be >= 0")
-    c = np.asarray(c, dtype=np.float64)
-    c_prime = np.asarray(c_prime, dtype=np.float64)
-    if c.shape != c_prime.shape:
-        raise ShapeError("cover/container dimension mismatch")
-    if s.dim != s_prime.dim:
-        raise ShapeError("secret dimension mismatch")
-    return float(np.linalg.norm(c - c_prime, ord=order)
-                 + beta * np.linalg.norm(s.values - s_prime.values, ord=order))
 
 
 def _embed_raw(steg: StegModel, X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -295,59 +274,6 @@ def draw_message_instance(steg: StegModel, reveal: RevealClassifier,
             last = exc
     raise GenerationFailureError(
         f"no valid container in {1 + max_resamples} attempts: {last}")
-
-
-# -- procedural keyed scheme ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProceduralStegKey:
-    key: int
-    n_slots: int
-    amplitude: float = 1.0 / 1024.0
-
-    def __post_init__(self):
-        if self.n_slots < 1:
-            raise ParameterError("n_slots must be >= 1")
-        if not 0.0 < self.amplitude < 1.0 / 256.0:
-            raise ParameterError("amplitude must be in (0, 1/256)")
-
-
-def _keyed_slots(key: ProceduralStegKey, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Key-derived (slot indices, ±1 signs); shared by embed and detect."""
-    if key.n_slots > dim:
-        raise ParameterError(f"n_slots {key.n_slots} exceeds input dim {dim}")
-    slots, state = sample_indices(key.key, dim, key.n_slots)
-    signs = np.empty(key.n_slots)
-    for i in range(key.n_slots):
-        v, state = rng_next(state)
-        signs[i] = 1.0 if v & 1 else -1.0
-    return np.asarray(slots), signs
-
-
-def lsb_embed(cover, key: ProceduralStegKey) -> np.ndarray:
-    """Snap each keyed slot to the nearest point of the sign-offset grid
-    {2ak + sign*a/2}, then clamp to [0,1]. The perturbation never exceeds
-    the amplitude a, and the residual against the 2a grid becomes exactly
-    sign*a/2 wherever clamping did not interfere."""
-    x = np.asarray(cover, dtype=np.float64).copy()
-    slots, signs = _keyed_slots(key, len(x))
-    a = key.amplitude
-    offs = signs * (a / 2.0)
-    x[slots] = 2.0 * a * np.round((x[slots] - offs) / (2.0 * a)) + offs
-    return np.clip(x, 0.0, 1.0)
-
-
-def lsb_detect(x, key: ProceduralStegKey) -> bool:
-    """Recompute the keyed slots/signs and test the sign pattern of the
-    residuals against the 2a grid; positive when at least 90% of slots
-    carry the expected sign."""
-    x = np.asarray(x, dtype=np.float64)
-    slots, signs = _keyed_slots(key, len(x))
-    a = key.amplitude
-    residual = x[slots] - 2.0 * a * np.round(x[slots] / (2.0 * a))
-    matched = int(np.sum(np.sign(residual) == signs))
-    return matched >= 0.9 * key.n_slots
 
 
 # -- serialization -------------------------------------------------------------

@@ -92,8 +92,6 @@ def test_oracle_profile_validation():
         auditor.OracleProfile(ORACLE_IDS[0], behavior="Chaotic")
     with pytest.raises(ParameterError):
         auditor.OracleProfile(ORACLE_IDS[0], auditor.LAZY, stale_value=1.5)
-    with pytest.raises(ParameterError):
-        auditor.OracleProfile(ORACLE_IDS[0], balance=-1)
 
 
 def test_oracle_behaviors():
@@ -230,11 +228,11 @@ def test_gatekeeper_controls_submission():
     outsider = auditor.identity("outsider")
     with pytest.raises(AccessDeniedError):
         ledger.submit_request(outsider, spec, 10)
-    ledger.grant_access(outsider)
-    with pytest.raises(FundingError):
-        ledger.submit_request(outsider, spec, 10)  # granted but unfunded
-    ledger.revoke_access(outsider)
     assert not ledger.gatekeeper_check(outsider)
+    admitted = auditor.Ledger({outsider: 0})
+    assert admitted.gatekeeper_check(outsider)
+    with pytest.raises(FundingError):
+        admitted.submit_request(outsider, spec, 10)  # admitted but unfunded
 
 
 def test_submit_escrows_fee():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from veriml import cli
+from veriml import cli, verifiers
 from veriml import config as cfgmod
+from veriml.errors import GenerationFailureError
 
 
 @pytest.fixture()
@@ -30,15 +31,6 @@ def test_run_stdout_and_seed_override(config_path, capsys):
     assert code == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["master_seed"] == 7
-
-
-def test_run_jobs_flag_matches_serial(config_path, capsys):
-    assert cli.main(["run", "--config", config_path, "--jobs", "2"]) == cli.EXIT_OK
-    threaded = json.loads(capsys.readouterr().out)
-    assert cli.main(["run", "--config", config_path]) == cli.EXIT_OK
-    serial = json.loads(capsys.readouterr().out)
-    threaded.pop("wall_time_s"), serial.pop("wall_time_s")
-    assert threaded == serial
 
 
 def test_missing_config_file_is_a_config_error(capsys):
@@ -121,6 +113,28 @@ def test_auditor_demo_reproducible(tmp_path, capsys):
     assert len(demo["rounds"]) == 2
     err = capsys.readouterr().err
     assert "chain_ok=True" in err
+
+
+def test_auditor_demo_rejects_rounds_the_client_cannot_fund(tmp_path, capsys):
+    out = str(tmp_path / "demo.json")
+    # fees are fee + 3r: 55 rounds cost 9955 of the built-in balance 10000
+    assert cli.main(["auditor-demo", "--rounds", "55", "--out", out]) == cli.EXIT_OK
+    assert cli.main(["auditor-demo", "--rounds", "56", "--out", out]) == cli.EXIT_CONFIG
+    assert "client balance" in capsys.readouterr().err
+    assert cli.main(["auditor-demo", "--rounds", "0", "--out", out]) == cli.EXIT_CONFIG
+    assert "rounds must be >= 1" in capsys.readouterr().err
+
+
+def test_steg_calibration_failure_is_a_fixture_error(tmp_path, monkeypatch, capsys):
+    def no_container(*args, **kwargs):
+        raise GenerationFailureError("no valid container")
+
+    monkeypatch.setattr(verifiers, "draw_message_instance", no_container)
+    path = tmp_path / "steg.json"
+    path.write_text(json.dumps(cfgmod.builtin_config(cfgmod.STEG_PROBE, trials=1)),
+                    encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_FIXTURE
+    assert "steg calibration failed" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

@@ -259,12 +259,3 @@ def test_unknown_provider_kind_rejected(supplier_pair):
     supplier, _ = supplier_pair
     with pytest.raises(ParameterError):
         entities.Provider(kind="Sneaky", backend=supplier)
-
-
-def test_response_echo_digest_tracks_query(supplier_pair):
-    supplier, _ = supplier_pair
-    xa, xb = _x(11), _x(12)
-    ra, _ = entities.supplier_classify(supplier, xa, 80)
-    rb, _ = entities.supplier_classify(supplier, xb, 80)
-    assert ra.query_echo_digest != rb.query_echo_digest
-    assert len(ra.query_echo_digest) == 32

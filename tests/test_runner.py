@@ -14,10 +14,10 @@ REPORT_KEYS = {"schema_version", "version", "scenario", "master_seed", "trials",
                "config", "trial_results", "aggregates", "wall_time_s"}
 
 
-def _run(scenario, provider_kind="SubstituteModel", trials=2, jobs=1, seed=42):
+def _run(scenario, provider_kind="SubstituteModel", trials=2, seed=42):
     raw = cfgmod.builtin_config(scenario, provider_kind=provider_kind,
                                 trials=trials, master_seed=seed)
-    return runner.run_scenario(cfgmod.validate_config(raw), jobs=jobs)
+    return runner.run_scenario(cfgmod.validate_config(raw))
 
 
 def _stable_json(report):
@@ -61,12 +61,6 @@ def test_reports_reproduce_modulo_wall_time():
     a = _run(cfgmod.STEG_PROBE, trials=3)
     b = _run(cfgmod.STEG_PROBE, trials=3)
     assert _stable_json(a) == _stable_json(b)
-
-
-def test_jobs_do_not_change_results():
-    serial = _run(cfgmod.METARESULT, trials=4, jobs=1)
-    threaded = _run(cfgmod.METARESULT, trials=4, jobs=4)
-    assert _stable_json(serial) == _stable_json(threaded)
 
 
 def test_master_seed_changes_trials():
@@ -214,3 +208,15 @@ def test_corrupt_cache_entry_falls_back_to_retraining(_isolated_cache):
     finally:
         for p, blob in saved.items():
             p.write_bytes(blob)
+
+
+def test_cache_store_does_not_collide_with_a_leftover_temp_path(tmp_path, monkeypatch):
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
+    key = bytes(range(32))
+    leftover = tmp_path / (key.hex() + ".tmp")
+    leftover.mkdir()
+    runner._cache_store(key, b"entry")
+    assert runner._cache_fetch(key) == b"entry"
+    # the writer's own temp file is gone; the foreign one is untouched
+    assert sorted(p.name for p in tmp_path.iterdir()) == [key.hex() + ".bin",
+                                                          leftover.name]

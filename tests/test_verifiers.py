@@ -198,7 +198,7 @@ def _signed_pairs(fx, n, seed):
 def test_metaresult_accepts_valid_chain(meta_env):
     _, fx = meta_env
     pairs = _signed_pairs(fx, 30, 51)
-    verdict = metaresult_verify(pairs, fx.mac_key)
+    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
     assert verdict.decision == LIKELY_HONEST
     assert verdict.n_probes == 30
 
@@ -210,7 +210,7 @@ def test_metaresult_convicts_tampered_probs(meta_env):
     bent = resp.probs.copy()
     bent[0] += 1e-12
     pairs[4] = (x, dataclasses.replace(resp, probs=bent))
-    verdict = metaresult_verify(pairs, fx.mac_key)
+    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
     assert verdict.decision == LIKELY_FRAUDULENT
     assert "4" in verdict.detail
 
@@ -220,7 +220,7 @@ def test_metaresult_convicts_missing_certificate(meta_env, det_env):
     _, bare_fx = det_env  # that supplier holds no MAC key
     pairs = _signed_pairs(bare_fx, 3, 53)
     assert all(r.certificate is None for _, r in pairs)
-    verdict = metaresult_verify(pairs, fx.mac_key)
+    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
     assert verdict.decision == LIKELY_FRAUDULENT
 
 
@@ -233,14 +233,14 @@ def test_metaresult_convicts_forged_substitute(meta_env):
         x, state = uniform_array(state, fx.data.recipe.dim)
         resp, state = provider_classify(provider, x, state)
         pairs.append((x, resp))
-    verdict = metaresult_verify(pairs, fx.mac_key)
+    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
     assert verdict.decision == LIKELY_FRAUDULENT
     assert verdict.detail.startswith("certificate 0")
 
 
 def test_metaresult_empty_is_inconclusive(meta_env):
     _, fx = meta_env
-    assert metaresult_verify([], fx.mac_key).decision == INCONCLUSIVE
+    assert metaresult_verify([], fx.supplier.mac_key).decision == INCONCLUSIVE
 
 
 # -- binomial tail + sequential wrapper --------------------------------------------
