@@ -1,9 +1,9 @@
 """Command-line front end: run scenario campaigns, sweep a parameter,
 explain one trial's evidence, demo the auditor ledger, or self-test the
-statistical kernels against brute-force oracles.
+statistical kernels and rng streams against brute-force oracles.
 
 Exit codes: 0 success, 2 config problem, 3 fixture training failure,
-4 internal error.
+4 any other veriml error (a failed selftest, a ledger FundingError).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from pathlib import Path
 from . import config as cfgmod
 from . import runner
 from ._version import __version__
-from .errors import (ConfigValidationError, FixtureError, InvariantViolation,
-                     ParameterError, TrainingFailureError, VerimlError)
+from .errors import (ConfigValidationError, FixtureError, ParameterError,
+                     TrainingFailureError, VerimlError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,6 +157,43 @@ def _selftest_checks():
     params = SigmoidParams.for_budget(400)
     yield "robustness score midpoint", robustness_score(params.q0, params) == 0.5
 
+    yield "vector splitmix64 streams vs scalar draws", _vector_streams_match()
+
+
+def _vector_streams_match() -> bool:
+    """The numpy streams equal their scalar definitions; they rely on numpy's
+    uint64 arithmetic wrapping mod 2**64 on this platform."""
+    from . import rng
+    from .data import make_blobs
+
+    state = rng.MASK64 - 2  # the walk wraps past 2**64 on its first step
+    arr, end = rng.uniform_array(state, 8)
+    want = []
+    for _ in range(8):
+        u, state = rng.rng_uniform(state)
+        want.append(u)
+    ok = arr.tolist() == want and end == state
+
+    order, end = rng.shuffled_indices(5, 9)
+    want, state = list(range(9)), 5
+    for i in range(8, 0, -1):
+        j, state = rng.rng_below(state, i + 1)
+        want[i], want[j] = want[j], want[i]
+    ok = ok and order == want and end == state
+
+    data = make_blobs(2, 3, 2, 0.5, seed=7)
+    centers, state = [], 7
+    for _ in range(4):
+        u, state = rng.rng_uniform(state)
+        centers.append(0.2 + 0.6 * u)
+    want = []
+    for c in range(2):
+        for _ in range(3):
+            for d in range(2):
+                g, state = rng.rng_gauss(state)
+                want.append(min(1.0, max(0.0, centers[2 * c + d] + 0.5 * g)))
+    return ok and data.inputs.ravel().tolist() == want
+
 
 def _cmd_selftest(_args) -> int:
     failures = 0
@@ -206,8 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_auditor_demo)
 
-    p = sub.add_parser("selftest", help="check the statistical kernels "
-                       "against brute-force oracles")
+    p = sub.add_parser("selftest", help="check the statistical kernels and "
+                       "the vector rng streams against brute-force oracles")
     p.set_defaults(fn=_cmd_selftest)
     return parser
 
@@ -231,9 +268,6 @@ def main(argv=None) -> int:
     except FixtureError as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return EXIT_FIXTURE
-    except InvariantViolation as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except VerimlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

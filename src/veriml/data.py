@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .rng import rng_gauss, rng_uniform
+from .rng import uniform_array
 
 
 @dataclass
@@ -85,6 +86,11 @@ def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,
     center plus N(0, spread) per coordinate, clamped back into [0, 1]. The
     draw order (centers by class then coordinate, points by class, sample,
     coordinate) is fixed, so the dataset is a pure function of the seed.
+
+    Each normal is `rng_gauss`'s Box-Muller pair of uniforms, evaluated a
+    class block at a time with the same bits: `log` and `cos` are the scalar
+    libm calls `rng_gauss` makes (numpy's vector `log` rounds differently on
+    some inputs); the other steps are exactly rounded either way.
     """
     if n_classes < 2:
         raise ParameterError("n_classes must be >= 2")
@@ -95,22 +101,20 @@ def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,
     if n_per_class < 1:
         raise ParameterError("n_per_class must be >= 1")
 
-    state = seed
-    centers = np.empty((n_classes, dim))
-    for c in range(n_classes):
-        for d in range(dim):
-            u, state = rng_uniform(state)
-            centers[c, d] = 0.2 + 0.6 * u
+    u, state = uniform_array(seed, n_classes * dim)
+    centers = (0.2 + 0.6 * u).reshape(n_classes, dim)
 
-    n = n_classes * n_per_class
-    inputs = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
+    block = n_per_class * dim
+    inputs = np.empty((n_classes * n_per_class, dim))
     for c in range(n_classes):
-        for _ in range(n_per_class):
-            for d in range(dim):
-                g, state = rng_gauss(state)
-                inputs[row, d] = min(1.0, max(0.0, centers[c, d] + spread * g))
-            labels[row] = c
-            row += 1
+        u, state = uniform_array(state, 2 * block)
+        log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, block)
+        cos = np.fromiter(map(math.cos, ((2.0 * math.pi) * u[1::2]).tolist()),
+                          np.float64, block)
+        g = (np.sqrt(-2.0 * log) * cos).reshape(n_per_class, dim)
+        x = centers[c] + spread * g
+        # min(1.0, max(0.0, x)) exactly, NaN included
+        x = np.where(x > 0.0, x, 0.0)
+        inputs[c * n_per_class:(c + 1) * n_per_class] = np.where(x < 1.0, x, 1.0)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     return Dataset(inputs, labels, n_classes)

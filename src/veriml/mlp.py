@@ -17,7 +17,7 @@ import numpy as np
 from . import canon
 from .data import Dataset
 from .errors import ParameterError, ShapeError
-from .rng import rng_uniform, shuffled_indices
+from .rng import shuffled_indices, uniform_array
 
 SOFTMAX = "softmax"
 LINEAR = "linear"
@@ -101,12 +101,8 @@ def init_mlp(layer_dims, weight_seed: int, output_kind: str = SOFTMAX) -> MlpMod
     for l in range(len(dims) - 1):
         fan_in = dims[l]
         bound = 1.0 / math.sqrt(fan_in)
-        w = np.empty((dims[l + 1], fan_in))
-        for r in range(dims[l + 1]):
-            for c in range(fan_in):
-                u, state = rng_uniform(state)
-                w[r, c] = (2.0 * u - 1.0) * bound
-        weights.append(w)
+        u, state = uniform_array(state, dims[l + 1] * fan_in)
+        weights.append(((2.0 * u - 1.0) * bound).reshape(dims[l + 1], fan_in))
         biases.append(np.zeros(dims[l + 1]))
     return MlpModel(dims, weights, biases, output_kind)
 

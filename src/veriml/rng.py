@@ -12,6 +12,7 @@ java.util.SplittableRandom); first output for seed 0 is 0xE220A8397B1DCDAF.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -86,31 +87,52 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def uniform_array(state: int, count: int) -> tuple["np.ndarray", int]:
-    """``count`` uniforms in draw order; convenience for bulk fills."""
-    out = np.empty(count)
-    for i in range(count):
-        u, state = rng_uniform(state)
-        out[i] = u
-    return out, state
+    """``count`` uniforms in draw order, bit-identical to ``count`` calls of
+    `rng_uniform`, and the state after them.
+
+    splitmix64 is counter-based: step ``i`` mixes ``state + i * golden`` mod
+    2**64, so the whole walk is one ``uint64`` array expression.
+    """
+    count = operator.index(count)  # a numpy int would overflow the end state
+    if count < 0:
+        raise ParameterError(f"need count >= 0, got {count}")
+    state &= MASK64
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z.astype(np.float64) * _INV53, (state + count * _GOLDEN) & MASK64
+
+
+def _below_array(state: int, bounds: "np.ndarray") -> tuple["np.ndarray", int]:
+    """One `rng_below` draw per entry of ``bounds`` (all >= 1), in order."""
+    u, state = uniform_array(state, len(bounds))
+    k = (u * bounds).astype(np.int64)
+    return np.minimum(k, bounds - 1), state  # guards u*n rounding up to n
 
 
 def shuffled_indices(state: int, n: int) -> tuple[list[int], int]:
     """Fisher-Yates permutation of range(n), fully determined by state."""
     order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j, state = rng_below(state, i + 1)
+    picks, state = _below_array(state, np.arange(n, 1, -1, dtype=np.int64))
+    for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
         order[i], order[j] = order[j], order[i]
     return order, state
 
 
 def sample_indices(state: int, n: int, k: int) -> tuple[list[int], int]:
     """k distinct indices from range(n), in selection order."""
-    if k > n:
+    if not 0 <= k <= n:
         raise ParameterError(f"cannot sample {k} from {n}")
     pool = list(range(n))
     picked = []
-    for i in range(k):
-        j, state = rng_below(state, n - i)
+    picks, state = _below_array(state, np.arange(n, n - k, -1, dtype=np.int64))
+    for i, j in enumerate(picks.tolist()):
         picked.append(pool[j])
         pool[j] = pool[n - 1 - i]
     return picked, state

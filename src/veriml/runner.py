@@ -6,6 +6,7 @@ report that is byte-reproducible apart from wall time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -50,14 +51,19 @@ def cache_dir() -> Path:
 
 
 def _cache_fetch(key: bytes) -> bytes | None:
+    """The blob stored under `key`, or None if there is none or its
+    SHA-256 does not match (a corrupt entry is never handed to a loader)."""
     path = cache_dir() / (key.hex() + ".bin")
     try:
-        return path.read_bytes()
+        entry = path.read_bytes()
     except OSError:
         return None
+    digest, blob = entry[:32], entry[32:]
+    return blob if hashlib.sha256(blob).digest() == digest else None
 
 
 def _cache_store(key: bytes, blob: bytes) -> None:
+    """Write `sha256(blob) || blob` atomically under `key`."""
     root = cache_dir()
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -65,7 +71,7 @@ def _cache_store(key: bytes, blob: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=root, prefix=key.hex() + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                f.write(blob)
+                f.write(hashlib.sha256(blob).digest() + blob)
             os.replace(tmp, root / (key.hex() + ".bin"))
         except OSError:
             os.unlink(tmp)
@@ -75,8 +81,9 @@ def _cache_store(key: bytes, blob: bytes) -> None:
 
 
 def _cached(key: bytes, load, build, save):
-    """`load` the cache entry for `key`; on a miss, or an entry `load` rejects
-    (stale or truncated), `build` a fresh value and store `save(value)`."""
+    """`load` the cache entry for `key`; on a miss, or an entry that fails its
+    checksum or that `load` rejects (stale format), `build` a fresh value and
+    store `save(value)` in its place."""
     blob = _cache_fetch(key)
     if blob is not None:
         try:

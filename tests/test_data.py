@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from veriml.data import BlobRecipe, Dataset, make_blobs, split_per_class
 from veriml.errors import ParameterError
+from veriml.rng import rng_gauss, rng_uniform
 
 
 def test_blob_shapes_and_ranges():
@@ -98,3 +99,51 @@ def test_recipe_canonical_bytes_distinguish():
                   BlobRecipe(2, 20, 4, 0.1, 77), BlobRecipe(2, 20, 3, 0.2, 77),
                   BlobRecipe(2, 20, 3, 0.1, 78)):
         assert base.canonical_bytes() != other.canonical_bytes()
+
+
+def _scalar_blobs(n_classes, n_per_class, dim, spread, seed):
+    """make_blobs by its definition: one rng_uniform per center coordinate,
+    one rng_gauss per point coordinate, in class/sample/coordinate order."""
+    state = seed
+    centers = []
+    for _ in range(n_classes * dim):
+        u, state = rng_uniform(state)
+        centers.append(0.2 + 0.6 * u)
+    rows = []
+    for c in range(n_classes):
+        for _ in range(n_per_class):
+            row = []
+            for d in range(dim):
+                g, state = rng_gauss(state)
+                row.append(min(1.0, max(0.0, centers[c * dim + d] + spread * g)))
+            rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+RECIPES = [(2, 1, 2, 0.05), (3, 4, 2, 0.3), (2, 2, 4, 5.0), (3, 300, 3, 0.3)]
+
+
+def _check_blobs(seed, recipe):
+    n_classes, per, dim, spread = recipe
+    data = make_blobs(n_classes, per, dim, spread, seed)
+    want = _scalar_blobs(n_classes, per, dim, spread, seed)
+    assert data.inputs.tobytes() == want.tobytes()
+    assert data.labels.tolist() == [c for c in range(n_classes) for _ in range(per)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1])
+@pytest.mark.parametrize("recipe", RECIPES)
+def test_make_blobs_is_its_scalar_definition_at_fixed_seeds(seed, recipe):
+    _check_blobs(seed, recipe)
+
+
+@settings(max_examples=20)
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.sampled_from(RECIPES))
+def test_make_blobs_is_its_scalar_definition(seed, recipe):
+    _check_blobs(seed, recipe)
+
+
+def test_wide_spread_blobs_hit_both_clamps():
+    data = make_blobs(2, 50, 4, 5.0, seed=2 ** 64 - 1)
+    assert data.inputs.tobytes() == _scalar_blobs(2, 50, 4, 5.0, 2 ** 64 - 1).tobytes()
+    assert (data.inputs == 0.0).any() and (data.inputs == 1.0).any()

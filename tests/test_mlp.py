@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from veriml import mlp
 from veriml.data import make_blobs
 from veriml.errors import ParameterError, ShapeError
-from veriml.rng import uniform_array
+from veriml.rng import rng_uniform, uniform_array
 
 SC = mlp.SeedConfig(1, 2, 3)
 
@@ -178,3 +178,37 @@ def test_canonical_bytes_distinguish_configs():
     assert base != mlp.TrainConfig(0.1, 6, 8, SC).canonical_bytes()
     assert base != mlp.TrainConfig(0.1, 5, 9, SC).canonical_bytes()
     assert base != mlp.TrainConfig(0.1, 5, 8, mlp.SeedConfig(9, 2, 3)).canonical_bytes()
+
+
+def _scalar_init_weights(dims, seed):
+    state, weights = seed, []
+    for l in range(len(dims) - 1):
+        bound = 1.0 / np.sqrt(dims[l])
+        w = np.empty((dims[l + 1], dims[l]))
+        for r in range(dims[l + 1]):
+            for c in range(dims[l]):
+                u, state = rng_uniform(state)
+                w[r, c] = (2.0 * u - 1.0) * bound
+        weights.append(w)
+    return weights
+
+
+INIT_DIMS = [(1, 1), (2, 4), (4, 7, 3), (30, 30, 2), (16, 12, 8, 3)]
+
+
+def _check_init(seed, dims):
+    model = mlp.init_mlp(dims, weight_seed=seed)
+    want = _scalar_init_weights(dims, seed)
+    assert [w.tobytes() for w in model.weights] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1])
+@pytest.mark.parametrize("dims", INIT_DIMS)
+def test_init_mlp_is_the_scalar_draw_order_at_fixed_seeds(seed, dims):
+    _check_init(seed, dims)
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1), st.sampled_from(INIT_DIMS))
+def test_init_mlp_is_the_scalar_draw_order(seed, dims):
+    _check_init(seed, dims)

@@ -132,3 +132,73 @@ def test_sample_indices_without_replacement(seed, n, data):
 def test_sample_indices_rejects_oversample():
     with pytest.raises(ParameterError):
         rng.sample_indices(1, 3, 4)
+    with pytest.raises(ParameterError):
+        rng.sample_indices(1, 3, -1)
+
+
+# -- vector streams against their scalar definitions --------------------------------
+
+FIXED_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+SIZES = [0, 1, 2, 4, 900]
+
+
+def _scalar_uniforms(state, count):
+    out = []
+    for _ in range(count):
+        u, state = rng.rng_uniform(state)
+        out.append(u)
+    return out, state
+
+
+def _scalar_shuffle(state, n):
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j, state = rng.rng_below(state, i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order, state
+
+
+def _scalar_sample(state, n, k):
+    pool, picked = list(range(n)), []
+    for i in range(k):
+        j, state = rng.rng_below(state, n - i)
+        picked.append(pool[j])
+        pool[j] = pool[n - 1 - i]
+    return picked, state
+
+
+def _check_streams(seed, n):
+    arr, end = rng.uniform_array(seed, n)
+    want, state = _scalar_uniforms(seed, n)
+    assert arr.dtype == np.float64 and arr.shape == (n,)
+    assert arr.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert end == state
+    assert rng.shuffled_indices(seed, n) == _scalar_shuffle(seed, n)
+    for k in (0, n // 2, n):
+        assert rng.sample_indices(seed, n, k) == _scalar_sample(seed, n, k)
+
+
+@pytest.mark.parametrize("seed", FIXED_SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_vector_streams_are_the_scalar_streams_at_fixed_seeds(seed, n):
+    _check_streams(seed, n)
+
+
+@given(SEEDS, st.sampled_from(SIZES))
+def test_vector_streams_are_the_scalar_streams(seed, n):
+    _check_streams(seed, n)
+
+
+def test_uniform_array_rejects_negative_count():
+    with pytest.raises(ParameterError):
+        rng.uniform_array(1, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_uniform_array_masks_the_incoming_state(seed):
+    arr, end = rng.uniform_array(seed, 3)
+    for alias in (seed + 2 ** 64, seed - 2 ** 64):
+        got, got_end = rng.uniform_array(alias, 3)
+        assert got.tobytes() == arr.tobytes() and got_end == end
+    assert 0 <= end < 2 ** 64
+    assert rng.uniform_array(seed + 2 ** 64, 0)[1] == seed

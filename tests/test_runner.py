@@ -220,3 +220,27 @@ def test_cache_store_does_not_collide_with_a_leftover_temp_path(tmp_path, monkey
     # the writer's own temp file is gone; the foreign one is untouched
     assert sorted(p.name for p in tmp_path.iterdir()) == [key.hex() + ".bin",
                                                           leftover.name]
+
+
+def test_cache_entry_with_flipped_weight_bits_is_rebuilt(tmp_path, monkeypatch):
+    # a corrupt supplier that still parses used to be loaded as is, and
+    # detection of the substitute fell from 1.0 to 0.5
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
+    cold = _run(cfgmod.PROBABILISTIC_BENCH)
+    raw = cfgmod.builtin_config(cfgmod.PROBABILISTIC_BENCH,
+                                provider_kind="SubstituteModel", trials=2)
+    model = runner.build_fixtures(cfgmod.validate_config(raw)).supplier.model
+    blob = save_model(model)
+    [path] = [p for p in tmp_path.glob("*.bin") if p.read_bytes().endswith(blob)]
+    entry = bytearray(path.read_bytes())
+    base = len(entry) - len(blob)
+    for w in model.weights:
+        at = base + blob.index(w.tobytes())
+        for i in range(w.size):
+            entry[at + 8 * i + 7] ^= 0x40  # top exponent bit of each weight
+    path.write_bytes(bytes(entry))
+
+    warm = _run(cfgmod.PROBABILISTIC_BENCH)
+    assert _stable_json(warm) == _stable_json(cold)
+    assert warm["aggregates"]["detection_rate"] == 1.0
+    assert path.read_bytes() != bytes(entry)  # the rebuilt entry replaced it
