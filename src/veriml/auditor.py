@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import canon
+from .cache import trained_model
 from .data import BlobRecipe
 from .errors import (AccessDeniedError, FundingError, ParameterError,
                      SpecIntegrityError, StateError)
-from .mlp import SeedConfig, TrainConfig, accuracy, forward, init_mlp, train_sgd
+from .mlp import SeedConfig, TrainConfig, accuracy, forward
 
 METRIC_ACCURACY = "accuracy"
 METRIC_ROBUSTNESS = "robustness"
@@ -49,6 +50,10 @@ class ModelSpec:
     metric: str
     metric_class: int
     spec_digest: bytes
+
+    def __post_init__(self):
+        if self.train_config.seed_config != self.seed_config:
+            raise ParameterError("spec seed config disagrees with train config")
 
     def canonical_bytes(self) -> bytes:
         parts = [canon.u16(len(self.architecture))]
@@ -82,18 +87,18 @@ _METRIC_CACHE: dict[bytes, float] = {}
 
 
 def compute_metric(spec: ModelSpec) -> float:
-    """The ground-truth metric for a spec: retrain deterministically and
-    evaluate. Memoized on the spec digest — every honest oracle lands on the
-    same bytes, so one training run serves them all."""
+    """The ground-truth metric for a spec: retrain deterministically (a
+    fixture cache hit is that retrain) and evaluate. Memoized on the spec
+    digest, so every honest oracle shares one evaluation."""
     check_spec_digest(spec)
     cached = _METRIC_CACHE.get(spec.spec_digest)
     if cached is not None:
         return cached
-    data = spec.data_recipe.build()
-    model = train_sgd(init_mlp(spec.architecture, spec.seed_config.weight_seed),
-                      data, spec.train_config)
+    recipe = spec.data_recipe
+    model = trained_model(spec.architecture, spec.train_config, recipe,
+                          recipe.n_per_class)
     if spec.metric == METRIC_ACCURACY:
-        value = accuracy(model, data)
+        value = accuracy(model, recipe.build())
     else:
         # robustness of one class under the fixed reference attack budget,
         # seeded from the spec digest so every evaluator agrees

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
+from .entities import (NOISY_PASSTHROUGH, PARTIAL_CHEAT, PROVIDER_KINDS,
+                       SUBSTITUTE_MODEL)
 from .errors import ConfigValidationError
 
 STEG_PROBE = "StegProbe"
@@ -22,9 +25,6 @@ AUDITOR = "Auditor"
 
 SCENARIOS = (STEG_PROBE, DETERMINISTIC_BENCH, PROBABILISTIC_BENCH,
              METARESULT, ROBUSTNESS, AUDITOR)
-
-_PROVIDER_KINDS = ("HonestPassthrough", "SubstituteModel", "PartialCheat",
-                   "CachedReplay", "NoisyPassthrough")
 
 SCHEMA_VERSION = 1
 _MAX_SEED = 2 ** 64 - 1
@@ -63,16 +63,20 @@ class _Check:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(full, f"expected a number, got {type(value).__name__}")
             return None
-        if integer:
-            if isinstance(value, float):
-                if value != int(value):
-                    self.fail(full, "expected an integer")
-                    return None
-                value = int(value)
-                obj[key] = value
-        else:
-            value = float(value)
-            obj[key] = value
+        if not integer:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+        if isinstance(value, float) and not math.isfinite(value):
+            self.fail(full, "must be finite")  # json reads NaN and Infinity
+            return None
+        if integer and isinstance(value, float):
+            if value != int(value):
+                self.fail(full, "expected an integer")
+                return None
+            value = int(value)
+        obj[key] = value
         if lo is not None and value < lo:
             self.fail(full, f"must be >= {lo}, got {value}")
         if hi is not None and value > hi:
@@ -174,7 +178,11 @@ def _check_supplier(chk: _Check, cfg: dict, scenario: str):
     _check_architecture(chk, sup, "supplier",
                         expect_in=dim if isinstance(dim, int) else None)
     _check_train(chk, sup, "supplier")
-    chk.number(sup, "supplier", "adversarial_epsilon", lo=0.0, default=0.0)
+    eps = chk.number(sup, "supplier", "adversarial_epsilon", lo=0.0, default=0.0)
+    if eps and scenario in (DETERMINISTIC_BENCH, AUDITOR):
+        chk.fail("supplier.adversarial_epsilon",
+                 f"must be 0 for {scenario}: its retrain from the published "
+                 f"seeds trains without adversarial hardening")
     _check_latency(chk, sup, "supplier", default_base=4.0)
     key = sup.setdefault("mac_key_hex", None)
     if key is not None:
@@ -212,18 +220,18 @@ def _check_provider(chk: _Check, cfg: dict, scenario: str):
     prov = chk.section(cfg, "", "provider")
     if prov is None:
         return
-    kind = chk.choice(prov, "provider", "kind", _PROVIDER_KINDS)
+    kind = chk.choice(prov, "provider", "kind", PROVIDER_KINDS)
     chk.number(prov, "provider", "cheat_rate", lo=0.0, hi=1.0, default=0.0)
     chk.number(prov, "provider", "noise_sigma", lo=0.0, default=0.0)
     _check_latency(chk, prov, "provider", default_base=1.0)
     sup = cfg.get("supplier")
     data = sup.get("data") if isinstance(sup, dict) else None
-    needs_cheap = kind in ("SubstituteModel", "PartialCheat")
+    needs_cheap = kind in (SUBSTITUTE_MODEL, PARTIAL_CHEAT)
     if needs_cheap or prov.get("cheap") is not None:
         _check_cheap(chk, prov, data if isinstance(data, dict) else None)
     else:
         prov.setdefault("cheap", None)
-    if kind == "NoisyPassthrough" and prov.get("noise_sigma") in (None, 0.0):
+    if kind == NOISY_PASSTHROUGH and prov.get("noise_sigma") in (None, 0.0):
         chk.fail("provider.noise_sigma", "must be > 0 for NoisyPassthrough")
 
 
@@ -419,7 +427,7 @@ def _hard_cheap() -> dict:
             "subsample_stride": 30}
 
 
-def builtin_config(scenario: str, provider_kind: str = "SubstituteModel",
+def builtin_config(scenario: str, provider_kind: str = SUBSTITUTE_MODEL,
                    trials: int = 5, master_seed: int = 42) -> dict:
     """A ready-to-run config dict for any scenario; tests and the demo
     subcommands start from these."""
@@ -504,6 +512,6 @@ def builtin_config(scenario: str, provider_kind: str = "SubstituteModel",
         }
     else:
         raise ConfigValidationError([f"scenario: unknown scenario {scenario!r}"])
-    if provider_kind == "NoisyPassthrough" and cfg.get("provider") is not None:
+    if provider_kind == NOISY_PASSTHROUGH and cfg.get("provider") is not None:
         cfg["provider"]["noise_sigma"] = 0.05
     return cfg

@@ -96,8 +96,8 @@ def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,
         raise ParameterError("n_classes must be >= 2")
     if dim < 2:
         raise ParameterError("dim must be >= 2")
-    if spread <= 0:
-        raise ParameterError("spread must be > 0")
+    if not 0 < spread < math.inf:
+        raise ParameterError("spread must be finite and > 0")
     if n_per_class < 1:
         raise ParameterError("n_per_class must be >= 1")
 

@@ -6,13 +6,9 @@ report that is byte-reproducible apart from wall time.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,12 +20,12 @@ from .adversarial import (AttackConfig, SigmoidParams, claim_check,
 from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       compute_metric, identity, make_model_spec,
                       run_audit_round)
+from .cache import _cached, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
 from .entities import (LatencyModel, Provider, SeedPublication, Supplier,
                        provider_classify)
 from .errors import FixtureError, GenerationFailureError, ParameterError
-from .mlp import (SOFTMAX, MlpModel, SeedConfig, TrainConfig, forward,
-                  init_mlp, load_model, save_model, train_sgd)
+from .mlp import MlpModel, SeedConfig, TrainConfig, forward
 from .rng import derive_seed, uniform_array
 from .steg import (RevealClassifier, StegModel, load_steg_bundle,
                    save_steg_bundle, train_steg_joint)
@@ -40,71 +36,7 @@ from .verifiers import (LIKELY_FRAUDULENT, ProbePlan, StegSuite,
 _LATENCY_PINGS = 4
 
 
-# -- fixture cache --------------------------------------------------------------
-
-
-def cache_dir() -> Path:
-    override = os.environ.get("VERIML_CACHE_DIR")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "veriml"
-
-
-def _cache_fetch(key: bytes) -> bytes | None:
-    """The blob stored under `key`, or None if there is none or its
-    SHA-256 does not match (a corrupt entry is never handed to a loader)."""
-    path = cache_dir() / (key.hex() + ".bin")
-    try:
-        entry = path.read_bytes()
-    except OSError:
-        return None
-    digest, blob = entry[:32], entry[32:]
-    return blob if hashlib.sha256(blob).digest() == digest else None
-
-
-def _cache_store(key: bytes, blob: bytes) -> None:
-    """Write `sha256(blob) || blob` atomically under `key`."""
-    root = cache_dir()
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        # one temp file per writer, so concurrent or crashed writers never collide
-        fd, tmp = tempfile.mkstemp(dir=root, prefix=key.hex() + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(hashlib.sha256(blob).digest() + blob)
-            os.replace(tmp, root / (key.hex() + ".bin"))
-        except OSError:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        pass  # a cold cache only costs retraining time
-
-
-def _cached(key: bytes, load, build, save):
-    """`load` the cache entry for `key`; on a miss, or an entry that fails its
-    checksum or that `load` rejects (stale format), `build` a fresh value and
-    store `save(value)` in its place."""
-    blob = _cache_fetch(key)
-    if blob is not None:
-        try:
-            return load(blob)
-        except Exception:
-            pass  # fall through and rebuild
-    value = build()
-    _cache_store(key, save(value))
-    return value
-
-
-def _arch_bytes(arch: tuple[int, ...]) -> bytes:
-    return canon.u16(len(arch)) + b"".join(canon.u32(d) for d in arch)
-
-
-def _model_cache_key(arch: tuple[int, ...], tcfg: TrainConfig,
-                     recipe: BlobRecipe, train_per_class: int, stride: int,
-                     adversarial_epsilon: float) -> bytes:
-    return canon.sha256(b"model.v1" + _arch_bytes(arch) + tcfg.canonical_bytes()
-                        + recipe.canonical_bytes() + canon.u32(train_per_class)
-                        + canon.u32(stride) + canon.f64(adversarial_epsilon))
+# -- fixture construction -------------------------------------------------------
 
 
 def _steg_cache_key(secret_dim: int, beta: float, tcfg: TrainConfig,
@@ -112,9 +44,6 @@ def _steg_cache_key(secret_dim: int, beta: float, tcfg: TrainConfig,
     return canon.sha256(b"steg.v1" + canon.u32(secret_dim) + canon.f64(beta)
                         + tcfg.canonical_bytes() + recipe.canonical_bytes()
                         + canon.u32(train_per_class))
-
-
-# -- fixture construction -------------------------------------------------------
 
 
 @dataclass
@@ -142,21 +71,6 @@ def _seed_and_train_cfg(train_block: dict, data_seed: int) -> tuple[SeedConfig, 
     return seeds, TrainConfig(train_block["learning_rate"],
                               train_block["epochs"], train_block["batch_size"],
                               seeds)
-
-
-def _trained_model(arch: tuple[int, ...], tcfg: TrainConfig, bundle: _DataBundle,
-                   stride: int, adversarial_epsilon: float) -> MlpModel:
-    key = _model_cache_key(arch, tcfg, bundle.recipe, bundle.train_per_class,
-                           stride, adversarial_epsilon)
-
-    def train() -> MlpModel:
-        data = bundle.train
-        if stride > 1:
-            data = data.subset(range(0, len(data), stride))
-        return train_sgd(init_mlp(arch, tcfg.seed_config.weight_seed), data,
-                         tcfg, adversarial_epsilon=adversarial_epsilon)
-
-    return _cached(key, lambda blob: load_model(blob, SOFTMAX), train, save_model)
 
 
 def _latency_from(block: dict) -> LatencyModel:
@@ -216,18 +130,18 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
                                         ver["metric"], ver["metric_class"])
         return fx
 
-    model = _trained_model(arch, tcfg, fx.data, stride=1,
-                           adversarial_epsilon=sup_block["adversarial_epsilon"])
+    model = trained_model(arch, tcfg, fx.data.recipe, fx.data.train_per_class,
+                          adversarial_epsilon=sup_block["adversarial_epsilon"])
 
     prov_block = raw["provider"]
     cheap_block = prov_block.get("cheap")
     if cheap_block is not None:
         _, cheap_tcfg = _seed_and_train_cfg(cheap_block["train"],
                                             data_seed=sup_block["data"]["seed"])
-        fx.cheap_model = _trained_model(tuple(cheap_block["architecture"]),
-                                        cheap_tcfg, fx.data,
-                                        stride=cheap_block["subsample_stride"],
-                                        adversarial_epsilon=cheap_block["adversarial_epsilon"])
+        fx.cheap_model = trained_model(
+            tuple(cheap_block["architecture"]), cheap_tcfg, fx.data.recipe,
+            fx.data.train_per_class, stride=cheap_block["subsample_stride"],
+            adversarial_epsilon=cheap_block["adversarial_epsilon"])
     fx.provider_kind = prov_block["kind"]
     fx.cheat_rate = prov_block["cheat_rate"]
     fx.noise_sigma = prov_block["noise_sigma"]

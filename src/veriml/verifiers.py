@@ -23,12 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canon, stats
+from .cache import trained_model
 from .data import BlobRecipe
 from .entities import (Provider, Response, SeedPublication, Supplier,
                        provider_classify, supplier_classify, verify_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
-from .mlp import MlpModel, forward, init_mlp, train_sgd
+from .mlp import MlpModel, forward
 from .rng import sample_indices
 from .steg import RevealClassifier, StegModel, draw_message_instance
 from .stats import two_proportion_z  # noqa: F401  (re-exported: part of this API)
@@ -200,7 +201,8 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     if not queries:
         return _verdict(METHOD_DETERMINISTIC, 0, 0.0, 1.0, INCONCLUSIVE,
                         "no queries issued")
-    local = _retrained(publication, data_recipe)
+    local = trained_model(publication.architecture, publication.train_config,
+                          data_recipe, data_recipe.n_per_class)
     state = rng
     for i, x in enumerate(queries):
         want = forward(local, x)
@@ -218,25 +220,6 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
         METHOD_DETERMINISTIC, len(queries), 0.0, 1.0, LIKELY_HONEST,
         f"all {len(queries)} answers bit-identical to the seed-retrained "
         f"reference; guarantee scoped to the queried set")
-
-
-_RETRAIN_CACHE: dict = {}
-
-
-def _retrained(publication: SeedPublication, recipe: BlobRecipe) -> MlpModel:
-    """Seed-retrained reference model. Retraining is a pure function of
-    (publication, recipe), so verifier instances share results."""
-    key = (publication, recipe)
-    model = _RETRAIN_CACHE.get(key)
-    if model is None:
-        data = recipe.build()
-        model = train_sgd(
-            init_mlp(publication.architecture, publication.seed_config.weight_seed),
-            data, publication.train_config)
-        if len(_RETRAIN_CACHE) >= 32:
-            _RETRAIN_CACHE.clear()
-        _RETRAIN_CACHE[key] = model
-    return model
 
 
 def probabilistic_benchmark(provider: Provider, supplier: Supplier,

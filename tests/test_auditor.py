@@ -69,6 +69,14 @@ def test_make_model_spec_rejects_unknown_metric():
                                 metric="f1")
 
 
+def test_model_spec_rejects_disagreeing_seed_configs():
+    # the oracles retrain with the train config's seeds
+    tc = mlp.TrainConfig(0.5, 1, 4, mlp.SeedConfig(1, 2, 3))
+    with pytest.raises(ParameterError):
+        auditor.make_model_spec((2, 2), mlp.SeedConfig(9, 2, 3), tc,
+                                BlobRecipe(2, 5, 2, 0.1, 3))
+
+
 def test_compute_metric_is_memoized_and_in_range():
     spec = _tiny_spec(seed=77)
     first = auditor.compute_metric(spec)

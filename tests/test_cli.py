@@ -51,6 +51,29 @@ def test_invalid_config_reports_field_errors(tmp_path, capsys):
     assert "trials" in err and "verifier.alpha" in err
 
 
+def test_non_finite_config_number_is_a_config_error(tmp_path, capsys):
+    raw = cfgmod.builtin_config(cfgmod.DETERMINISTIC_BENCH, trials=1)
+    raw["supplier"]["train"]["epochs"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")  # writes Infinity
+    code = cli.main(["run", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    assert "supplier.train.epochs: must be finite" in capsys.readouterr().err
+
+
+def test_hardened_deterministic_supplier_is_a_config_error(tmp_path, capsys):
+    # the reference retrain cannot reproduce adversarial hardening, so this
+    # config used to flag an honest provider in every trial and exit 0
+    raw = cfgmod.builtin_config(cfgmod.DETERMINISTIC_BENCH,
+                                provider_kind="HonestPassthrough", trials=1)
+    raw["supplier"]["adversarial_epsilon"] = 0.05
+    path = tmp_path / "hardened.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = cli.main(["run", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    assert "supplier.adversarial_epsilon" in capsys.readouterr().err
+
+
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

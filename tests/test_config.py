@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 
@@ -101,6 +102,30 @@ def test_numeric_field_rules():
     raw = _builtin(cfgmod.STEG_PROBE)
     raw["trials"] = 2.5
     _expect_errors(raw, "trials:")
+    # json reads NaN and Infinity; both used to crash or slip through
+    for value in (math.nan, math.inf, -math.inf):
+        raw = _builtin(cfgmod.STEG_PROBE)
+        raw["master_seed"] = value
+        raw["supplier"]["train"]["epochs"] = value
+        raw["supplier"]["data"]["spread"] = value
+        errors = _expect_errors(raw, "master_seed: must be finite",
+                                "supplier.train.epochs: must be finite",
+                                "supplier.data.spread: must be finite")
+        assert len(errors) == 3
+    raw = _builtin(cfgmod.STEG_PROBE)
+    raw["supplier"]["train"]["learning_rate"] = 10 ** 400  # no float holds it
+    _expect_errors(raw, "supplier.train.learning_rate: must be finite")
+
+
+@pytest.mark.parametrize("scenario", [cfgmod.DETERMINISTIC_BENCH, cfgmod.AUDITOR])
+def test_retrained_suppliers_reject_adversarial_epsilon(scenario):
+    # the published seeds carry no epsilon, so the reference retrain and the
+    # oracles would train an unhardened model and convict an honest provider
+    raw = _builtin(scenario)
+    raw["supplier"]["adversarial_epsilon"] = 0.05
+    _expect_errors(raw, "supplier.adversarial_epsilon: must be 0")
+    raw["supplier"]["adversarial_epsilon"] = 0.0
+    cfgmod.validate_config(raw)
 
 
 def test_int_valued_floats_are_accepted():

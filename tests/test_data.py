@@ -56,6 +56,13 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), 2)  # label 2 out of range
 
 
+@pytest.mark.parametrize("spread", [0.0, -0.1, float("nan"), float("inf")])
+def test_make_blobs_rejects_spread_outside_zero_to_inf(spread):
+    # a NaN spread used to come back as an all-zero dataset
+    with pytest.raises(ParameterError):
+        make_blobs(2, 3, 2, spread, 1)
+
+
 def test_subset_picks_rows():
     data = make_blobs(2, 5, 3, 0.1, seed=1)
     sub = data.subset([0, 5, 9])

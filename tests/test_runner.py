@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from veriml import auditor, cache, runner
 from veriml import config as cfgmod
-from veriml import runner
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
 from veriml.mlp import save_model
@@ -188,7 +188,7 @@ def test_auditor_demo_reproducible_and_conserving():
 
 
 def test_cache_dir_honors_environment(_isolated_cache):
-    assert runner.cache_dir() == Path(_isolated_cache)
+    assert cache.cache_dir() == Path(_isolated_cache)
     assert any(Path(_isolated_cache).glob("*.bin"))
 
 
@@ -215,8 +215,8 @@ def test_cache_store_does_not_collide_with_a_leftover_temp_path(tmp_path, monkey
     key = bytes(range(32))
     leftover = tmp_path / (key.hex() + ".tmp")
     leftover.mkdir()
-    runner._cache_store(key, b"entry")
-    assert runner._cache_fetch(key) == b"entry"
+    cache._cache_store(key, b"entry")
+    assert cache._cache_fetch(key) == b"entry"
     # the writer's own temp file is gone; the foreign one is untouched
     assert sorted(p.name for p in tmp_path.iterdir()) == [key.hex() + ".bin",
                                                           leftover.name]
@@ -244,3 +244,21 @@ def test_cache_entry_with_flipped_weight_bits_is_rebuilt(tmp_path, monkeypatch):
     assert _stable_json(warm) == _stable_json(cold)
     assert warm["aggregates"]["detection_rate"] == 1.0
     assert path.read_bytes() != bytes(entry)  # the rebuilt entry replaced it
+
+
+def test_reference_and_oracle_retrains_are_cache_hits(tmp_path, monkeypatch):
+    # the DeterministicBench reference and the auditor oracles retrain through
+    # the fixture cache, so a fresh process on a filled cache trains nothing
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
+    auditor._METRIC_CACHE.clear()
+    cold = [_run(cfgmod.DETERMINISTIC_BENCH, provider_kind="HonestPassthrough"),
+            _run(cfgmod.AUDITOR)]
+    auditor._METRIC_CACHE.clear()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a filled cache")
+
+    monkeypatch.setattr(cache, "train_sgd", no_training)
+    warm = [_run(cfgmod.DETERMINISTIC_BENCH, provider_kind="HonestPassthrough"),
+            _run(cfgmod.AUDITOR)]
+    assert [_stable_json(r) for r in warm] == [_stable_json(r) for r in cold]

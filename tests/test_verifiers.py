@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from veriml import mlp, stats, verifiers
+from veriml import cache, mlp, stats
 from veriml.entities import (HONEST_PASSTHROUGH, SUBSTITUTE_MODEL, Provider,
                              provider_classify, supplier_classify)
 from veriml.errors import ParameterError, ShapeError
@@ -116,7 +116,39 @@ def test_deterministic_honest_bitwise(det_env):
     assert verdict.statistic == 0.0
     assert verdict.p_value == 1.0
     assert verdict.n_probes == 20
-    assert (fx.publication, fx.data.recipe) in verifiers._RETRAIN_CACHE
+    # the reference is the supplier's own cache entry
+    pub, recipe = fx.publication, fx.data.recipe
+    key = cache._model_cache_key(pub.architecture, pub.train_config, recipe,
+                                 recipe.n_per_class, 1, 0.0)
+    assert cache._cache_fetch(key) == mlp.save_model(fx.supplier.model)
+
+
+def test_deterministic_reference_entry_with_flipped_bits_is_rebuilt(
+        det_env, tmp_path, monkeypatch):
+    _, fx = det_env
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
+    queries = _queries(33, 20, fx.data.recipe.dim)
+
+    def verdict():
+        return deterministic_benchmark(_honest(fx), fx.publication,
+                                       fx.data.recipe, queries, rng=7)
+
+    first = verdict()
+    [path] = tmp_path.glob("*.bin")  # the reference retrain alone filled it
+    good = path.read_bytes()
+    blob = mlp.save_model(fx.supplier.model)
+    assert good.endswith(blob)
+    entry = bytearray(good)
+    base = len(entry) - len(blob)
+    for w in fx.supplier.model.weights:
+        at = base + blob.index(w.tobytes())
+        for i in range(w.size):
+            entry[at + 8 * i + 7] ^= 0x40  # top exponent bit of each weight
+    path.write_bytes(bytes(entry))
+
+    assert verdict() == first
+    assert first.decision == LIKELY_HONEST
+    assert path.read_bytes() == good  # the rebuilt entry replaced it
 
 
 def test_deterministic_convicts_substitute_on_first_divergence(det_env):
