@@ -1,6 +1,7 @@
 """Command-line front end: run scenario campaigns, sweep a parameter,
 explain one trial's evidence, demo the auditor ledger, or self-test the
-statistical kernels and rng streams against brute-force oracles.
+statistical kernels, rng streams and forward kernel against brute-force
+oracles.
 
 Exit codes: 0 success, 2 config problem, 3 fixture training failure,
 4 any other veriml error (a failed selftest, a ledger FundingError).
@@ -159,6 +160,8 @@ def _selftest_checks():
 
     yield "vector splitmix64 streams vs scalar draws", _vector_streams_match()
 
+    yield "batch-invariant forward", _forward_is_batch_invariant()
+
 
 def _vector_streams_match() -> bool:
     """The numpy streams equal their scalar definitions; they rely on numpy's
@@ -193,6 +196,32 @@ def _vector_streams_match() -> bool:
                 g, state = rng.rng_gauss(state)
                 want.append(min(1.0, max(0.0, centers[2 * c + d] + 0.5 * g)))
     return ok and data.inputs.ravel().tolist() == want
+
+
+def _forward_is_batch_invariant() -> bool:
+    """forward_batch rows equal one-row forward bytes at batch sizes 1, 7,
+    64 and 65 and under re-chunking. This rests on numpy's tanh and exp
+    giving the same bits on every vector path it dispatches to on this CPU."""
+    from . import rng
+    from .mlp import LINEAR, SOFTMAX, forward, forward_batch, init_mlp
+
+    ok = True
+    for dims, kind in (((12, 16, 9), SOFTMAX), ((9, 20, 3), LINEAR)):
+        model = init_mlp(dims, weight_seed=5, output_kind=kind)
+        state = 29
+        for i, b in enumerate(model.biases):
+            u, state = rng.uniform_array(state, len(b))
+            model.biases[i] = u - 0.5
+        flat, _ = rng.uniform_array(state, 65 * dims[0])
+        X = flat.reshape(65, dims[0]) * 6.0 - 3.0
+        for n in (1, 7, 64, 65):
+            rows = X[:n]
+            batched = forward_batch(model, rows).tobytes()
+            single = b"".join(forward(model, x).tobytes() for x in rows)
+            chunked = b"".join(forward_batch(model, rows[i:i + 3]).tobytes()
+                               for i in range(0, n, 3))
+            ok = ok and batched == single == chunked
+    return ok
 
 
 def _cmd_selftest(_args) -> int:
@@ -243,8 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_auditor_demo)
 
-    p = sub.add_parser("selftest", help="check the statistical kernels and "
-                       "the vector rng streams against brute-force oracles")
+    p = sub.add_parser("selftest", help="check the statistical kernels, the "
+                       "vector rng streams and the batch-invariant forward "
+                       "kernel against brute-force oracles")
     p.set_defaults(fn=_cmd_selftest)
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import canon
 from .errors import ParameterError, ShapeError
-from .mlp import MlpModel, SeedConfig, TrainConfig, forward
+from .mlp import MlpModel, SeedConfig, TrainConfig, _infer, forward_batch
 from .rng import mix64, rng_bytes, rng_gauss, rng_next, rng_uniform
 from .steg import RevealClassifier
 
@@ -161,71 +161,165 @@ def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
     return hmac.compare_digest(expected, cert.tag)
 
 
-def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
-    """Answer one query: reveal head when present (n+1 classes), the plain
-    model otherwise; certificate attached when the supplier holds a MAC key."""
-    x = np.asarray(x, dtype=np.float64)
-    head = s.reveal.model if s.reveal is not None else s.model
-    if x.ndim != 1 or len(x) != head.n_in:
-        raise ShapeError(f"query dim {x.shape} does not match model input {head.n_in}")
-    probs = forward(head, x)
-    cert = None
+class _Query:
+    """One planned query: the rng draws are taken, so all its answer still
+    needs is the model's output on x. `response` is set once answered (at
+    planning time for a replay-cache hit)."""
+
+    __slots__ = ("x", "model", "key", "nonce", "tag", "latency", "noise",
+                 "store", "digest", "response")
+
+    def __init__(self, x: np.ndarray, model: MlpModel | None = None,
+                 response: Response | None = None):
+        self.x = x
+        self.model = model
+        self.key = self.nonce = self.tag = self.noise = None
+        self.store = self.digest = None
+        self.latency = 0.0
+        self.response = response
+
+
+def _query_for(model: MlpModel, x: np.ndarray) -> _Query:
+    if x.ndim != 1 or len(x) != model.n_in:
+        raise ShapeError(f"query dim {x.shape} does not match model input {model.n_in}")
+    return _Query(x, model)
+
+
+def _plan_supplier(s: Supplier, x: np.ndarray, rng: int) -> tuple[_Query, int]:
+    q = _query_for(s.reveal.model if s.reveal is not None else s.model, x)
     if s.mac_key is not None:
-        nonce, rng = rng_bytes(rng, 16)
-        cert = issue_certificate(s.mac_key, x, probs, nonce)
-    latency, rng = s.latency.sample(rng)
-    return Response(probs, cert, latency), rng
+        q.key = s.mac_key
+        q.nonce, rng = rng_bytes(rng, 16)
+    q.latency, rng = s.latency.sample(rng)
+    return q, rng
 
 
-def _cheat_answer(p: Provider, x: np.ndarray, rng: int) -> tuple[Response, int]:
-    """Substitute-path answer: the cheap model's output, a forged (random)
+def _plan_cheat(p: Provider, x: np.ndarray, rng: int) -> tuple[_Query, int]:
+    """Substitute path: the cheap model answers, with a forged (random)
     certificate whenever the honest path would carry a real one, and the
     provider's own latency."""
-    probs = forward(p.cheap_model, x)
-    cert = None
+    q = _query_for(p.cheap_model, x)
     if p.backend.mac_key is not None:
-        nonce, rng = rng_bytes(rng, 16)
-        tag, rng = rng_bytes(rng, 32)
-        cert = Certificate(nonce, tag)
-    latency, rng = p.latency.sample(rng)
-    return Response(probs, cert, latency), rng
+        q.nonce, rng = rng_bytes(rng, 16)
+        q.tag, rng = rng_bytes(rng, 32)
+    q.latency, rng = p.latency.sample(rng)
+    return q, rng
 
 
-def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
-    """One query against the provider. Honest pass-through is byte-identical
-    to asking the supplier directly with the same rng state."""
+def _plan_provider(p: Provider, x, rng: int, pending: dict) -> tuple[_Query, int]:
+    """The rng phase of one provider query. `pending` maps (replay cache,
+    digest) to the unanswered CachedReplay misses of the current batch, so a
+    repeated input is answered once and replayed without a draw."""
     x = np.asarray(x, dtype=np.float64)
 
     if p.kind == HONEST_PASSTHROUGH:
-        return supplier_classify(p.backend, x, rng)
+        return _plan_supplier(p.backend, x, rng)
 
     if p.kind == SUBSTITUTE_MODEL:
-        return _cheat_answer(p, x, rng)
+        return _plan_cheat(p, x, rng)
 
     if p.kind == PARTIAL_CHEAT:
         u, rng = rng_uniform(rng)
         if u < p.cheat_rate:
-            return _cheat_answer(p, x, rng)
-        return supplier_classify(p.backend, x, rng)
+            return _plan_cheat(p, x, rng)
+        return _plan_supplier(p.backend, x, rng)
 
     if p.kind == CACHED_REPLAY:
         digest = canon.sha256(canon.vec(x))
         hit = p.cache.get(digest)
         if hit is not None:
-            return hit, rng
-        resp, rng = supplier_classify(p.backend, x, rng)
-        p.cache[digest] = resp
-        return resp, rng
+            return _Query(x, response=hit), rng
+        slot = (id(p.cache), digest)
+        if slot in pending:
+            return pending[slot], rng
+        q, rng = _plan_supplier(p.backend, x, rng)
+        q.store, q.digest = p.cache, digest
+        pending[slot] = q
+        return q, rng
 
-    # NoisyPassthrough: perturb the supplier's probabilities, clamp to [0,1],
-    # renormalize by the sum; the original certificate rides along and is now
-    # invalid for the altered vector.
-    resp, rng = supplier_classify(p.backend, x, rng)
-    noisy = resp.probs.copy()
-    for i in range(len(noisy)):
-        g, rng = rng_gauss(rng)
-        noisy[i] += p.noise_sigma * g
-    noisy = np.clip(noisy, 0.0, 1.0)
-    total = noisy.sum()
-    probs = noisy / total if total > 0 else np.full(len(noisy), 1.0 / len(noisy))
-    return Response(probs, resp.certificate, resp.latency_ms), rng
+    # NoisyPassthrough: one gaussian per output after the supplier's draws
+    q, rng = _plan_supplier(p.backend, x, rng)
+    g = np.empty(q.model.n_out)
+    for i in range(len(g)):
+        g[i], rng = rng_gauss(rng)
+    q.noise = p.noise_sigma * g
+    return q, rng
+
+
+def _respond(q: _Query, probs: np.ndarray) -> Response:
+    """The compute phase's tail: certificate, noise and replay-cache entry
+    for a query whose model output is `probs`."""
+    cert = None
+    if q.tag is not None:
+        cert = Certificate(q.nonce, q.tag)
+    elif q.nonce is not None:
+        cert = issue_certificate(q.key, q.x, probs, q.nonce)
+    if q.noise is not None:
+        # perturb, clamp to [0,1], renormalize by the sum; the supplier's
+        # certificate rides along and is now invalid for the altered vector
+        noisy = np.clip(probs + q.noise, 0.0, 1.0)
+        total = noisy.sum()
+        probs = noisy / total if total > 0 else np.full(len(noisy), 1.0 / len(noisy))
+    q.response = Response(probs, cert, q.latency)
+    if q.store is not None:
+        q.store[q.digest] = q.response
+    return q.response
+
+
+# The one-query calls below evaluate the kernel directly on the 1-D query:
+# planning has checked its width, and the bytes equal a batch row's.
+
+
+def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
+    """Answer one query: reveal head when present (n+1 classes), the plain
+    model otherwise; certificate attached when the supplier holds a MAC key."""
+    q, rng = _plan_supplier(s, np.asarray(x, dtype=np.float64), rng)
+    return _respond(q, _infer(q.model, q.x)), rng
+
+
+def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
+    """One query against the provider. Honest pass-through is byte-identical
+    to asking the supplier directly with the same rng state."""
+    q, rng = _plan_provider(p, x, rng, {})
+    if q.response is not None:
+        return q.response, rng
+    return _respond(q, _infer(q.model, q.x)), rng
+
+
+class QueryBatch:
+    """Many queries in two phases. `provider` and `supplier` take each
+    query's rng draws exactly as provider_classify and supplier_classify
+    would, in call order, so other draws may be interleaved on the same
+    stream; `answer` then evaluates each model once over all its rows
+    (batch-invariant, so the bytes equal one-at-a-time answers) and returns
+    the responses in query order. Replay caches are filled by `answer`,
+    in query order; a CachedReplay input repeated within the batch is
+    answered once."""
+
+    def __init__(self):
+        self._queries: list[_Query] = []
+        self._pending: dict = {}
+
+    def provider(self, p: Provider, x, rng: int) -> int:
+        q, rng = _plan_provider(p, x, rng, self._pending)
+        self._queries.append(q)
+        return rng
+
+    def supplier(self, s: Supplier, x, rng: int) -> int:
+        q, rng = _plan_supplier(s, np.asarray(x, dtype=np.float64), rng)
+        self._queries.append(q)
+        return rng
+
+    def answer(self) -> list[Response]:
+        todo = [q for q in dict.fromkeys(self._queries) if q.response is None]
+        rows: dict[int, list[_Query]] = {}
+        for q in todo:
+            rows.setdefault(id(q.model), []).append(q)
+        probs = {}
+        for qs in rows.values():
+            out = forward_batch(qs[0].model, np.stack([q.x for q in qs]))
+            probs.update(zip(map(id, qs), out))
+        for q in todo:
+            _respond(q, probs[id(q)])
+        self._pending.clear()
+        return [q.response for q in self._queries]

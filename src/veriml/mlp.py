@@ -4,7 +4,19 @@ Everything here is a pure function of its arguments. Weight initialization,
 shuffling, and SGD all draw from explicit splitmix64 streams in a fixed
 iteration order, so identical (architecture, data, config) reproduce
 bit-identical parameter arrays on a given platform. Training is
-single-threaded by contract; there are no parallel reductions.
+single-threaded by contract and runs on BLAS matrix products, whose fixed
+batch shapes make it deterministic.
+
+Inference (`forward`, `forward_batch`) has a stricter contract: it is
+batch-invariant, so a row's output bytes do not depend on which other rows
+share its call. Each layer multiplies weights and inputs elementwise, sums
+the products strictly left to right over fan_in (`np.add.accumulate`, no
+BLAS and no pairwise reduction), then adds the bias; hidden layers apply
+tanh. Softmax subtracts the row max, exponentiates and divides by a row sum
+that is accumulated left to right the same way. One row, a batch, any
+chunking of a batch and any memory layout of the input give the same bytes,
+which is what lets the verifiers batch their queries and still compare
+answers bit for bit.
 """
 
 from __future__ import annotations
@@ -129,11 +141,11 @@ def models_equal(a: MlpModel, b: MlpModel) -> bool:
 
 def _as_batch(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
+    if X.ndim == 1:
         X = X[None, :]
-    if X.shape[1] != model.n_in:
-        raise ShapeError(f"input dim {X.shape[1]} != model input {model.n_in}")
+    if X.ndim != 2 or X.shape[1] != model.n_in:
+        raise ShapeError(f"input shape {X.shape} does not match model input "
+                         f"{model.n_in}")
     return X
 
 
@@ -184,14 +196,42 @@ def backward(model: MlpModel, acts, d_last: np.ndarray):
     return Grads(gw, gb), d
 
 
+# rows per evaluation block: bounds the (rows, n_out, n_in) product array;
+# batch invariance keeps it out of the output bits
+_BLOCK_ROWS = 64
+
+
+def _infer(model: MlpModel, a: np.ndarray) -> np.ndarray:
+    """The batch-invariant kernel on (..., n_in) input."""
+    for l, w in enumerate(model.weights):
+        if l:
+            a = np.tanh(a)
+        a = np.add.accumulate(w * a[..., None, :], -1)[..., -1] + model.biases[l]
+    if model.output_kind == SOFTMAX:
+        # the row max is exact in any order; maximum.accumulate is the
+        # cheaper call on one row
+        e = np.exp(a - np.maximum.accumulate(a, -1)[..., -1:])
+        a = e / np.add.accumulate(e, -1)[..., -1:]
+    return a
+
+
 def forward_batch(model: MlpModel, X) -> np.ndarray:
-    out, _ = forward_cached(model, X)
-    return out
+    """Rows of X -> rows of outputs; row i equals forward(model, X[i])
+    byte for byte."""
+    X = _as_batch(model, X)
+    if len(X) <= _BLOCK_ROWS:
+        return _infer(model, X)
+    return np.concatenate([_infer(model, X[i:i + _BLOCK_ROWS])
+                           for i in range(0, len(X), _BLOCK_ROWS)])
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Single input -> probability vector (softmax) or raw output (linear)."""
-    return forward_batch(model, x)[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (model.n_in,):
+        raise ShapeError(f"forward takes one input of dim {model.n_in}, "
+                         f"got shape {x.shape}")
+    return _infer(model, x)
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:

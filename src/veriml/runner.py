@@ -22,8 +22,8 @@ from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       run_audit_round)
 from .cache import _cached, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (LatencyModel, Provider, SeedPublication, Supplier,
-                       provider_classify)
+from .entities import (LatencyModel, Provider, QueryBatch, SeedPublication,
+                       Supplier, provider_classify)
 from .errors import FixtureError, GenerationFailureError, ParameterError
 from .mlp import MlpModel, SeedConfig, TrainConfig, forward
 from .rng import derive_seed, uniform_array
@@ -177,10 +177,12 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 
 def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
     state = derive_seed(seed, 7)
-    total = 0.0
+    batch = QueryBatch()
     for _ in range(_LATENCY_PINGS):
         x, state = uniform_array(state, dim)
-        resp, state = provider_classify(provider, x, state)
+        state = batch.provider(provider, x, state)
+    total = 0.0
+    for resp in batch.answer():
         total += resp.latency_ms
     return total / _LATENCY_PINGS
 
@@ -220,12 +222,13 @@ def _trial_metaresult(fx: _Fixtures, raw: dict, seed: int) -> dict:
     dim = fx.data.recipe.dim
     provider = fx.fresh_provider()
     state = derive_seed(seed, 1)
-    pairs = []
+    batch = QueryBatch()
+    xs = []
     for _ in range(k):
         x, state = uniform_array(state, dim)
-        resp, state = provider_classify(provider, x, state)
-        pairs.append((x, resp))
-    verdict = metaresult_verify(pairs, fx.supplier.mac_key)
+        state = batch.provider(provider, x, state)
+        xs.append(x)
+    verdict = metaresult_verify(list(zip(xs, batch.answer())), fx.supplier.mac_key)
     lat = _mean_latency(provider, dim, seed)
     return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
 

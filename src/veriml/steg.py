@@ -250,7 +250,8 @@ def generate_message_instance(steg: StegModel, reveal: RevealClassifier,
     z = embed(steg, x, secret)
     if not reveal_detect(reveal, z):
         raise GenerationFailureError("reveal does not flag the container")
-    if int(np.argmax(forward(cheap, z))) != int(np.argmax(forward(cheap, x))):
+    probs = forward_batch(cheap, np.stack([z, x]))
+    if int(np.argmax(probs[0])) != int(np.argmax(probs[1])):
         raise GenerationFailureError("container changed the object-class argmax")
     return z
 

@@ -25,11 +25,11 @@ import numpy as np
 from . import canon, stats
 from .cache import trained_model
 from .data import BlobRecipe
-from .entities import (Provider, Response, SeedPublication, Supplier,
-                       provider_classify, supplier_classify, verify_certificate)
+from .entities import (Provider, QueryBatch, Response, SeedPublication,
+                       Supplier, verify_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
-from .mlp import MlpModel, forward
+from .mlp import MlpModel, forward_batch
 from .rng import sample_indices
 from .steg import RevealClassifier, StegModel, draw_message_instance
 from .stats import two_proportion_z  # noqa: F401  (re-exported: part of this API)
@@ -132,13 +132,14 @@ def measure_roundtrip(supplier: Supplier, steg: StegModel,
         raise ParameterError("need at least one held-out cover")
     mc = reveal.message_class
     state = seed
-    detect = clean = 0
+    batch = QueryBatch()
     for x in covers:
         z, _, state = draw_message_instance(steg, reveal, checker, x, state)
-        resp, state = supplier_classify(supplier, z, state)
-        detect += int(np.argmax(resp.probs)) == mc
-        resp, state = supplier_classify(supplier, x, state)
-        clean += int(np.argmax(resp.probs)) != mc
+        state = batch.supplier(supplier, z, state)
+        state = batch.supplier(supplier, x, state)
+    answers = batch.answer()
+    detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
+    clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
     return (detect + 1) / (n + 2), (clean + 1) / (n + 2)
 
 
@@ -158,7 +159,7 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     steg_set = frozenset(steg_pos)
     mc = suite.reveal.message_class
 
-    hits = clean_ok = 0
+    batch = QueryBatch()
     for i in range(plan.k):
         x = covers[cover_idx[i]]
         if i in steg_set:
@@ -169,7 +170,10 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
                 raise ProbeSetupError(f"container generation failed: {exc}") from exc
         else:
             query = x
-        resp, state = provider_classify(provider, query, state)
+        state = batch.provider(provider, query, state)
+
+    hits = clean_ok = 0
+    for i, resp in enumerate(batch.answer()):
         flagged = int(np.argmax(resp.probs)) == mc
         if i in steg_set:
             hits += int(flagged)
@@ -203,19 +207,31 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
                         "no queries issued")
     local = trained_model(publication.architecture, publication.train_config,
                           data_recipe, data_recipe.n_per_class)
-    state = rng
-    for i, x in enumerate(queries):
-        want = forward(local, x)
-        resp, state = provider_classify(provider, x, state)
-        if len(resp.probs) != len(want):
-            raise ShapeError(
-                f"response width {len(resp.probs)} != published architecture "
-                f"width {len(want)}")
-        if canon.vec(resp.probs) != canon.vec(want):
-            return _verdict(
-                METHOD_DETERMINISTIC, i + 1, 1.0, 0.0, LIKELY_FRAUDULENT,
-                f"query {i} differs from the seed-retrained reference "
-                f"(bitwise compare)")
+    for x in queries:
+        if x.shape != (local.n_in,):
+            raise ShapeError(f"query shape {x.shape} does not match published "
+                             f"input width {local.n_in}")
+    # queries go out in batches of 1, 4, 16, ..., each checked against one
+    # forward_batch of the reference, so a cheat caught early costs little
+    state, start, size = rng, 0, 1
+    while start < len(queries):
+        chunk = queries[start:start + size]
+        batch = QueryBatch()
+        for x in chunk:
+            state = batch.provider(provider, x, state)
+        wants = forward_batch(local, np.stack(chunk))
+        for i, (resp, want) in enumerate(zip(batch.answer(), wants), start):
+            if len(resp.probs) != len(want):
+                raise ShapeError(
+                    f"response width {len(resp.probs)} != published "
+                    f"architecture width {len(want)}")
+            if canon.vec(resp.probs) != canon.vec(want):
+                return _verdict(
+                    METHOD_DETERMINISTIC, i + 1, 1.0, 0.0, LIKELY_FRAUDULENT,
+                    f"query {i} differs from the seed-retrained reference "
+                    f"(bitwise compare)")
+        start += size
+        size *= 4
     return _verdict(
         METHOD_DETERMINISTIC, len(queries), 0.0, 1.0, LIKELY_HONEST,
         f"all {len(queries)} answers bit-identical to the seed-retrained "
@@ -234,12 +250,14 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
-    correct_p = correct_s = 0
+    batch = QueryBatch()
     for i in idx:
-        x = labeled.inputs[i]
+        state = batch.provider(provider, labeled.inputs[i], state)
+        state = batch.supplier(supplier, labeled.inputs[i], state)
+    answers = batch.answer()
+    correct_p = correct_s = 0
+    for i, rp, rs in zip(idx, answers[0::2], answers[1::2]):
         y = int(labeled.labels[i])
-        rp, state = provider_classify(provider, x, state)
-        rs, state = supplier_classify(supplier, x, state)
         correct_p += int(np.argmax(rp.probs)) == y
         correct_s += int(np.argmax(rs.probs)) == y
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)

@@ -165,7 +165,7 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     lines = [l for l in out.strip().split("\n") if l]
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(l.startswith("PASS") for l in lines)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veriml import entities, mlp
-from veriml.errors import ParameterError
+from veriml.errors import ParameterError, ShapeError
 from veriml.rng import uniform_array
 from veriml.steg import RevealClassifier
 
@@ -259,3 +259,105 @@ def test_unknown_provider_kind_rejected(supplier_pair):
     supplier, _ = supplier_pair
     with pytest.raises(ParameterError):
         entities.Provider(kind="Sneaky", backend=supplier)
+
+
+# -- two-phase queries: a QueryBatch answers like one call at a time -----------
+
+
+def _query_rows():
+    """Distinct rows with repeats, so CachedReplay replays within a batch."""
+    rows = [_x(2000 + i) for i in range(10)]
+    return rows + [rows[2], rows[5], rows[2], _x(2010), rows[9]]
+
+
+def _variant(steg_env, kind, mac, reveal):
+    _, fx = steg_env
+    supplier = entities.Supplier(
+        model=fx.supplier.model, reveal=fx.supplier.reveal if reveal else None,
+        mac_key=KEY if mac else None, latency=entities.LatencyModel(3.0, 1.0, 5))
+
+    def provider():
+        return entities.Provider(
+            kind=kind, backend=supplier, cheap_model=fx.cheap_model,
+            cheat_rate=0.5, cache={},
+            noise_sigma=0.05 if kind == entities.NOISY_PASSTHROUGH else 0.0,
+            latency=entities.LatencyModel(2.0, 4.0, 9))
+    return supplier, provider
+
+
+def _same_response(a, b):
+    assert a.probs.tobytes() == b.probs.tobytes()
+    assert a.latency_ms == b.latency_ms
+    if a.certificate is None:
+        assert b.certificate is None
+    else:
+        assert (a.certificate.nonce, a.certificate.tag) == \
+            (b.certificate.nonce, b.certificate.tag)
+
+
+def _same_answers(seq, got):
+    assert len(seq) == len(got)
+    for a, b in zip(seq, got):
+        _same_response(a, b)
+    # replays are the very object answered first, one call at a time or not
+    assert [[j for j, o in enumerate(seq) if o is a] for a in seq] == \
+        [[j for j, o in enumerate(got) if o is b] for b in got]
+
+
+def _same_cache(a, b):
+    assert list(a) == list(b)
+    for key in a:
+        _same_response(a[key], b[key])
+
+
+@pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
+@pytest.mark.parametrize("mac", [False, True], ids=["nomac", "mac"])
+@pytest.mark.parametrize("kind", entities.PROVIDER_KINDS)
+def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
+    _, provider = _variant(steg_env, kind, mac, reveal)
+    rows = _query_rows()
+    one, rng = provider(), 99
+    seq = []
+    for x in rows:
+        resp, rng = entities.provider_classify(one, x, rng)
+        seq.append(resp)
+
+    # two batches: the second replays entries the first committed
+    many, rng_b, got = provider(), 99, []
+    for part in (rows[:7], rows[7:]):
+        batch = entities.QueryBatch()
+        for x in part:
+            rng_b = batch.provider(many, x, rng_b)
+        got += batch.answer()
+    assert rng_b == rng
+    _same_answers(seq, got)
+    _same_cache(one.cache, many.cache)
+    if kind == entities.CACHED_REPLAY:
+        assert len(many.cache) == 11
+
+
+@pytest.mark.parametrize("kind", entities.PROVIDER_KINDS)
+def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
+    # ProbabilisticBench's pattern: provider, then supplier, on one stream
+    supplier, provider = _variant(steg_env, kind, True, False)
+    rows = _query_rows()
+    one, rng, seq = provider(), 7, []
+    for x in rows:
+        rp, rng = entities.provider_classify(one, x, rng)
+        rs, rng = entities.supplier_classify(supplier, x, rng)
+        seq += [rp, rs]
+    many, rng_b, batch = provider(), 7, entities.QueryBatch()
+    for x in rows:
+        rng_b = batch.provider(many, x, rng_b)
+        rng_b = batch.supplier(supplier, x, rng_b)
+    assert rng_b == rng
+    _same_answers(seq, batch.answer())
+    _same_cache(one.cache, many.cache)
+
+
+def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
+    supplier, _ = supplier_pair
+    batch = entities.QueryBatch()
+    with pytest.raises(ShapeError):
+        batch.supplier(supplier, np.zeros(5), 1)
+    assert batch.answer() == []

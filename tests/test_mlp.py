@@ -41,19 +41,85 @@ def test_forward_is_distribution():
     assert abs(probs.sum() - 1.0) <= 1e-12
 
 
-def test_forward_batch_matches_singles():
-    m = mlp.init_mlp((5, 6, 4), weight_seed=3)
-    X, _ = uniform_array(78, 15)
-    X = X.reshape(3, 5)
-    batch = mlp.forward_batch(m, X)
-    for i in range(3):
-        assert np.array_equal(batch[i], mlp.forward(m, X[i]))
+# -- batch invariance: forward_batch rows are forward's bytes ------------------
+
+
+def _random_model(data, min_fan_in=1, min_out=1):
+    """A model with random dims, output kind, weights and nonzero biases."""
+    n_in = data.draw(st.integers(min_fan_in, 20), label="n_in")
+    hidden = data.draw(st.lists(st.integers(1, 40), max_size=2), label="hidden")
+    n_out = data.draw(st.integers(min_out, 12), label="n_out")
+    kind = data.draw(st.sampled_from([mlp.SOFTMAX, mlp.LINEAR]), label="kind")
+    seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+    model = mlp.init_mlp((n_in, *hidden, n_out), weight_seed=seed, output_kind=kind)
+    state = seed
+    for i, b in enumerate(model.biases):
+        u, state = uniform_array(state, len(b))
+        model.biases[i] = u - 0.5
+    return model
+
+
+def _inputs(data, model, n):
+    flat, _ = uniform_array(data.draw(st.integers(0, 2 ** 64 - 1), label="xs"),
+                            n * model.n_in)
+    return flat.reshape(n, model.n_in) * 6.0 - 3.0
+
+
+WIDE = dict(min_fan_in=8, min_out=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([{}, WIDE]))
+def test_forward_batch_matches_singles(data, dims):
+    model = _random_model(data, **dims)
+    X = _inputs(data, model, data.draw(st.integers(1, 80), label="rows"))
+    batch = mlp.forward_batch(model, X)
+    assert batch.shape == (len(X), model.n_out)
+    for i, x in enumerate(X):
+        assert batch[i].tobytes() == mlp.forward(model, x).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([{}, WIDE]),
+       st.sampled_from([1, 2, 63, 64, 65, 129, 200]))
+def test_forward_batch_is_chunking_invariant(data, dims, n):
+    model = _random_model(data, **dims)
+    X = _inputs(data, model, n)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6), label="cuts")
+                  if n > 1 else [])
+    bounds = [0, *cuts, n]
+    chunked = np.concatenate([mlp.forward_batch(model, X[a:b])
+                              for a, b in zip(bounds, bounds[1:])])
+    assert chunked.tobytes() == mlp.forward_batch(model, X).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([{}, WIDE]), st.sampled_from([5, 64, 65, 130]))
+def test_forward_batch_ignores_memory_layout(data, dims, n):
+    model = _random_model(data, **dims)
+    wide = _inputs(data, model, 2 * n)
+    strided = wide[::2]
+    assert not strided.flags.c_contiguous
+    want = mlp.forward_batch(model, np.ascontiguousarray(strided)).tobytes()
+    assert mlp.forward_batch(model, strided).tobytes() == want
+    fortran = np.asfortranarray(strided)
+    assert mlp.forward_batch(model, fortran).tobytes() == want
+    rows = b"".join(mlp.forward(model, x).tobytes() for x in fortran)
+    assert rows == want
 
 
 def test_forward_rejects_wrong_width():
     m = mlp.init_mlp((5, 6, 4), weight_seed=3)
     with pytest.raises(ShapeError):
         mlp.forward(m, np.zeros(6))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (3, 5), (), (5, 1)])
+def test_forward_rejects_anything_but_one_input(shape):
+    # a batch used to come back as its first row's answer, silently
+    m = mlp.init_mlp((5, 6, 4), weight_seed=3)
+    with pytest.raises(ShapeError):
+        mlp.forward(m, np.zeros(shape))
 
 
 def test_linear_output_kind_is_raw():
