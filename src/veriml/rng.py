@@ -26,6 +26,12 @@ _MIX2 = 0x94D049BB133111EB
 #: 2**-53, converts the top 53 bits of a draw to a float in [0, 1).
 _INV53 = 1.0 / (1 << 53)
 
+#: `uniform_array` walks counts below this with Python ints: a dozen numpy
+#: ``uint64`` operations cost about 12 µs whatever the count, the scalar walk
+#: about 0.65 µs a value, and the two meet at 16-18 values (2-vCPU Xeon VM,
+#: numpy 2.4).
+_CROSSOVER = 17
+
 
 def mix64(x: int) -> int:
     """The splitmix64 output function: two xor-shift-multiply rounds plus a
@@ -91,12 +97,22 @@ def uniform_array(state: int, count: int) -> tuple["np.ndarray", int]:
     `rng_uniform`, and the state after them.
 
     splitmix64 is counter-based: step ``i`` mixes ``state + i * golden`` mod
-    2**64, so the whole walk is one ``uint64`` array expression.
+    2**64, so the whole walk is one ``uint64`` array expression. Counts below
+    `_CROSSOVER` take the same steps in Python ints, which is cheaper there.
     """
     count = operator.index(count)  # a numpy int would overflow the end state
     if count < 0:
         raise ParameterError(f"need count >= 0, got {count}")
     state &= MASK64
+    if count < _CROSSOVER:
+        out = []
+        z = state
+        for _ in range(count):
+            z = (z + _GOLDEN) & MASK64
+            v = ((z ^ (z >> 30)) * _MIX1) & MASK64  # mix64, inlined
+            v = ((v ^ (v >> 27)) * _MIX2) & MASK64
+            out.append(((v ^ (v >> 31)) >> 11) * _INV53)
+        return np.array(out, dtype=np.float64), z
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(state)

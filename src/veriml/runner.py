@@ -24,8 +24,9 @@ from .cache import _cached, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
 from .entities import (LatencyModel, Provider, QueryBatch, SeedPublication,
                        Supplier, provider_classify)
-from .errors import FixtureError, GenerationFailureError, ParameterError
-from .mlp import MlpModel, SeedConfig, TrainConfig, forward
+from .errors import (FixtureError, GenerationFailureError, ParameterError,
+                     TrainingFailureError)
+from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward
 from .rng import derive_seed, uniform_array
 from .steg import (RevealClassifier, StegModel, load_steg_bundle,
                    save_steg_bundle, train_steg_joint)
@@ -34,6 +35,10 @@ from .verifiers import (LIKELY_FRAUDULENT, ProbePlan, StegSuite,
                         metaresult_verify, probabilistic_benchmark, steg_probe)
 
 _LATENCY_PINGS = 4
+
+# a supplier must beat chance (1 / n_classes) on its own training split by
+# this much: a diverged run can keep finite weights and sit at chance
+SUPPLIER_MARGIN = 0.2
 
 
 # -- fixture construction -------------------------------------------------------
@@ -105,6 +110,18 @@ class _Fixtures:
                         latency=self.provider_latency)
 
 
+def _check_supplier(model: MlpModel, train: Dataset) -> None:
+    """The supplier quality gate, run on every build (a cache entry stored
+    before the gate existed is loaded without training)."""
+    acc = accuracy(model, train)
+    chance = 1.0 / train.n_classes
+    if acc < chance + SUPPLIER_MARGIN:
+        raise TrainingFailureError(
+            f"supplier training accuracy {acc:.3f} does not beat chance "
+            f"{chance:.3f} by {SUPPLIER_MARGIN}",
+            {"train_accuracy": acc, "chance": chance, "margin": SUPPLIER_MARGIN})
+
+
 def _steg_pair(raw: dict, fx: _Fixtures) -> tuple[StegModel, RevealClassifier]:
     block = raw["steg"]
     _, tcfg = _seed_and_train_cfg(block["train"], data_seed=0)
@@ -132,6 +149,7 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 
     model = trained_model(arch, tcfg, fx.data.recipe, fx.data.train_per_class,
                           adversarial_epsilon=sup_block["adversarial_epsilon"])
+    _check_supplier(model, fx.data.train)
 
     prov_block = raw["provider"]
     cheap_block = prov_block.get("cheap")

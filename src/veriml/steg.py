@@ -5,6 +5,14 @@ reserved message class while ordinary classifiers still see the cover class.
 Prep/hide/reveal networks are optimized jointly so containers stay close to
 their covers (L2), carry a recoverable secret, and are flagged by the reveal
 net but not by object-class models.
+
+Containers are made by one generator, `generate_message_batch`, a pure
+function of (cover, secret) per row: building a container alone or in a
+batch of any size gives the same bytes and the same validity.
+`generate_message_instance` is its one-row case and `draw_message_instance`
+the one-at-a-time resampling loop around that. The verifiers build their
+containers speculatively with the batch and fall back to the loop only where
+the speculation missed, so their bytes are those of the loop alone.
 """
 
 from __future__ import annotations
@@ -240,20 +248,43 @@ def train_steg_joint(object_data: Dataset, secret_dim: int, beta: float,
     return steg, reveal_clf
 
 
+def generate_message_batch(steg: StegModel, reveal: RevealClassifier,
+                           cheap: MlpModel, X, S
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generator m over rows: container i hides secret S[i] in cover X[i].
+    Returns (containers, flagged, kept): `flagged` where reveal puts the
+    container in the message class, `kept` where the object classifier
+    `cheap` gives container and cover the same argmax. A container is valid
+    when both hold. One embed_batch, one reveal forward_batch and one checker
+    forward_batch over [Z; X]; the kernel is batch-invariant, so row i's bytes
+    and verdicts do not depend on the other rows."""
+    X = np.asarray(X, dtype=np.float64)
+    S = np.asarray(S, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != steg.cover_dim:
+        raise ShapeError(f"cover must have dim {steg.cover_dim}")
+    if S.shape != (len(X), steg.secret_dim):
+        raise ShapeError(f"secret must have dim {steg.secret_dim}")
+    Z = embed_batch(steg, X, S)
+    flagged = (np.argmax(forward_batch(reveal.model, Z), axis=1)
+               == reveal.message_class)
+    pred = np.argmax(forward_batch(cheap, np.concatenate([Z, X])), axis=1)
+    return Z, flagged, pred[:len(X)] == pred[len(X):]
+
+
 def generate_message_instance(steg: StegModel, reveal: RevealClassifier,
                               cheap: MlpModel, x, secret: SecretMessage) -> np.ndarray:
-    """Generator m: embed, then verify the dual property — reveal flags the
-    container while the object classifier `cheap` keeps the cover's argmax.
-    A single attempt; raises a generation-failure error for the caller to
-    resample the secret."""
+    """Generator m on one cover: embed, then verify the dual property —
+    reveal flags the container while the object classifier `cheap` keeps the
+    cover's argmax. A single attempt; raises a generation-failure error for
+    the caller to resample the secret."""
     x = np.asarray(x, dtype=np.float64)
-    z = embed(steg, x, secret)
-    if not reveal_detect(reveal, z):
+    Z, flagged, kept = generate_message_batch(steg, reveal, cheap, x[None, :],
+                                              secret.values[None, :])
+    if not flagged[0]:
         raise GenerationFailureError("reveal does not flag the container")
-    probs = forward_batch(cheap, np.stack([z, x]))
-    if int(np.argmax(probs[0])) != int(np.argmax(probs[1])):
+    if not kept[0]:
         raise GenerationFailureError("container changed the object-class argmax")
-    return z
+    return Z[0]
 
 
 MAX_SECRET_RESAMPLES = 16
@@ -263,9 +294,11 @@ def draw_message_instance(steg: StegModel, reveal: RevealClassifier,
                           cheap: MlpModel, x, state: int,
                           max_resamples: int = MAX_SECRET_RESAMPLES
                           ) -> tuple[np.ndarray, SecretMessage, int]:
-    """Resampling wrapper around generate_message_instance: draws secrets
-    from `state` until the dual property holds, at most 1 + max_resamples
-    attempts, then re-raises the last generation failure."""
+    """Resampling wrapper around generate_message_instance, one container at
+    a time: draws secrets from `state` until the dual property holds, at most
+    1 + max_resamples attempts, then re-raises the last generation failure.
+    The verifiers build most containers in one generate_message_batch and
+    fall back to this for the rest."""
     last: GenerationFailureError | None = None
     for _ in range(1 + max_resamples):
         secret, state = random_secret(state, steg.secret_dim)

@@ -14,11 +14,17 @@ Four methods:
 
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
+
+steg_probe and the steg calibration (measure_roundtrip) build their
+containers speculatively in one batch and fall back to one-at-a-time
+generation where the speculation missed (a resample, or a replay hit that
+skipped draws); the queries, rng states and verdicts are byte for byte
+those of the one-at-a-time plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +36,9 @@ from .entities import (Provider, QueryBatch, Response, SeedPublication,
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
-from .rng import sample_indices
-from .steg import RevealClassifier, StegModel, draw_message_instance
+from .rng import sample_indices, uniform_array
+from .steg import (RevealClassifier, StegModel, draw_message_instance,
+                   generate_message_batch)
 from .stats import two_proportion_z  # noqa: F401  (re-exported: part of this API)
 
 LIKELY_HONEST = "LikelyHonest"
@@ -120,6 +127,57 @@ class StegSuite:
                 raise ParameterError(f"{name} must be in (0,1)")
 
 
+def _plan_with_containers(steg: StegModel, reveal: RevealClassifier,
+                          checker: MlpModel, rows, state: int, ask, target,
+                          shadow) -> tuple[QueryBatch, int]:
+    """Plan one query per (cover, is_container) row into a fresh QueryBatch,
+    with `ask(batch, target, query, state)`, where a container row sends a
+    container of its cover drawn from the stream just before. Returns the
+    batch and the final state: the same queries and state as a
+    draw_message_instance per container row interleaved with the asks.
+
+    Containers are built speculatively, draft then verify:
+    1. walk the rng phase on `shadow` (the target with an empty replay
+       cache), assuming every container's first secret is valid and every
+       query misses, and record each container's start state and secret;
+    2. build all those containers with one generate_message_batch;
+    3. run the sequential plan for real. A container that starts from its
+       speculated state takes the batch's container when that one is valid;
+       any other (a resample, or a replay hit that skipped draws) is drawn
+       one at a time by draw_message_instance, as without speculation.
+    The generator is a pure function of (cover, secret) and the real walk
+    plans every query, so no byte differs from the sequential plan."""
+    dim = steg.secret_dim
+    covers, starts, ends, secrets = [], [], [], []
+    scratch, s = QueryBatch(), state
+    for x, is_container in rows:
+        if is_container:
+            covers.append(x)
+            starts.append(s)
+            secret, s = uniform_array(s, dim)
+            ends.append(s)
+            secrets.append(secret)
+        s = ask(scratch, shadow, x, s)  # the cover stands in for its container
+    if covers:
+        Z, flagged, kept = generate_message_batch(steg, reveal, checker,
+                                                  np.stack(covers),
+                                                  np.stack(secrets))
+        valid = flagged & kept
+
+    batch, j = QueryBatch(), 0
+    for x, is_container in rows:
+        query = x
+        if is_container:
+            if state == starts[j] and valid[j]:
+                query, state = Z[j], ends[j]
+            else:
+                query, _, state = draw_message_instance(steg, reveal, checker,
+                                                        x, state)
+            j += 1
+        state = ask(batch, target, query, state)
+    return batch, state
+
+
 def measure_roundtrip(supplier: Supplier, steg: StegModel,
                       reveal: RevealClassifier, checker: MlpModel,
                       covers: np.ndarray, seed: int) -> tuple[float, float]:
@@ -131,12 +189,9 @@ def measure_roundtrip(supplier: Supplier, steg: StegModel,
     if n < 1:
         raise ParameterError("need at least one held-out cover")
     mc = reveal.message_class
-    state = seed
-    batch = QueryBatch()
-    for x in covers:
-        z, _, state = draw_message_instance(steg, reveal, checker, x, state)
-        state = batch.supplier(supplier, z, state)
-        state = batch.supplier(supplier, x, state)
+    rows = [(x, is_container) for x in covers for is_container in (True, False)]
+    batch, _ = _plan_with_containers(steg, reveal, checker, rows, seed,
+                                     QueryBatch.supplier, supplier, supplier)
     answers = batch.answer()
     detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
     clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
@@ -159,18 +214,13 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     steg_set = frozenset(steg_pos)
     mc = suite.reveal.message_class
 
-    batch = QueryBatch()
-    for i in range(plan.k):
-        x = covers[cover_idx[i]]
-        if i in steg_set:
-            try:
-                query, _, state = draw_message_instance(
-                    suite.steg, suite.reveal, suite.checker, x, state)
-            except GenerationFailureError as exc:
-                raise ProbeSetupError(f"container generation failed: {exc}") from exc
-        else:
-            query = x
-        state = batch.provider(provider, query, state)
+    rows = [(covers[cover_idx[i]], i in steg_set) for i in range(plan.k)]
+    try:
+        batch, _ = _plan_with_containers(
+            suite.steg, suite.reveal, suite.checker, rows, state,
+            QueryBatch.provider, provider, replace(provider, cache={}))
+    except GenerationFailureError as exc:
+        raise ProbeSetupError(f"container generation failed: {exc}") from exc
 
     hits = clean_ok = 0
     for i, resp in enumerate(batch.answer()):

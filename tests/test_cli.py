@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from veriml import cli, verifiers
+from veriml import cache, cli, runner, steg, verifiers
 from veriml import config as cfgmod
-from veriml.errors import GenerationFailureError
+from veriml.errors import TrainingFailureError
 
 
 @pytest.fixture()
@@ -149,15 +150,62 @@ def test_auditor_demo_rejects_rounds_the_client_cannot_fund(tmp_path, capsys):
 
 
 def test_steg_calibration_failure_is_a_fixture_error(tmp_path, monkeypatch, capsys):
-    def no_container(*args, **kwargs):
-        raise GenerationFailureError("no valid container")
+    # every container comes out invalid, in the speculative batch and in the
+    # one-at-a-time fallback alike, so calibration exhausts its resamples
+    real = steg.generate_message_batch
 
-    monkeypatch.setattr(verifiers, "draw_message_instance", no_container)
+    def no_container(*args, **kwargs):
+        Z, flagged, kept = real(*args, **kwargs)
+        return Z, np.zeros_like(flagged), kept
+
+    monkeypatch.setattr(steg, "generate_message_batch", no_container)
+    monkeypatch.setattr(verifiers, "generate_message_batch", no_container)
     path = tmp_path / "steg.json"
     path.write_text(json.dumps(cfgmod.builtin_config(cfgmod.STEG_PROBE, trials=1)),
                     encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_FIXTURE
     assert "steg calibration failed" in capsys.readouterr().err
+
+
+def _diverged_supplier_config(tmp_path):
+    raw = cfgmod.builtin_config(cfgmod.PROBABILISTIC_BENCH, trials=1)
+    raw["supplier"]["train"]["learning_rate"] = 1e6
+    path = tmp_path / "diverged.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return raw, str(path)
+
+
+def test_chance_level_supplier_is_a_fixture_error(tmp_path, capsys):
+    # lr=1e6 leaves finite weights at chance accuracy; this used to exit 0
+    # with a detection rate of 0 against a SubstituteModel
+    _, path = _diverged_supplier_config(tmp_path)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_FIXTURE
+    err = capsys.readouterr().err
+    assert "supplier training accuracy 0.333 does not beat chance" in err
+    assert "train_accuracy" in err
+
+
+def test_chance_level_supplier_from_an_old_cache_entry_is_rejected(
+        tmp_path, monkeypatch, capsys):
+    raw, path = _diverged_supplier_config(tmp_path)
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path / "cache"))
+    # store the entry the way a build before the gate did: training alone
+    cfg = cfgmod.validate_config(raw)
+    data = runner._build_data(raw["supplier"]["data"])
+    _, tcfg = runner._seed_and_train_cfg(raw["supplier"]["train"],
+                                         raw["supplier"]["data"]["seed"])
+    cache.trained_model(tuple(raw["supplier"]["architecture"]), tcfg,
+                        data.recipe, data.train_per_class)
+    assert len(list((tmp_path / "cache").glob("*.bin"))) == 1
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the stored supplier must be loaded, not retrained")
+
+    monkeypatch.setattr(cache, "train_sgd", no_training)
+    with pytest.raises(TrainingFailureError):
+        runner.build_fixtures(cfg)
+    assert cli.main(["run", "--config", path]) == cli.EXIT_FIXTURE
+    assert "does not beat chance" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

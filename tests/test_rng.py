@@ -139,7 +139,8 @@ def test_sample_indices_rejects_oversample():
 # -- vector streams against their scalar definitions --------------------------------
 
 FIXED_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
-SIZES = [0, 1, 2, 4, 900]
+# either side of the count where uniform_array leaves its Python-int walk
+SIZES = [0, 1, 2, 4, rng._CROSSOVER - 1, rng._CROSSOVER, rng._CROSSOVER + 1, 900]
 
 
 def _scalar_uniforms(state, count):

@@ -3,6 +3,7 @@ import pytest
 
 from veriml import mlp, steg
 from veriml.data import make_blobs
+from veriml.rng import uniform_array
 from veriml.errors import (GenerationFailureError, ParameterError, ShapeError,
                            TrainingFailureError)
 
@@ -115,6 +116,32 @@ def test_generate_rejects_argmax_change(trained):
     assert got_x != got_z
     with pytest.raises(GenerationFailureError):
         steg.generate_message_instance(model, reveal, probe, x, secret)
+
+
+def test_generate_batch_rows_equal_one_row_calls(trained):
+    # the speculative container batches rest on this: a row's container and
+    # verdicts do not depend on the rows beside it
+    model, reveal, checker, covers = trained
+    X = covers[:9]
+    flat, _ = uniform_array(57, 9 * model.secret_dim)
+    S = flat.reshape(9, model.secret_dim)
+    jumpy = mlp.init_mlp(checker.layer_dims, weight_seed=7)
+    for w in jumpy.weights:
+        w *= 40.0  # so sensitive that some containers change its argmax
+    for cheap in (checker, jumpy):
+        Z, flagged, kept = steg.generate_message_batch(model, reveal, cheap, X, S)
+        assert Z.tobytes() == steg.embed_batch(model, X, S).tobytes()
+        for i in range(9):
+            z1, f1, k1 = steg.generate_message_batch(model, reveal, cheap,
+                                                     X[i:i + 1], S[i:i + 1])
+            assert z1[0].tobytes() == Z[i].tobytes()
+            assert (f1[0], k1[0]) == (flagged[i], kept[i])
+            assert f1[0] == steg.reveal_detect(reveal, Z[i])
+    assert not kept.all() and kept.any()
+    with pytest.raises(ShapeError):
+        steg.generate_message_batch(model, reveal, checker, X[:, 1:], S)
+    with pytest.raises(ShapeError):
+        steg.generate_message_batch(model, reveal, checker, X, S[:4])
 
 
 def test_draw_message_instance_deterministic(trained):

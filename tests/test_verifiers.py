@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from veriml import cache, mlp, stats
-from veriml.entities import (HONEST_PASSTHROUGH, SUBSTITUTE_MODEL, Provider,
-                             provider_classify, supplier_classify)
-from veriml.errors import ParameterError, ShapeError
-from veriml.rng import uniform_array
+from veriml import cache, canon, mlp, runner, stats, steg, verifiers
+from veriml.entities import (CACHED_REPLAY, HONEST_PASSTHROUGH, PROVIDER_KINDS,
+                             SUBSTITUTE_MODEL, LatencyModel, Provider,
+                             QueryBatch, provider_classify, supplier_classify)
+from veriml.errors import (FixtureError, GenerationFailureError,
+                           ParameterError, ProbeSetupError, ShapeError)
+from veriml.rng import sample_indices, uniform_array
+from veriml.steg import RevealClassifier
 from veriml.verifiers import (INCONCLUSIVE, LIKELY_FRAUDULENT, LIKELY_HONEST,
                               SPRT_ACCEPT_CHEAT, SPRT_ACCEPT_HONEST,
                               SPRT_CONTINUE, ProbePlan, Verdict, binomial_tail,
@@ -102,6 +105,233 @@ def test_steg_probe_deterministic_in_seed(steg_env):
     a = steg_probe(_honest(fx), fx.suite, fx.probe_covers, plan)
     b = steg_probe(_honest(fx), fx.suite, fx.probe_covers, plan)
     assert a == b
+
+
+# -- speculative containers against the sequential plan ------------------------
+#
+# The two loops below are the one-at-a-time definitions of steg_probe and
+# measure_roundtrip: one draw_message_instance per container, in query order.
+# The speculative path must send the same bytes, end on the same rng state and
+# reach the same verdicts and rates.
+
+
+def _sequential_steg_probe(provider, suite, covers, plan):
+    covers = np.asarray(covers, dtype=np.float64)
+    state = plan.seed
+    cover_idx, state = sample_indices(state, len(covers), plan.k)
+    steg_pos, state = sample_indices(state, plan.k, plan.n_steg)
+    steg_set = frozenset(steg_pos)
+    mc = suite.reveal.message_class
+    batch = QueryBatch()
+    for i in range(plan.k):
+        x = covers[cover_idx[i]]
+        if i in steg_set:
+            try:
+                query, _, state = steg.draw_message_instance(
+                    suite.steg, suite.reveal, suite.checker, x, state)
+            except GenerationFailureError as exc:
+                raise ProbeSetupError(f"container generation failed: {exc}") from exc
+        else:
+            query = x
+        state = batch.provider(provider, query, state)
+    hits = clean_ok = 0
+    for i, resp in enumerate(batch.answer()):
+        flagged = int(np.argmax(resp.probs)) == mc
+        if i in steg_set:
+            hits += int(flagged)
+        else:
+            clean_ok += int(not flagged)
+    n_clean = plan.k - plan.n_steg
+    guard_p = stats.binomial_tail_leq(clean_ok, n_clean, suite.p_clean)
+    p_value = stats.binomial_tail_leq(hits, plan.n_steg, suite.p_detect)
+    detail = (f"k={plan.k} steg={plan.n_steg} hits={hits} "
+              f"clean_ok={clean_ok}/{n_clean} p1={suite.p_detect:.4f} "
+              f"p_value={p_value:.4g}")
+    if guard_p < plan.alpha:
+        return verifiers._verdict(
+            verifiers.METHOD_STEG_PROBE, plan.k, float(hits), p_value,
+            INCONCLUSIVE, detail + f"; clean guard tripped (tail {guard_p:.3g})"), state
+    decision = LIKELY_FRAUDULENT if p_value < plan.alpha else LIKELY_HONEST
+    return verifiers._verdict(verifiers.METHOD_STEG_PROBE, plan.k, float(hits),
+                              p_value, decision, detail), state
+
+
+def _sequential_roundtrip(supplier, steg_model, reveal, checker, covers, seed):
+    n = len(covers)
+    mc = reveal.message_class
+    state = seed
+    batch = QueryBatch()
+    for x in covers:
+        z, _, state = steg.draw_message_instance(steg_model, reveal, checker, x, state)
+        state = batch.supplier(supplier, z, state)
+        state = batch.supplier(supplier, x, state)
+    answers = batch.answer()
+    detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
+    clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
+    return ((detect + 1) / (n + 2), (clean + 1) / (n + 2)), state
+
+
+@pytest.fixture()
+def spec_log(monkeypatch):
+    """Rejects about one container in three (those whose secret's first
+    component is below 1/3) on every generation path while `reject` is set,
+    and records the bytes of every answered query, the final state of every
+    speculative plan and the containers that fell back to one-at-a-time
+    generation. A resample shifts every later container's start state, so
+    after the first one the rest of the plan falls back."""
+    log = {"reject": True, "sent": [], "ends": [], "fallbacks": 0, "rejected": 0}
+    real_batch = steg.generate_message_batch
+
+    def every_third_rejected(steg_model, reveal, cheap, X, S):
+        Z, flagged, kept = real_batch(steg_model, reveal, cheap, X, S)
+        keep = (np.asarray(S)[:, 0] >= 1 / 3) | (not log["reject"])
+        log["rejected"] += int(np.sum(~keep))
+        return Z, flagged & keep, kept
+
+    real_answer = QueryBatch.answer
+
+    def answer(self):
+        log["sent"].append([q.x.tobytes() for q in self._queries])
+        return real_answer(self)
+
+    real_plan = verifiers._plan_with_containers
+
+    def plan(*args, **kwargs):
+        batch, state = real_plan(*args, **kwargs)
+        log["ends"].append(state)
+        return batch, state
+
+    real_draw = verifiers.draw_message_instance
+
+    def draw(*args, **kwargs):
+        log["fallbacks"] += 1
+        return real_draw(*args, **kwargs)
+
+    monkeypatch.setattr(steg, "generate_message_batch", every_third_rejected)
+    monkeypatch.setattr(verifiers, "generate_message_batch", every_third_rejected)
+    monkeypatch.setattr(QueryBatch, "answer", answer)
+    monkeypatch.setattr(verifiers, "_plan_with_containers", plan)
+    monkeypatch.setattr(verifiers, "draw_message_instance", draw)
+    return log
+
+
+def _kind_provider(fx, kind, mac, cache=None):
+    backend = fx.supplier
+    if mac:
+        backend = dataclasses.replace(backend, mac_key=bytes(range(32)))
+    return Provider(kind=kind, backend=backend, cheap_model=fx.cheap_model,
+                    cheat_rate=0.5, cache={} if cache is None else cache,
+                    noise_sigma=0.05, latency=LatencyModel(1.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("mac", [False, True])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_speculative_steg_probe_equals_sequential(steg_env, spec_log, kind, mac):
+    _, fx = steg_env
+    plan = ProbePlan(k=40, frac_steg=0.5, seed=911, alpha=0.01)
+    want, want_end = _sequential_steg_probe(_kind_provider(fx, kind, mac),
+                                            fx.suite, fx.probe_covers, plan)
+    [want_sent] = spec_log["sent"]
+    rejected = spec_log["rejected"]
+    assert rejected > 0  # the reference path did resample
+    got = steg_probe(_kind_provider(fx, kind, mac), fx.suite, fx.probe_covers, plan)
+    assert got == want
+    assert spec_log["sent"][1] == want_sent
+    assert spec_log["ends"] == [want_end]
+    assert spec_log["fallbacks"] > 0
+
+
+def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, spec_log):
+    """Pre-filled replay entries make some clean covers hit: their queries
+    skip the rng draws, every later container starts from a state the
+    speculation did not predict, and all of those fall back."""
+    _, fx = steg_env
+    spec_log["reject"] = False
+    plan = ProbePlan(k=40, frac_steg=0.5, seed=912, alpha=0.01)
+    cover_idx, state = sample_indices(plan.seed, len(fx.probe_covers), plan.k)
+    steg_pos, _ = sample_indices(state, plan.k, plan.n_steg)
+    clean = [i for i in range(plan.k) if i not in steg_pos]
+    stored = {}
+    filler = _kind_provider(fx, CACHED_REPLAY, False, cache=stored)
+    state = 77
+    for i in clean[3::4]:
+        _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
+    assert len(stored) >= 4
+
+    ref_cache, cache = dict(stored), dict(stored)
+    want, want_end = _sequential_steg_probe(
+        _kind_provider(fx, CACHED_REPLAY, False, cache=ref_cache),
+        fx.suite, fx.probe_covers, plan)
+    got = steg_probe(_kind_provider(fx, CACHED_REPLAY, False, cache=cache),
+                     fx.suite, fx.probe_covers, plan)
+    assert got == want
+    assert spec_log["sent"][0] == spec_log["sent"][1]
+    assert spec_log["ends"] == [want_end]
+    assert cache.keys() == ref_cache.keys()
+    for key, resp in ref_cache.items():
+        assert canon.vec(cache[key].probs) == canon.vec(resp.probs)
+    # the batch built the containers before the first hit, the fallback the rest
+    assert 0 < spec_log["fallbacks"] < plan.n_steg
+
+
+@pytest.mark.parametrize("mac", [False, True])
+def test_speculative_calibration_equals_sequential(steg_env, spec_log, mac):
+    _, fx = steg_env
+    supplier = fx.supplier
+    if mac:
+        supplier = dataclasses.replace(supplier, mac_key=bytes(range(32)))
+    suite = fx.suite
+    covers = fx.data.held.inputs[:60]
+    want, want_end = _sequential_roundtrip(supplier, suite.steg, suite.reveal,
+                                           suite.checker, covers, 700)
+    got = verifiers.measure_roundtrip(supplier, suite.steg, suite.reveal,
+                                      suite.checker, covers, 700)
+    assert got == want
+    assert spec_log["sent"][0] == spec_log["sent"][1]
+    assert spec_log["ends"] == [want_end]
+    assert spec_log["fallbacks"] > 0
+
+
+def test_speculation_builds_every_valid_container_in_the_batch(steg_env, spec_log):
+    _, fx = steg_env
+    spec_log["reject"] = False
+    suite = fx.suite
+    for kind in PROVIDER_KINDS:
+        steg_probe(_kind_provider(fx, kind, True), suite, fx.probe_covers,
+                   ProbePlan(k=40, frac_steg=0.5, seed=914, alpha=0.01))
+    verifiers.measure_roundtrip(fx.supplier, suite.steg, suite.reveal,
+                                suite.checker, fx.data.held.inputs[:60], 700)
+    assert spec_log["fallbacks"] == 0
+
+
+def _blind_reveal(reveal):
+    # a reveal head pinned to class 0 never flags a container
+    net = mlp.init_mlp(reveal.model.layer_dims, weight_seed=7)
+    net.biases[-1][:] = -50.0
+    net.biases[-1][0] = 50.0
+    return RevealClassifier(net, reveal.message_class)
+
+
+def test_steg_probe_without_any_valid_container_is_a_setup_error(steg_env):
+    _, fx = steg_env
+    suite = dataclasses.replace(fx.suite, reveal=_blind_reveal(fx.suite.reveal))
+    plan = ProbePlan(k=20, frac_steg=0.5, seed=913, alpha=0.01)
+    with pytest.raises(ProbeSetupError, match="container generation failed"):
+        steg_probe(_honest(fx), suite, fx.probe_covers, plan)
+
+
+def test_calibration_without_any_valid_container_is_a_fixture_error(
+        steg_env, monkeypatch):
+    cfg, _ = steg_env
+    real_pair = runner._steg_pair
+
+    def blind_pair(raw, fx):
+        steg_model, reveal = real_pair(raw, fx)
+        return steg_model, _blind_reveal(reveal)
+
+    monkeypatch.setattr(runner, "_steg_pair", blind_pair)
+    with pytest.raises(FixtureError, match="steg calibration failed"):
+        runner.build_fixtures(cfg)
 
 
 # -- deterministic benchmark -------------------------------------------------------
