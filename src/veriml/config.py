@@ -1,8 +1,8 @@
 """Declarative scenario configs: one JSON document describes the supplier
 fixture, the provider under test, and the verifier parameters for a trial
 campaign. Validation collects every problem with its field path before
-raising, and parsing normalizes (fills defaults) so parse(serialize(cfg))
-round-trips exactly.
+raising, and parsing normalizes (fills defaults), so parsing the JSON dump
+of a config's normalized dict gives the same config back.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ _MAX_SEED = 2 ** 64 - 1
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A validated, fully-normalized scenario description. `raw` is the
-    normalized JSON-shaped dict (defaults filled in), which `serialize`
-    emits verbatim — so equality is structural."""
+    normalized JSON-shaped dict (defaults filled in); reports embed it
+    verbatim, so equality is structural."""
 
     scenario: str
     master_seed: int
@@ -123,7 +123,9 @@ def _check_latency(chk: _Check, obj: dict, path: str, default_base: float):
                default=0)
 
 
-def _check_architecture(chk: _Check, obj: dict, path: str, expect_in=None):
+def _check_architecture(chk: _Check, obj: dict, path: str, data):
+    """Layer widths; the first must be the data dim and the last the number
+    of classes wherever the `data` block gives them."""
     full = f"{path}.architecture"
     arch = obj.get("architecture")
     if not isinstance(arch, list) or len(arch) < 2:
@@ -133,8 +135,14 @@ def _check_architecture(chk: _Check, obj: dict, path: str, expect_in=None):
         if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             chk.fail(f"{full}[{i}]", "layer widths must be positive integers")
             return None
-    if expect_in is not None and arch[0] != expect_in:
-        chk.fail(full, f"input width {arch[0]} does not match data dim {expect_in}")
+    if not isinstance(data, dict):
+        return arch
+    dim, n_classes = data.get("dim"), data.get("n_classes")
+    if isinstance(dim, int) and arch[0] != dim:
+        chk.fail(full, f"input width {arch[0]} does not match data dim {dim}")
+    if isinstance(n_classes, int) and arch[-1] != n_classes:
+        chk.fail(full, f"output width {arch[-1]} does not match "
+                       f"supplier.data.n_classes {n_classes}")
     return arch
 
 
@@ -150,6 +158,9 @@ def _check_train(chk: _Check, obj: dict, path: str, with_data_seed=False):
     chk.number(tr, p, "shuffle_seed", lo=0, hi=_MAX_SEED, integer=True)
     if with_data_seed:
         chk.number(tr, p, "data_seed", lo=0, hi=_MAX_SEED, integer=True)
+    elif "data_seed" in tr:
+        chk.fail(f"{p}.data_seed", "not a setting here: the training data "
+                                   "comes from supplier.data.seed")
 
 
 def _check_data(chk: _Check, obj: dict, path: str):
@@ -174,9 +185,7 @@ def _check_supplier(chk: _Check, cfg: dict, scenario: str):
     if sup is None:
         return
     data = _check_data(chk, sup, "supplier")
-    dim = data.get("dim") if isinstance(data, dict) else None
-    _check_architecture(chk, sup, "supplier",
-                        expect_in=dim if isinstance(dim, int) else None)
+    _check_architecture(chk, sup, "supplier", data)
     _check_train(chk, sup, "supplier")
     eps = chk.number(sup, "supplier", "adversarial_epsilon", lo=0.0, default=0.0)
     if eps and scenario in (DETERMINISTIC_BENCH, AUDITOR):
@@ -202,9 +211,7 @@ def _check_cheap(chk: _Check, prov: dict, data: dict | None):
     cheap = chk.section(prov, "provider", "cheap")
     if cheap is None:
         return
-    dim = data.get("dim") if isinstance(data, dict) else None
-    _check_architecture(chk, cheap, "provider.cheap",
-                        expect_in=dim if isinstance(dim, int) else None)
+    _check_architecture(chk, cheap, "provider.cheap", data)
     _check_train(chk, cheap, "provider.cheap")
     chk.number(cheap, "provider.cheap", "subsample_stride", lo=1, integer=True,
                default=1)
@@ -327,9 +334,13 @@ def _check_verifier(chk: _Check, cfg: dict, scenario: str):
                      "honest oracles must form a strict majority")
         chk.number(ver, "verifier", "byzantine_offset", lo=-1.0, hi=1.0,
                    default=0.15)
-        chk.number(ver, "verifier", "fee", lo=1, integer=True)
-        chk.number(ver, "verifier", "client_balance", lo=1, integer=True,
-                   default=10000)
+        fee = chk.number(ver, "verifier", "fee", lo=1, integer=True)
+        balance = chk.number(ver, "verifier", "client_balance", lo=1,
+                             integer=True, default=10000)
+        if fee is not None and balance is not None and fee > balance:
+            # every trial opens a fresh ledger, so one fee must be fundable
+            chk.fail("verifier.fee",
+                     f"fee {fee} exceeds the client balance {balance}")
         chk.number(ver, "verifier", "oracle_balance", lo=0, integer=True,
                    default=50)
         chk.choice(ver, "verifier", "metric", ("accuracy", "robustness"),
@@ -371,10 +382,6 @@ def parse_config(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"config: not valid JSON ({exc})"]) from exc
     return validate_config(raw)
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.raw, sort_keys=True, indent=2) + "\n"
 
 
 def set_config_value(raw: dict, dotted_path: str, value) -> dict:

@@ -126,19 +126,6 @@ def clone_model(model: MlpModel) -> MlpModel:
                     model.output_kind)
 
 
-def models_equal(a: MlpModel, b: MlpModel) -> bool:
-    """Bit-for-bit parameter equality."""
-    if a.layer_dims != b.layer_dims or a.output_kind != b.output_kind:
-        return False
-    for wa, wb in zip(a.weights, b.weights):
-        if wa.tobytes() != wb.tobytes():
-            return False
-    for ba, bb in zip(a.biases, b.biases):
-        if ba.tobytes() != bb.tobytes():
-            return False
-    return True
-
-
 def _as_batch(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:

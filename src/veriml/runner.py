@@ -46,7 +46,7 @@ SUPPLIER_MARGIN = 0.2
 
 def _steg_cache_key(secret_dim: int, beta: float, tcfg: TrainConfig,
                     recipe: BlobRecipe, train_per_class: int) -> bytes:
-    return canon.sha256(b"steg.v1" + canon.u32(secret_dim) + canon.f64(beta)
+    return canon.sha256(b"steg.v2" + canon.u32(secret_dim) + canon.f64(beta)
                         + tcfg.canonical_bytes() + recipe.canonical_bytes()
                         + canon.u32(train_per_class))
 
@@ -72,7 +72,7 @@ def _build_data(block: dict) -> _DataBundle:
 
 def _seed_and_train_cfg(train_block: dict, data_seed: int) -> tuple[SeedConfig, TrainConfig]:
     seeds = SeedConfig(train_block["weight_seed"], train_block["shuffle_seed"],
-                       train_block.get("data_seed", data_seed))
+                       data_seed)
     return seeds, TrainConfig(train_block["learning_rate"],
                               train_block["epochs"], train_block["batch_size"],
                               seeds)
@@ -124,7 +124,7 @@ def _check_supplier(model: MlpModel, train: Dataset) -> None:
 
 def _steg_pair(raw: dict, fx: _Fixtures) -> tuple[StegModel, RevealClassifier]:
     block = raw["steg"]
-    _, tcfg = _seed_and_train_cfg(block["train"], data_seed=0)
+    _, tcfg = _seed_and_train_cfg(block["train"], block["train"]["data_seed"])
     key = _steg_cache_key(block["secret_dim"], block["beta"], tcfg,
                           fx.data.recipe, fx.data.train_per_class)
     return _cached(key, load_steg_bundle,
@@ -373,8 +373,14 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+_VERDICT_KEYS = {"method", "decision", "n_probes", "statistic", "p_value",
+                 "cheat_probability", "detail"}
+
+
 def explain_verdict(report: dict, trial_index: int) -> str:
     """Human-readable evidence chain for one trial of a report."""
+    if not isinstance(report, dict):
+        raise ParameterError("report is not a JSON object")
     trials = report.get("trial_results")
     if not isinstance(trials, list):
         raise ParameterError("report has no trial_results list")
@@ -382,10 +388,18 @@ def explain_verdict(report: dict, trial_index: int) -> str:
         raise ParameterError(
             f"trial index {trial_index} out of range [0, {len(trials)})")
     entry = trials[trial_index]
+    if not isinstance(entry, dict):
+        raise ParameterError(f"trial {trial_index} is not a JSON object")
     lines = [f"scenario {report.get('scenario')} trial {trial_index} "
              f"(seed {entry.get('seed')})"]
     verdict = entry.get("verdict")
     if verdict is not None:
+        if not isinstance(verdict, dict):
+            raise ParameterError(f"trial {trial_index} verdict is not a JSON object")
+        missing = sorted(_VERDICT_KEYS - verdict.keys())
+        if missing:
+            raise ParameterError(
+                f"trial {trial_index} verdict lacks {', '.join(missing)}")
         lines.append(f"  method:            {verdict['method']}")
         lines.append(f"  decision:          {verdict['decision']}")
         lines.append(f"  probes used:       {verdict['n_probes']}")

@@ -64,10 +64,6 @@ def binomial_tail_geq(k: int, n: int, p: float) -> float:
     return min(1.0, total)
 
 
-def normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def normal_sf(z: float) -> float:
     """Upper tail P(Z >= z) of the standard normal."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))

@@ -9,10 +9,10 @@ net but not by object-class models.
 Containers are made by one generator, `generate_message_batch`, a pure
 function of (cover, secret) per row: building a container alone or in a
 batch of any size gives the same bytes and the same validity.
-`generate_message_instance` is its one-row case and `draw_message_instance`
-the one-at-a-time resampling loop around that. The verifiers build their
-containers speculatively with the batch and fall back to the loop only where
-the speculation missed, so their bytes are those of the loop alone.
+`draw_containers` resamples around it in rounds, one batch per round, on a
+stream of its own; the verifiers call it once per probe or calibration.
+`generate_message_instance` and `draw_message_instance` are the one-row
+cases of the two.
 """
 
 from __future__ import annotations
@@ -280,34 +280,60 @@ def generate_message_instance(steg: StegModel, reveal: RevealClassifier,
     x = np.asarray(x, dtype=np.float64)
     Z, flagged, kept = generate_message_batch(steg, reveal, cheap, x[None, :],
                                               secret.values[None, :])
-    if not flagged[0]:
-        raise GenerationFailureError("reveal does not flag the container")
-    if not kept[0]:
-        raise GenerationFailureError("container changed the object-class argmax")
+    if not (flagged[0] and kept[0]):
+        raise GenerationFailureError(_failure(flagged[0]))
     return Z[0]
 
 
+def _failure(flagged: bool) -> str:
+    """Why a container is invalid; the reveal check comes first."""
+    return ("reveal does not flag the container" if not flagged
+            else "container changed the object-class argmax")
+
+
 MAX_SECRET_RESAMPLES = 16
+
+
+def draw_containers(steg: StegModel, reveal: RevealClassifier,
+                    cheap: MlpModel, X, state: int,
+                    max_resamples: int = MAX_SECRET_RESAMPLES
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """One valid container per cover row of X, drawn in rounds from `state`:
+    each round draws a candidate secret for every row still without a
+    container, in row order, and checks them all with one
+    generate_message_batch. Returns (containers, secrets, state). After
+    1 + max_resamples rounds it raises a generation failure naming the last
+    reason, that of the first row still failing."""
+    X = np.asarray(X, dtype=np.float64)
+    dim = steg.secret_dim
+    Z = np.empty_like(X)
+    S = np.empty((len(X), dim))
+    pending = np.arange(len(X))
+    for _ in range(1 + max_resamples):
+        flat, state = uniform_array(state, len(pending) * dim)
+        secrets = flat.reshape(len(pending), dim)
+        Zr, flagged, kept = generate_message_batch(steg, reveal, cheap,
+                                                   X[pending], secrets)
+        ok = flagged & kept
+        Z[pending[ok]], S[pending[ok]] = Zr[ok], secrets[ok]
+        if ok.all():
+            return Z, S, state
+        last = _failure(flagged[np.flatnonzero(~ok)[0]])
+        pending = pending[~ok]
+    raise GenerationFailureError(
+        f"no valid container in {1 + max_resamples} attempts: {last}")
 
 
 def draw_message_instance(steg: StegModel, reveal: RevealClassifier,
                           cheap: MlpModel, x, state: int,
                           max_resamples: int = MAX_SECRET_RESAMPLES
                           ) -> tuple[np.ndarray, SecretMessage, int]:
-    """Resampling wrapper around generate_message_instance, one container at
-    a time: draws secrets from `state` until the dual property holds, at most
-    1 + max_resamples attempts, then re-raises the last generation failure.
-    The verifiers build most containers in one generate_message_batch and
-    fall back to this for the rest."""
-    last: GenerationFailureError | None = None
-    for _ in range(1 + max_resamples):
-        secret, state = random_secret(state, steg.secret_dim)
-        try:
-            return generate_message_instance(steg, reveal, cheap, x, secret), secret, state
-        except GenerationFailureError as exc:
-            last = exc
-    raise GenerationFailureError(
-        f"no valid container in {1 + max_resamples} attempts: {last}")
+    """draw_containers on one cover: draws secrets from `state` until the
+    dual property holds, at most 1 + max_resamples attempts."""
+    x = np.asarray(x, dtype=np.float64)
+    Z, S, state = draw_containers(steg, reveal, cheap, x[None, :], state,
+                                  max_resamples)
+    return Z[0], SecretMessage(S[0]), state
 
 
 # -- serialization -------------------------------------------------------------

@@ -15,16 +15,14 @@ Four methods:
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
-steg_probe and the steg calibration (measure_roundtrip) build their
-containers speculatively in one batch and fall back to one-at-a-time
-generation where the speculation missed (a resample, or a replay hit that
-skipped draws); the queries, rng states and verdicts are byte for byte
-those of the one-at-a-time plan.
+steg_probe and the steg calibration (measure_roundtrip) draw all their
+containers first, with one steg.draw_containers call on a stream of their
+own (derive_seed(seed, 1)), then plan every query in one loop on their seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +34,8 @@ from .entities import (Provider, QueryBatch, Response, SeedPublication,
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
-from .rng import sample_indices, uniform_array
-from .steg import (RevealClassifier, StegModel, draw_message_instance,
-                   generate_message_batch)
+from .rng import derive_seed, sample_indices
+from .steg import RevealClassifier, StegModel, draw_containers
 from .stats import two_proportion_z  # noqa: F401  (re-exported: part of this API)
 
 LIKELY_HONEST = "LikelyHonest"
@@ -127,57 +124,6 @@ class StegSuite:
                 raise ParameterError(f"{name} must be in (0,1)")
 
 
-def _plan_with_containers(steg: StegModel, reveal: RevealClassifier,
-                          checker: MlpModel, rows, state: int, ask, target,
-                          shadow) -> tuple[QueryBatch, int]:
-    """Plan one query per (cover, is_container) row into a fresh QueryBatch,
-    with `ask(batch, target, query, state)`, where a container row sends a
-    container of its cover drawn from the stream just before. Returns the
-    batch and the final state: the same queries and state as a
-    draw_message_instance per container row interleaved with the asks.
-
-    Containers are built speculatively, draft then verify:
-    1. walk the rng phase on `shadow` (the target with an empty replay
-       cache), assuming every container's first secret is valid and every
-       query misses, and record each container's start state and secret;
-    2. build all those containers with one generate_message_batch;
-    3. run the sequential plan for real. A container that starts from its
-       speculated state takes the batch's container when that one is valid;
-       any other (a resample, or a replay hit that skipped draws) is drawn
-       one at a time by draw_message_instance, as without speculation.
-    The generator is a pure function of (cover, secret) and the real walk
-    plans every query, so no byte differs from the sequential plan."""
-    dim = steg.secret_dim
-    covers, starts, ends, secrets = [], [], [], []
-    scratch, s = QueryBatch(), state
-    for x, is_container in rows:
-        if is_container:
-            covers.append(x)
-            starts.append(s)
-            secret, s = uniform_array(s, dim)
-            ends.append(s)
-            secrets.append(secret)
-        s = ask(scratch, shadow, x, s)  # the cover stands in for its container
-    if covers:
-        Z, flagged, kept = generate_message_batch(steg, reveal, checker,
-                                                  np.stack(covers),
-                                                  np.stack(secrets))
-        valid = flagged & kept
-
-    batch, j = QueryBatch(), 0
-    for x, is_container in rows:
-        query = x
-        if is_container:
-            if state == starts[j] and valid[j]:
-                query, state = Z[j], ends[j]
-            else:
-                query, _, state = draw_message_instance(steg, reveal, checker,
-                                                        x, state)
-            j += 1
-        state = ask(batch, target, query, state)
-    return batch, state
-
-
 def measure_roundtrip(supplier: Supplier, steg: StegModel,
                       reveal: RevealClassifier, checker: MlpModel,
                       covers: np.ndarray, seed: int) -> tuple[float, float]:
@@ -189,9 +135,12 @@ def measure_roundtrip(supplier: Supplier, steg: StegModel,
     if n < 1:
         raise ParameterError("need at least one held-out cover")
     mc = reveal.message_class
-    rows = [(x, is_container) for x in covers for is_container in (True, False)]
-    batch, _ = _plan_with_containers(steg, reveal, checker, rows, seed,
-                                     QueryBatch.supplier, supplier, supplier)
+    containers, _, _ = draw_containers(steg, reveal, checker, covers,
+                                       derive_seed(seed, 1))
+    batch, state = QueryBatch(), seed
+    for z, x in zip(containers, covers):
+        state = batch.supplier(supplier, z, state)
+        state = batch.supplier(supplier, x, state)
     answers = batch.answer()
     detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
     clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
@@ -211,21 +160,26 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     state = plan.seed
     cover_idx, state = sample_indices(state, len(covers), plan.k)
     steg_pos, state = sample_indices(state, plan.k, plan.n_steg)
-    steg_set = frozenset(steg_pos)
+    is_steg = np.zeros(plan.k, dtype=bool)
+    is_steg[steg_pos] = True
     mc = suite.reveal.message_class
 
-    rows = [(covers[cover_idx[i]], i in steg_set) for i in range(plan.k)]
+    queries = covers[cover_idx]
     try:
-        batch, _ = _plan_with_containers(
-            suite.steg, suite.reveal, suite.checker, rows, state,
-            QueryBatch.provider, provider, replace(provider, cache={}))
+        containers, _, _ = draw_containers(
+            suite.steg, suite.reveal, suite.checker, queries[is_steg],
+            derive_seed(plan.seed, 1))
     except GenerationFailureError as exc:
         raise ProbeSetupError(f"container generation failed: {exc}") from exc
+    queries[is_steg] = containers
+    batch = QueryBatch()
+    for x in queries:
+        state = batch.provider(provider, x, state)
 
     hits = clean_ok = 0
-    for i, resp in enumerate(batch.answer()):
+    for steg_row, resp in zip(is_steg, batch.answer()):
         flagged = int(np.argmax(resp.probs)) == mc
-        if i in steg_set:
+        if steg_row:
             hits += int(flagged)
         else:
             clean_ok += int(not flagged)

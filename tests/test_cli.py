@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from veriml import cache, cli, runner, steg, verifiers
+from veriml import cache, cli, runner, steg
 from veriml import config as cfgmod
 from veriml.errors import TrainingFailureError
 
@@ -75,6 +75,37 @@ def test_hardened_deterministic_supplier_is_a_config_error(tmp_path, capsys):
     assert "supplier.adversarial_epsilon" in capsys.readouterr().err
 
 
+def _run_config(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return cli.main(["run", "--config", str(path)])
+
+
+def test_output_width_mismatch_is_a_config_error(tmp_path, capsys):
+    raw = cfgmod.builtin_config(cfgmod.DETERMINISTIC_BENCH, trials=1)
+    raw["supplier"]["architecture"] = [8, 24, 4]
+    assert _run_config(tmp_path, raw) == cli.EXIT_CONFIG
+    assert "supplier.architecture: output width 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", -1, 2 ** 70, 1.5])
+def test_train_data_seed_is_a_config_error(tmp_path, capsys, value):
+    for block in ("supplier", "provider.cheap"):
+        raw = cfgmod.builtin_config(cfgmod.PROBABILISTIC_BENCH, trials=1)
+        train = raw["supplier"]["train"] if block == "supplier" \
+            else raw["provider"]["cheap"]["train"]
+        train["data_seed"] = value
+        assert _run_config(tmp_path, raw) == cli.EXIT_CONFIG
+        assert f"{block}.train.data_seed" in capsys.readouterr().err
+
+
+def test_auditor_fee_above_client_balance_is_a_config_error(tmp_path, capsys):
+    raw = cfgmod.builtin_config(cfgmod.AUDITOR, trials=1)
+    raw["verifier"]["fee"] = raw["verifier"]["client_balance"] + 1
+    assert _run_config(tmp_path, raw) == cli.EXIT_CONFIG
+    assert "verifier.fee" in capsys.readouterr().err
+
+
 def test_malformed_json_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -127,6 +158,34 @@ def test_explain_missing_report(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def _explain(tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    return cli.main(["explain", "--report", str(path)])
+
+
+def test_explain_report_that_is_a_list(tmp_path, capsys):
+    assert _explain(tmp_path, [{"trial_results": []}]) == cli.EXIT_CONFIG
+    assert "report is not a JSON object" in capsys.readouterr().err
+
+
+def test_explain_trial_that_is_not_an_object(tmp_path, capsys):
+    report = {"scenario": "StegProbe", "trial_results": [[1, 2]]}
+    assert _explain(tmp_path, report) == cli.EXIT_CONFIG
+    assert "trial 0 is not a JSON object" in capsys.readouterr().err
+
+
+def test_explain_verdict_with_a_key_missing(tmp_path, capsys):
+    verdict = {"method": "steg_probe", "decision": "LikelyHonest",
+               "n_probes": 50, "statistic": 25.0, "p_value": 0.5,
+               "cheat_probability": 0.5, "detail": "k=50"}
+    del verdict["p_value"]
+    report = {"scenario": "StegProbe",
+              "trial_results": [{"seed": 1, "verdict": verdict}]}
+    assert _explain(tmp_path, report) == cli.EXIT_CONFIG
+    assert "trial 0 verdict lacks p_value" in capsys.readouterr().err
+
+
 def test_auditor_demo_reproducible(tmp_path, capsys):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["auditor-demo", "--rounds", "2", "--out", str(a_path)]) == 0
@@ -150,8 +209,7 @@ def test_auditor_demo_rejects_rounds_the_client_cannot_fund(tmp_path, capsys):
 
 
 def test_steg_calibration_failure_is_a_fixture_error(tmp_path, monkeypatch, capsys):
-    # every container comes out invalid, in the speculative batch and in the
-    # one-at-a-time fallback alike, so calibration exhausts its resamples
+    # every container comes out invalid, so calibration exhausts its resamples
     real = steg.generate_message_batch
 
     def no_container(*args, **kwargs):
@@ -159,7 +217,6 @@ def test_steg_calibration_failure_is_a_fixture_error(tmp_path, monkeypatch, caps
         return Z, np.zeros_like(flagged), kept
 
     monkeypatch.setattr(steg, "generate_message_batch", no_container)
-    monkeypatch.setattr(verifiers, "generate_message_batch", no_container)
     path = tmp_path / "steg.json"
     path.write_text(json.dumps(cfgmod.builtin_config(cfgmod.STEG_PROBE, trials=1)),
                     encoding="utf-8")

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import pytest
@@ -34,11 +35,10 @@ def test_builtin_validates(scenario):
 @pytest.mark.parametrize("scenario", cfgmod.SCENARIOS)
 def test_serialize_parse_round_trip(scenario):
     cfg = cfgmod.validate_config(_builtin(scenario))
-    text = cfgmod.serialize_config(cfg)
+    text = json.dumps(cfg.raw, sort_keys=True, indent=2)
     again = cfgmod.parse_config(text)
     assert again == cfg
-    assert cfgmod.serialize_config(again) == text
-    assert text.endswith("\n")
+    assert json.dumps(again.raw, sort_keys=True, indent=2) == text
 
 
 def test_builtin_provider_kinds():
@@ -159,6 +159,36 @@ def test_architecture_must_match_data_dim():
     _expect_errors(raw, "supplier.architecture")
 
 
+def test_architecture_output_must_match_n_classes():
+    raw = _builtin(cfgmod.DETERMINISTIC_BENCH)
+    raw["supplier"]["architecture"] = [8, 24, 4]
+    raw["provider"]["cheap"]["architecture"] = [8, 3, 2]
+    errors = _expect_errors(
+        raw, "supplier.architecture: output width 4 does not match "
+             "supplier.data.n_classes 3",
+        "provider.cheap.architecture: output width 2")
+    assert len(errors) == 2
+
+
+@pytest.mark.parametrize("block", ["supplier", "provider.cheap"])
+@pytest.mark.parametrize("value", ["abc", -1, 2 ** 70, 1.5, 613])
+def test_train_data_seed_is_only_a_steg_setting(block, value):
+    # the supplier and the cheap model train on supplier.data.seed's pool;
+    # only the steg block draws from a data_seed of its own
+    raw = _builtin(cfgmod.STEG_PROBE)
+    train = raw["supplier"]["train"] if block == "supplier" \
+        else raw["provider"]["cheap"]["train"]
+    train["data_seed"] = value
+    errors = _expect_errors(raw, f"{block}.train.data_seed: not a setting here")
+    assert len(errors) == 1
+    raw = _builtin(cfgmod.STEG_PROBE)
+    raw["steg"]["train"]["data_seed"] = value
+    if value == 613:
+        cfgmod.validate_config(raw)  # the steg block's own stream
+    else:
+        _expect_errors(raw, "steg.train.data_seed")
+
+
 def test_steg_scenario_needs_steg_block():
     raw = _builtin(cfgmod.STEG_PROBE)
     del raw["steg"]
@@ -233,6 +263,14 @@ def test_auditor_byzantine_majority_guard():
     raw = _builtin(cfgmod.AUDITOR)
     raw["verifier"]["n_byzantine"] = 4  # honest 3 of 7 cannot reach majority
     _expect_errors(raw, "n_byzantine")
+
+
+def test_auditor_fee_must_fit_client_balance():
+    raw = _builtin(cfgmod.AUDITOR)
+    raw["verifier"]["fee"] = raw["verifier"]["client_balance"] + 1
+    _expect_errors(raw, "verifier.fee: fee 10001 exceeds the client balance 10000")
+    raw["verifier"]["fee"] = raw["verifier"]["client_balance"]
+    cfgmod.validate_config(raw)  # one round can spend it all
 
 
 def test_robustness_tau_must_beat_chance():

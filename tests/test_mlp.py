@@ -11,6 +11,13 @@ from veriml.rng import rng_uniform, uniform_array
 SC = mlp.SeedConfig(1, 2, 3)
 
 
+def _same(a, b):
+    """Bit-for-bit parameter equality."""
+    return (a.layer_dims == b.layer_dims
+            and [w.tobytes() for w in a.weights + a.biases]
+            == [w.tobytes() for w in b.weights + b.biases])
+
+
 def tiny_cfg(epochs=3, lr=0.3, batch=8, seeds=SC):
     return mlp.TrainConfig(lr, epochs, batch, seeds)
 
@@ -21,8 +28,8 @@ def test_init_shapes_and_determinism():
     c = mlp.init_mlp((4, 7, 3), weight_seed=10)
     assert [w.shape for w in a.weights] == [(7, 4), (3, 7)]
     assert [bb.shape for bb in a.biases] == [(7,), (3,)]
-    assert mlp.models_equal(a, b)
-    assert not mlp.models_equal(a, c)
+    assert _same(a, b)
+    assert not _same(a, c)
     assert all(np.all(bi == 0.0) for bi in a.biases)
 
 
@@ -135,9 +142,9 @@ def test_train_is_deterministic_and_functional():
     before = mlp.clone_model(init)
     m1 = mlp.train_sgd(init, data, tiny_cfg())
     m2 = mlp.train_sgd(init, data, tiny_cfg())
-    assert mlp.models_equal(m1, m2)
-    assert mlp.models_equal(init, before)  # input model untouched
-    assert not mlp.models_equal(m1, init)
+    assert _same(m1, m2)
+    assert _same(init, before)  # input model untouched
+    assert not _same(m1, init)
 
 
 def test_training_learns_easy_blobs(easy_data):
@@ -160,7 +167,7 @@ def test_shuffle_seed_changes_trajectory():
     init = mlp.init_mlp((4, 6, 2), weight_seed=8)
     m1 = mlp.train_sgd(init, data, tiny_cfg(seeds=mlp.SeedConfig(1, 2, 3)))
     m2 = mlp.train_sgd(init, data, tiny_cfg(seeds=mlp.SeedConfig(1, 99, 3)))
-    assert not mlp.models_equal(m1, m2)
+    assert not _same(m1, m2)
 
 
 def test_adversarial_epsilon_changes_model():
@@ -168,7 +175,7 @@ def test_adversarial_epsilon_changes_model():
     init = mlp.init_mlp((4, 6, 2), weight_seed=8)
     plain = mlp.train_sgd(init, data, tiny_cfg())
     hard = mlp.train_sgd(init, data, tiny_cfg(), adversarial_epsilon=0.1)
-    assert not mlp.models_equal(plain, hard)
+    assert not _same(plain, hard)
 
 
 def test_gradient_matches_finite_differences():
@@ -215,7 +222,7 @@ def test_input_gradient_matches_finite_differences():
 def test_save_load_round_trip(n_in, hidden, n_out, seed):
     m = mlp.init_mlp((n_in, hidden, n_out), weight_seed=seed)
     back = mlp.load_model(mlp.save_model(m))
-    assert mlp.models_equal(m, back)
+    assert _same(m, back)
     assert back.layer_dims == m.layer_dims
     assert back.output_kind == m.output_kind
 

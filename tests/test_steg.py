@@ -119,7 +119,7 @@ def test_generate_rejects_argmax_change(trained):
 
 
 def test_generate_batch_rows_equal_one_row_calls(trained):
-    # the speculative container batches rest on this: a row's container and
+    # draw_containers rests on this: a row's container and
     # verdicts do not depend on the rows beside it
     model, reveal, checker, covers = trained
     X = covers[:9]

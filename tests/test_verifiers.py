@@ -9,7 +9,7 @@ from veriml.entities import (CACHED_REPLAY, HONEST_PASSTHROUGH, PROVIDER_KINDS,
                              QueryBatch, provider_classify, supplier_classify)
 from veriml.errors import (FixtureError, GenerationFailureError,
                            ParameterError, ProbeSetupError, ShapeError)
-from veriml.rng import sample_indices, uniform_array
+from veriml.rng import derive_seed, sample_indices, uniform_array
 from veriml.steg import RevealClassifier
 from veriml.verifiers import (INCONCLUSIVE, LIKELY_FRAUDULENT, LIKELY_HONEST,
                               SPRT_ACCEPT_CHEAT, SPRT_ACCEPT_HONEST,
@@ -107,35 +107,173 @@ def test_steg_probe_deterministic_in_seed(steg_env):
     assert a == b
 
 
-# -- speculative containers against the sequential plan ------------------------
+# -- the container path against its plain definitions --------------------------
 #
-# The two loops below are the one-at-a-time definitions of steg_probe and
-# measure_roundtrip: one draw_message_instance per container, in query order.
-# The speculative path must send the same bytes, end on the same rng state and
-# reach the same verdicts and rates.
+# draw_containers is checked against a round-by-round loop, draw_message_instance
+# against the one-at-a-time loop, and steg_probe and measure_roundtrip against
+# their definitions: containers drawn from derive_seed(seed, 1), then one
+# provider_classify or supplier_classify per query on the seed's stream.
 
 
-def _sequential_steg_probe(provider, suite, covers, plan):
-    covers = np.asarray(covers, dtype=np.float64)
+@pytest.fixture()
+def reject_third(monkeypatch):
+    """Rejects about one container in three (those whose secret's first
+    component is below 1/3) on every generation path, so draws resample."""
+    real_batch = steg.generate_message_batch
+
+    def every_third_rejected(steg_model, reveal, cheap, X, S):
+        Z, flagged, kept = real_batch(steg_model, reveal, cheap, X, S)
+        return Z, flagged & (np.asarray(S)[:, 0] >= 1 / 3), kept
+
+    monkeypatch.setattr(steg, "generate_message_batch", every_third_rejected)
+
+
+@pytest.fixture()
+def sent_log(monkeypatch):
+    """The bytes of every query a QueryBatch answers and of its answers."""
+    log = []
+    real_answer = QueryBatch.answer
+
+    def answer(self):
+        responses = real_answer(self)
+        log.extend((q.x.tobytes(), canon.vec(r.probs))
+                   for q, r in zip(self._queries, responses))
+        return responses
+
+    monkeypatch.setattr(QueryBatch, "answer", answer)
+    return log
+
+
+def _jumpy(checker):
+    # so sensitive that some containers change its argmax
+    net = mlp.init_mlp(checker.layer_dims, weight_seed=7)
+    for w in net.weights:
+        w *= 40.0
+    return net
+
+
+def _rounds_reference(steg_model, reveal, cheap, X, state,
+                      max_resamples=steg.MAX_SECRET_RESAMPLES):
+    """Round by round, one row at a time: each round draws a secret for every
+    cover still without a container, in row order."""
+    out = [None] * len(X)
+    secrets = [None] * len(X)
+    for rounds in range(1, 2 + max_resamples):
+        last = None
+        for i, x in enumerate(X):
+            if out[i] is not None:
+                continue
+            secret, state = steg.random_secret(state, steg_model.secret_dim)
+            try:
+                out[i] = steg.generate_message_instance(steg_model, reveal,
+                                                        cheap, x, secret)
+                secrets[i] = secret.values
+            except GenerationFailureError as exc:
+                last = last or exc
+        if last is None:
+            return np.stack(out), np.stack(secrets), state, rounds
+    raise GenerationFailureError(
+        f"no valid container in {1 + max_resamples} attempts: {last}")
+
+
+def _one_at_a_time(steg_model, reveal, cheap, x, state,
+                   max_resamples=steg.MAX_SECRET_RESAMPLES):
+    last = None
+    for _ in range(1 + max_resamples):
+        secret, state = steg.random_secret(state, steg_model.secret_dim)
+        try:
+            return (steg.generate_message_instance(steg_model, reveal, cheap, x,
+                                                   secret), secret, state)
+        except GenerationFailureError as exc:
+            last = exc
+    raise GenerationFailureError(
+        f"no valid container in {1 + max_resamples} attempts: {last}")
+
+
+def test_draw_containers_equals_rounds(steg_env, reject_third):
+    _, fx = steg_env
+    suite = fx.suite
+    X = fx.probe_covers[:40]
+    for cheap in (suite.checker, _jumpy(suite.checker)):
+        for state in (0, 913, 2 ** 64 - 1):
+            Zw, Sw, end, rounds = _rounds_reference(suite.steg, suite.reveal,
+                                                    cheap, X, state)
+            assert rounds >= 3  # several rounds ran
+            Z, S, got_end = steg.draw_containers(suite.steg, suite.reveal,
+                                                 cheap, X, state)
+            assert Z.tobytes() == Zw.tobytes()
+            assert S.tobytes() == Sw.tobytes()
+            assert got_end == end
+    # too few rounds for the jumpy checker: both fail with the same reason,
+    # that of the first row still failing (at state 0 the first fails the
+    # argmax check and later ones the reveal check)
+    reasons = set()
+    for state, max_resamples in ((0, 0), (5, 1)):
+        with pytest.raises(GenerationFailureError) as want:
+            _rounds_reference(suite.steg, suite.reveal, _jumpy(suite.checker),
+                              X, state, max_resamples)
+        with pytest.raises(GenerationFailureError) as got:
+            steg.draw_containers(suite.steg, suite.reveal,
+                                 _jumpy(suite.checker), X, state, max_resamples)
+        assert str(got.value) == str(want.value)
+        reasons.add(str(got.value).split(": ")[1])
+    assert len(reasons) == 2
+
+
+def test_draw_message_instance_equals_one_at_a_time(steg_env, reject_third):
+    _, fx = steg_env
+    suite = fx.suite
+    jumpy = _jumpy(suite.checker)
+    resampled = failed = 0
+    for cheap in (suite.checker, jumpy):
+        for i, state in enumerate((0, 1, 1234, 2 ** 63, 2 ** 64 - 1)):
+            x = fx.probe_covers[i]
+            for max_resamples in (0, 2, steg.MAX_SECRET_RESAMPLES):
+                try:
+                    zw, sw, end = _one_at_a_time(suite.steg, suite.reveal, cheap,
+                                                 x, state, max_resamples)
+                except GenerationFailureError as exc:
+                    failed += 1
+                    with pytest.raises(GenerationFailureError) as got:
+                        steg.draw_message_instance(suite.steg, suite.reveal,
+                                                   cheap, x, state, max_resamples)
+                    assert str(got.value) == str(exc)
+                    continue
+                z, s, got_end = steg.draw_message_instance(
+                    suite.steg, suite.reveal, cheap, x, state, max_resamples)
+                assert z.tobytes() == zw.tobytes()
+                assert s.values.tobytes() == sw.values.tobytes()
+                assert got_end == end
+                resampled += end != uniform_array(state, suite.steg.secret_dim)[1]
+    assert resampled > 0 and failed > 0
+
+
+def _kind_provider(fx, kind, mac, cache=None):
+    backend = fx.supplier
+    if mac:
+        backend = dataclasses.replace(backend, mac_key=bytes(range(32)))
+    return Provider(kind=kind, backend=backend, cheap_model=fx.cheap_model,
+                    cheat_rate=0.5, cache={} if cache is None else cache,
+                    noise_sigma=0.05, latency=LatencyModel(1.0, 2.0, 9))
+
+
+def _plain_steg_probe(provider, suite, covers, plan):
+    """steg_probe by its definition; returns the verdict and the sent log."""
     state = plan.seed
     cover_idx, state = sample_indices(state, len(covers), plan.k)
     steg_pos, state = sample_indices(state, plan.k, plan.n_steg)
     steg_set = frozenset(steg_pos)
+    rows = [covers[cover_idx[i]] for i in range(plan.k)]
+    containers, _, _, _ = _rounds_reference(
+        suite.steg, suite.reveal, suite.checker,
+        [rows[i] for i in sorted(steg_set)], derive_seed(plan.seed, 1))
+    containers = iter(containers)
+    sent, hits, clean_ok = [], 0, 0
     mc = suite.reveal.message_class
-    batch = QueryBatch()
-    for i in range(plan.k):
-        x = covers[cover_idx[i]]
-        if i in steg_set:
-            try:
-                query, _, state = steg.draw_message_instance(
-                    suite.steg, suite.reveal, suite.checker, x, state)
-            except GenerationFailureError as exc:
-                raise ProbeSetupError(f"container generation failed: {exc}") from exc
-        else:
-            query = x
-        state = batch.provider(provider, query, state)
-    hits = clean_ok = 0
-    for i, resp in enumerate(batch.answer()):
+    for i, x in enumerate(rows):
+        query = next(containers) if i in steg_set else x
+        resp, state = provider_classify(provider, query, state)
+        sent.append((query.tobytes(), canon.vec(resp.probs)))
         flagged = int(np.argmax(resp.probs)) == mc
         if i in steg_set:
             hits += int(flagged)
@@ -150,158 +288,66 @@ def _sequential_steg_probe(provider, suite, covers, plan):
     if guard_p < plan.alpha:
         return verifiers._verdict(
             verifiers.METHOD_STEG_PROBE, plan.k, float(hits), p_value,
-            INCONCLUSIVE, detail + f"; clean guard tripped (tail {guard_p:.3g})"), state
+            INCONCLUSIVE, detail + f"; clean guard tripped (tail {guard_p:.3g})"), sent
     decision = LIKELY_FRAUDULENT if p_value < plan.alpha else LIKELY_HONEST
     return verifiers._verdict(verifiers.METHOD_STEG_PROBE, plan.k, float(hits),
-                              p_value, decision, detail), state
-
-
-def _sequential_roundtrip(supplier, steg_model, reveal, checker, covers, seed):
-    n = len(covers)
-    mc = reveal.message_class
-    state = seed
-    batch = QueryBatch()
-    for x in covers:
-        z, _, state = steg.draw_message_instance(steg_model, reveal, checker, x, state)
-        state = batch.supplier(supplier, z, state)
-        state = batch.supplier(supplier, x, state)
-    answers = batch.answer()
-    detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
-    clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
-    return ((detect + 1) / (n + 2), (clean + 1) / (n + 2)), state
-
-
-@pytest.fixture()
-def spec_log(monkeypatch):
-    """Rejects about one container in three (those whose secret's first
-    component is below 1/3) on every generation path while `reject` is set,
-    and records the bytes of every answered query, the final state of every
-    speculative plan and the containers that fell back to one-at-a-time
-    generation. A resample shifts every later container's start state, so
-    after the first one the rest of the plan falls back."""
-    log = {"reject": True, "sent": [], "ends": [], "fallbacks": 0, "rejected": 0}
-    real_batch = steg.generate_message_batch
-
-    def every_third_rejected(steg_model, reveal, cheap, X, S):
-        Z, flagged, kept = real_batch(steg_model, reveal, cheap, X, S)
-        keep = (np.asarray(S)[:, 0] >= 1 / 3) | (not log["reject"])
-        log["rejected"] += int(np.sum(~keep))
-        return Z, flagged & keep, kept
-
-    real_answer = QueryBatch.answer
-
-    def answer(self):
-        log["sent"].append([q.x.tobytes() for q in self._queries])
-        return real_answer(self)
-
-    real_plan = verifiers._plan_with_containers
-
-    def plan(*args, **kwargs):
-        batch, state = real_plan(*args, **kwargs)
-        log["ends"].append(state)
-        return batch, state
-
-    real_draw = verifiers.draw_message_instance
-
-    def draw(*args, **kwargs):
-        log["fallbacks"] += 1
-        return real_draw(*args, **kwargs)
-
-    monkeypatch.setattr(steg, "generate_message_batch", every_third_rejected)
-    monkeypatch.setattr(verifiers, "generate_message_batch", every_third_rejected)
-    monkeypatch.setattr(QueryBatch, "answer", answer)
-    monkeypatch.setattr(verifiers, "_plan_with_containers", plan)
-    monkeypatch.setattr(verifiers, "draw_message_instance", draw)
-    return log
-
-
-def _kind_provider(fx, kind, mac, cache=None):
-    backend = fx.supplier
-    if mac:
-        backend = dataclasses.replace(backend, mac_key=bytes(range(32)))
-    return Provider(kind=kind, backend=backend, cheap_model=fx.cheap_model,
-                    cheat_rate=0.5, cache={} if cache is None else cache,
-                    noise_sigma=0.05, latency=LatencyModel(1.0, 2.0, 9))
+                              p_value, decision, detail), sent
 
 
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
-def test_speculative_steg_probe_equals_sequential(steg_env, spec_log, kind, mac):
+def test_steg_probe_equals_its_definition(steg_env, reject_third, sent_log,
+                                          kind, mac):
+    """With resampled containers and, for CachedReplay, pre-filled replay
+    entries that some clean covers hit without a draw."""
     _, fx = steg_env
     plan = ProbePlan(k=40, frac_steg=0.5, seed=911, alpha=0.01)
-    want, want_end = _sequential_steg_probe(_kind_provider(fx, kind, mac),
-                                            fx.suite, fx.probe_covers, plan)
-    [want_sent] = spec_log["sent"]
-    rejected = spec_log["rejected"]
-    assert rejected > 0  # the reference path did resample
-    got = steg_probe(_kind_provider(fx, kind, mac), fx.suite, fx.probe_covers, plan)
-    assert got == want
-    assert spec_log["sent"][1] == want_sent
-    assert spec_log["ends"] == [want_end]
-    assert spec_log["fallbacks"] > 0
-
-
-def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, spec_log):
-    """Pre-filled replay entries make some clean covers hit: their queries
-    skip the rng draws, every later container starts from a state the
-    speculation did not predict, and all of those fall back."""
-    _, fx = steg_env
-    spec_log["reject"] = False
-    plan = ProbePlan(k=40, frac_steg=0.5, seed=912, alpha=0.01)
     cover_idx, state = sample_indices(plan.seed, len(fx.probe_covers), plan.k)
     steg_pos, _ = sample_indices(state, plan.k, plan.n_steg)
-    clean = [i for i in range(plan.k) if i not in steg_pos]
     stored = {}
-    filler = _kind_provider(fx, CACHED_REPLAY, False, cache=stored)
+    filler = _kind_provider(fx, CACHED_REPLAY, mac, cache=stored)
     state = 77
-    for i in clean[3::4]:
+    for i in [i for i in range(plan.k) if i not in steg_pos][3::4]:
         _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
     assert len(stored) >= 4
 
     ref_cache, cache = dict(stored), dict(stored)
-    want, want_end = _sequential_steg_probe(
-        _kind_provider(fx, CACHED_REPLAY, False, cache=ref_cache),
-        fx.suite, fx.probe_covers, plan)
-    got = steg_probe(_kind_provider(fx, CACHED_REPLAY, False, cache=cache),
-                     fx.suite, fx.probe_covers, plan)
+    want, want_sent = _plain_steg_probe(_kind_provider(fx, kind, mac, ref_cache),
+                                        fx.suite, fx.probe_covers, plan)
+    got = steg_probe(_kind_provider(fx, kind, mac, cache), fx.suite,
+                     fx.probe_covers, plan)
     assert got == want
-    assert spec_log["sent"][0] == spec_log["sent"][1]
-    assert spec_log["ends"] == [want_end]
+    assert sent_log == want_sent
     assert cache.keys() == ref_cache.keys()
     for key, resp in ref_cache.items():
         assert canon.vec(cache[key].probs) == canon.vec(resp.probs)
-    # the batch built the containers before the first hit, the fallback the rest
-    assert 0 < spec_log["fallbacks"] < plan.n_steg
+        assert cache[key].certificate == resp.certificate
 
 
 @pytest.mark.parametrize("mac", [False, True])
-def test_speculative_calibration_equals_sequential(steg_env, spec_log, mac):
+def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac):
     _, fx = steg_env
     supplier = fx.supplier
     if mac:
         supplier = dataclasses.replace(supplier, mac_key=bytes(range(32)))
     suite = fx.suite
     covers = fx.data.held.inputs[:60]
-    want, want_end = _sequential_roundtrip(supplier, suite.steg, suite.reveal,
-                                           suite.checker, covers, 700)
+    containers, _, _, rounds = _rounds_reference(
+        suite.steg, suite.reveal, suite.checker, covers, derive_seed(700, 1))
+    assert rounds >= 3
+    state, want_sent = 700, []
+    for z, x in zip(containers, covers):
+        for query in (z, x):
+            resp, state = supplier_classify(supplier, query, state)
+            want_sent.append((query.tobytes(), canon.vec(resp.probs)))
+    mc = suite.reveal.message_class
+    detect = sum(np.argmax(np.frombuffer(p, "<f8")) == mc for _, p in want_sent[0::2])
+    clean = sum(np.argmax(np.frombuffer(p, "<f8")) != mc for _, p in want_sent[1::2])
+    n = len(covers)
     got = verifiers.measure_roundtrip(supplier, suite.steg, suite.reveal,
                                       suite.checker, covers, 700)
-    assert got == want
-    assert spec_log["sent"][0] == spec_log["sent"][1]
-    assert spec_log["ends"] == [want_end]
-    assert spec_log["fallbacks"] > 0
-
-
-def test_speculation_builds_every_valid_container_in_the_batch(steg_env, spec_log):
-    _, fx = steg_env
-    spec_log["reject"] = False
-    suite = fx.suite
-    for kind in PROVIDER_KINDS:
-        steg_probe(_kind_provider(fx, kind, True), suite, fx.probe_covers,
-                   ProbePlan(k=40, frac_steg=0.5, seed=914, alpha=0.01))
-    verifiers.measure_roundtrip(fx.supplier, suite.steg, suite.reveal,
-                                suite.checker, fx.data.held.inputs[:60], 700)
-    assert spec_log["fallbacks"] == 0
+    assert got == ((detect + 1) / (n + 2), (clean + 1) / (n + 2))
+    assert sent_log == want_sent
 
 
 def _blind_reveal(reveal):
