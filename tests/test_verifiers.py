@@ -324,6 +324,42 @@ def test_steg_probe_equals_its_definition(steg_env, reject_third, sent_log,
         assert cache[key].certificate == resp.certificate
 
 
+def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
+    """Pre-filled replay entries make some clean covers hit and skip their
+    rng draws; the containers come from their own stream, so every one of
+    them is the same bytes as with an empty cache."""
+    _, fx = steg_env
+    plan = ProbePlan(k=40, frac_steg=0.5, seed=912, alpha=0.01)
+    cover_idx, state = sample_indices(plan.seed, len(fx.probe_covers), plan.k)
+    steg_pos, _ = sample_indices(state, plan.k, plan.n_steg)
+    clean = [i for i in range(plan.k) if i not in steg_pos]
+    stored = {}
+    filler = _kind_provider(fx, CACHED_REPLAY, False, cache=stored)
+    state = 77
+    for i in clean[3::4]:
+        _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
+    assert len(stored) >= 4
+
+    steg_probe(_kind_provider(fx, CACHED_REPLAY, False), fx.suite,
+               fx.probe_covers, plan)
+    cold_sent = list(sent_log)
+    del sent_log[:]
+    ref_cache, cache = dict(stored), dict(stored)
+    want, want_sent = _plain_steg_probe(
+        _kind_provider(fx, CACHED_REPLAY, False, cache=ref_cache),
+        fx.suite, fx.probe_covers, plan)
+    got = steg_probe(_kind_provider(fx, CACHED_REPLAY, False, cache=cache),
+                     fx.suite, fx.probe_covers, plan)
+    assert got == want
+    assert sent_log == want_sent
+    assert len(sent_log) == len(cold_sent) == plan.k
+    for i in sorted(steg_pos):
+        assert sent_log[i][0] == cold_sent[i][0]
+    assert cache.keys() == ref_cache.keys()
+    for key, resp in ref_cache.items():
+        assert canon.vec(cache[key].probs) == canon.vec(resp.probs)
+
+
 @pytest.mark.parametrize("mac", [False, True])
 def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac):
     _, fx = steg_env
