@@ -3,9 +3,15 @@ queries needed to push a target class past a probability threshold, and the
 sigmoid that turns mean query counts into a per-class robustness score.
 
 The whitebox attack reads gradients off the model; the blackbox attack sees
-only an opaque ``x -> probabilities`` scorer and estimates gradients by
-central finite differences, paying for every evaluation. Query accounting is
-exact and part of the contract:
+only an opaque scorer and estimates gradients by central finite differences,
+paying for every evaluation. The scorer comes in two kinds:
+
+- a plain callable ``x -> probabilities``, called once per query;
+- a ``RowScorer`` wrapping ``X -> rows of probabilities``, called once per
+  step for the step's 2 * dim probes and once for the moved point.
+
+Both see the same points in the same order, so they give the same trace.
+Query accounting is exact and part of the contract, whichever the kind:
 
     whitebox:  queries = 1 + n_steps
     blackbox:  queries = 1 + n_steps * (2 * dim + 1)
@@ -126,31 +132,58 @@ def whitebox_attack(model: MlpModel, x0, target: int, cfg: AttackConfig) -> Atta
     return AttackTrace(x0, x, target, queries, prob, prob >= cfg.tau)
 
 
-def _checked_probs(raw, dim_hint: int | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class RowScorer:
+    """A blackbox scorer over many points at once: `fn` maps an (m, dim)
+    array to (m, n_classes) probabilities, row i answering X[i]."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+
+Scorer = Callable[[np.ndarray], Sequence[float]] | RowScorer
+
+
+def _rows_of(query: Scorer) -> Callable[[np.ndarray], np.ndarray]:
+    """The rows form of a scorer; a plain callable is asked once per row."""
+    if isinstance(query, RowScorer):
+        return query.fn
+
+    def rows(X: np.ndarray) -> np.ndarray:
+        out = [np.asarray(query(x), dtype=np.float64) for x in X]
+        if len({p.shape for p in out}) != 1:
+            raise ProtocolError("scorer must return a probability vector")
+        return np.stack(out)
+    return rows
+
+
+def _checked_probs(raw, m: int) -> np.ndarray:
+    """The scorer's answer to m points, checked row by row."""
     probs = np.asarray(raw, dtype=np.float64)
-    if probs.ndim != 1 or len(probs) < 2:
+    if probs.ndim != 2 or len(probs) != m or probs.shape[1] < 2:
         raise ProtocolError("scorer must return a probability vector")
     if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
         raise ProtocolError("scorer returned non-probabilities")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
         raise ProtocolError("scorer probabilities do not sum to 1")
     return probs
 
 
-def blackbox_attack(query: Callable[[np.ndarray], Sequence[float]], dim: int,
-                    x0, target: int, cfg: AttackConfig) -> AttackTrace:
+def blackbox_attack(query: Scorer, dim: int, x0, target: int,
+                    cfg: AttackConfig) -> AttackTrace:
     """Same sign-step ascent against an opaque scorer. Each step estimates
     the gradient by central finite differences over all `dim` coordinates
-    (2*dim queries) and then evaluates the moved point (1 query); a step is
-    only begun when the full 2*dim+1 fits into the remaining budget, so the
-    closed-form count 1 + n_steps*(2*dim+1) holds exactly."""
+    (2*dim queries, scored as one batch: up_0, dn_0, up_1, dn_1, ...) and
+    then evaluates the moved point (1 query); a step is only begun when the
+    full 2*dim+1 fits into the remaining budget, so the closed-form count
+    1 + n_steps*(2*dim+1) holds exactly."""
     if cfg.mode != BLACKBOX:
         raise ParameterError("config mode must be Blackbox")
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or len(x0) != dim:
         raise ShapeError(f"start point must have dim {dim}")
+    score = _rows_of(query)
 
-    probs = _checked_probs(query(x0))
+    probs = _checked_probs(score(x0[None, :]), 1)[0]
     if not 0 <= target < len(probs):
         raise ParameterError(f"target {target} out of range for {len(probs)} classes")
     _check_tau_feasible(cfg.tau, len(probs))
@@ -158,18 +191,15 @@ def blackbox_attack(query: Callable[[np.ndarray], Sequence[float]], dim: int,
     prob = float(probs[target])
     queries = 1
     step_cost = 2 * dim + 1
+    coord = np.arange(dim)
     while prob < cfg.tau and queries + step_cost <= cfg.max_queries:
-        g = np.empty(dim)
-        for j in range(dim):
-            up = x.copy()
-            up[j] = min(1.0, x[j] + cfg.fd_epsilon)
-            dn = x.copy()
-            dn[j] = max(0.0, x[j] - cfg.fd_epsilon)
-            p_up = float(_checked_probs(query(up))[target])
-            p_dn = float(_checked_probs(query(dn))[target])
-            g[j] = (p_up - p_dn) / (2.0 * cfg.fd_epsilon)
+        probes = np.repeat(x[None, :], 2 * dim, axis=0)
+        probes[2 * coord, coord] = np.minimum(1.0, x + cfg.fd_epsilon)
+        probes[2 * coord + 1, coord] = np.maximum(0.0, x - cfg.fd_epsilon)
+        p = _checked_probs(score(probes), 2 * dim)[:, target]
+        g = (p[0::2] - p[1::2]) / (2.0 * cfg.fd_epsilon)
         x = np.clip(x + cfg.step_size * np.sign(g), 0.0, 1.0)
-        prob = float(_checked_probs(query(x))[target])
+        prob = float(_checked_probs(score(x[None, :]), 1)[0, target])
         queries += step_cost
     return AttackTrace(x0, x, target, queries, prob, prob >= cfg.tau)
 
@@ -181,10 +211,9 @@ def robustness_score(mean_queries: float, params: SigmoidParams) -> float:
     return 1.0 / (1.0 + math.exp(-(mean_queries - params.q0) / params.s_scale))
 
 
-def robustness_benchmark(service: Callable[[np.ndarray], Sequence[float]],
-                         dim: int, classes: Sequence[int], trials_per_class: int,
-                         cfg: AttackConfig, params: SigmoidParams,
-                         seed: int) -> list[RobustnessScore]:
+def robustness_benchmark(service: Scorer, dim: int, classes: Sequence[int],
+                         trials_per_class: int, cfg: AttackConfig,
+                         params: SigmoidParams, seed: int) -> list[RobustnessScore]:
     """Per class: attack from `trials_per_class` uniform starts in [0,1]^dim
     (seeded per (class, trial)) and average the query counts, charging failed
     attacks the full budget. Deterministic given the seed."""

@@ -21,7 +21,7 @@ from .cache import trained_model
 from .data import BlobRecipe
 from .errors import (AccessDeniedError, FundingError, ParameterError,
                      SpecIntegrityError, StateError)
-from .mlp import SeedConfig, TrainConfig, accuracy, forward
+from .mlp import SeedConfig, TrainConfig, accuracy, forward_batch
 
 METRIC_ACCURACY = "accuracy"
 METRIC_ROBUSTNESS = "robustness"
@@ -102,11 +102,12 @@ def compute_metric(spec: ModelSpec) -> float:
     else:
         # robustness of one class under the fixed reference attack budget,
         # seeded from the spec digest so every evaluator agrees
-        from .adversarial import (AttackConfig, SigmoidParams,
+        from .adversarial import (AttackConfig, RowScorer, SigmoidParams,
                                   robustness_benchmark)
         cfg = AttackConfig(tau=0.9, step_size=0.05, max_queries=400)
         seed = int.from_bytes(spec.spec_digest[:8], "little")
-        scores = robustness_benchmark(lambda x: forward(model, x), spec.architecture[0],
+        scores = robustness_benchmark(RowScorer(lambda X: forward_batch(model, X)),
+                                      spec.architecture[0],
                                       [spec.metric_class], 3, cfg,
                                       SigmoidParams.for_budget(400), seed)
         value = scores[0].score

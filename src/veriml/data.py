@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,14 +69,24 @@ class BlobRecipe:
     seed: int
 
     def build(self) -> Dataset:
-        return make_blobs(self.n_classes, self.n_per_class, self.dim,
-                          self.spread, self.seed)
+        """The recipe's pool, built once per process (the last 16 recipes
+        are kept). Its arrays are read-only: callers share one pool."""
+        return _pool(self)
 
     def canonical_bytes(self) -> bytes:
         from . import canon
         return (canon.u32(self.n_classes) + canon.u32(self.n_per_class)
                 + canon.u32(self.dim) + canon.f64(self.spread)
                 + canon.u64(self.seed))
+
+
+@functools.lru_cache(maxsize=16)
+def _pool(recipe: BlobRecipe) -> Dataset:
+    data = make_blobs(recipe.n_classes, recipe.n_per_class, recipe.dim,
+                      recipe.spread, recipe.seed)
+    data.inputs.flags.writeable = False
+    data.labels.flags.writeable = False
+    return data
 
 
 def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,

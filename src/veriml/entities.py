@@ -16,7 +16,7 @@ import numpy as np
 
 from . import canon
 from .errors import ParameterError, ShapeError
-from .mlp import MlpModel, SeedConfig, TrainConfig, _infer, forward_batch
+from .mlp import MlpModel, SeedConfig, TrainConfig, forward_batch
 from .rng import mix64, rng_bytes, rng_gauss, rng_next, rng_uniform
 from .steg import RevealClassifier
 
@@ -266,35 +266,15 @@ def _respond(q: _Query, probs: np.ndarray) -> Response:
     return q.response
 
 
-# The one-query calls below evaluate the kernel directly on the 1-D query:
-# planning has checked its width, and the bytes equal a batch row's.
-
-
-def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
-    """Answer one query: reveal head when present (n+1 classes), the plain
-    model otherwise; certificate attached when the supplier holds a MAC key."""
-    q, rng = _plan_supplier(s, np.asarray(x, dtype=np.float64), rng)
-    return _respond(q, _infer(q.model, q.x)), rng
-
-
-def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
-    """One query against the provider. Honest pass-through is byte-identical
-    to asking the supplier directly with the same rng state."""
-    q, rng = _plan_provider(p, x, rng, {})
-    if q.response is not None:
-        return q.response, rng
-    return _respond(q, _infer(q.model, q.x)), rng
-
-
 class QueryBatch:
     """Many queries in two phases. `provider` and `supplier` take each
-    query's rng draws exactly as provider_classify and supplier_classify
-    would, in call order, so other draws may be interleaved on the same
-    stream; `answer` then evaluates each model once over all its rows
-    (batch-invariant, so the bytes equal one-at-a-time answers) and returns
-    the responses in query order. Replay caches are filled by `answer`,
-    in query order; a CachedReplay input repeated within the batch is
-    answered once."""
+    query's rng draws in call order, so other draws may be interleaved on
+    the same stream; `answer` then evaluates each model once over all its
+    rows (batch-invariant, so the bytes equal one-at-a-time answers) and
+    returns the responses in query order. Replay caches are filled by
+    `answer`, in query order; a CachedReplay input repeated within the batch
+    is answered once. provider_classify and supplier_classify below are the
+    one-query case."""
 
     def __init__(self):
         self._queries: list[_Query] = []
@@ -323,3 +303,19 @@ class QueryBatch:
             _respond(q, probs[id(q)])
         self._pending.clear()
         return [q.response for q in self._queries]
+
+
+def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
+    """Answer one query: reveal head when present (n+1 classes), the plain
+    model otherwise; certificate attached when the supplier holds a MAC key."""
+    batch = QueryBatch()
+    rng = batch.supplier(s, x, rng)
+    return batch.answer()[0], rng
+
+
+def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
+    """One query against the provider. Honest pass-through is byte-identical
+    to asking the supplier directly with the same rng state."""
+    batch = QueryBatch()
+    rng = batch.provider(p, x, rng)
+    return batch.answer()[0], rng

@@ -15,18 +15,18 @@ import numpy as np
 from . import canon
 from . import config as cfgmod
 from ._version import __version__
-from .adversarial import (AttackConfig, SigmoidParams, claim_check,
-                          robustness_benchmark)
+from .adversarial import (AttackConfig, RowScorer, SigmoidParams,
+                          claim_check, robustness_benchmark)
 from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       compute_metric, identity, make_model_spec,
                       run_audit_round)
 from .cache import _cached, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
 from .entities import (LatencyModel, Provider, QueryBatch, SeedPublication,
-                       Supplier, provider_classify)
+                       Supplier)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
-from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward
+from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward_batch
 from .rng import derive_seed, uniform_array
 from .steg import (RevealClassifier, StegModel, load_steg_bundle,
                    save_steg_bundle, train_steg_joint)
@@ -262,18 +262,21 @@ def _trial_robustness(fx: _Fixtures, raw: dict, seed: int) -> dict:
     # the supplier's published claims: its own model measured under the same
     # attack seeds the verifier is about to use on the service
     supplier_model = fx.supplier.model
-    claimed = robustness_benchmark(lambda x: forward(supplier_model, x), dim,
-                                   classes, ver["trials_per_class"], acfg,
-                                   params, seed)
+    claimed = robustness_benchmark(
+        RowScorer(lambda X: forward_batch(supplier_model, X)), dim, classes,
+        ver["trials_per_class"], acfg, params, seed)
 
     provider = fx.fresh_provider()
     box = {"rng": derive_seed(seed, 3)}
 
-    def service(x):
-        resp, box["rng"] = provider_classify(provider, x, box["rng"])
-        return resp.probs
+    def service(X):
+        # each row's draws in row order on the one stream, then one answer
+        batch = QueryBatch()
+        for x in X:
+            box["rng"] = batch.provider(provider, x, box["rng"])
+        return np.stack([resp.probs for resp in batch.answer()])
 
-    measured = robustness_benchmark(service, dim, classes,
+    measured = robustness_benchmark(RowScorer(service), dim, classes,
                                     ver["trials_per_class"], acfg, params, seed)
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
@@ -400,6 +403,11 @@ def explain_verdict(report: dict, trial_index: int) -> str:
         if missing:
             raise ParameterError(
                 f"trial {trial_index} verdict lacks {', '.join(missing)}")
+        for key in ("statistic", "p_value", "cheat_probability"):
+            value = verdict[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ParameterError(
+                    f"trial {trial_index} verdict {key} is not a number")
         lines.append(f"  method:            {verdict['method']}")
         lines.append(f"  decision:          {verdict['decision']}")
         lines.append(f"  probes used:       {verdict['n_probes']}")
@@ -412,6 +420,8 @@ def explain_verdict(report: dict, trial_index: int) -> str:
                     "majority_size", "chain_ok", "conservation", "n_blocks"):
             lines.append(f"  {key}: {entry.get(key)}")
     cfg = report.get("config", {})
+    if not isinstance(cfg, dict):
+        raise ParameterError("report config is not a JSON object")
     lines.append("  verifier settings: "
                  + json.dumps(cfg.get("verifier"), sort_keys=True))
     return "\n".join(lines)

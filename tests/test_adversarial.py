@@ -156,6 +156,117 @@ def test_blackbox_rejects_malformed_scorers():
             adv.blackbox_attack(scorer, 3, x0, 0, _bb(tau=0.6))
 
 
+def _reference_blackbox(query, dim, x0, target, cfg):
+    """The black-box attack by its definition, one probe at a time."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    prob = float(query(x)[target])
+    queries = 1
+    while prob < cfg.tau and queries + 2 * dim + 1 <= cfg.max_queries:
+        g = np.empty(dim)
+        for j in range(dim):
+            up, dn = x.copy(), x.copy()
+            up[j] = min(1.0, x[j] + cfg.fd_epsilon)
+            dn[j] = max(0.0, x[j] - cfg.fd_epsilon)
+            g[j] = (float(query(up)[target]) - float(query(dn)[target])) \
+                / (2.0 * cfg.fd_epsilon)
+        x = np.clip(x + cfg.step_size * np.sign(g), 0.0, 1.0)
+        prob = float(query(x)[target])
+        queries += 2 * dim + 1
+    return x, queries, prob
+
+
+def test_row_scorer_attack_equals_one_row_attack(victim):
+    """One scorer call per step for the 2*dim probes and one for the moved
+    point, with the one-row attack's trace to the bit, and both the trace of
+    the attack's definition."""
+    calls, rows = [0], [0]
+
+    def batch(X):
+        calls[0] += 1
+        rows[0] += len(X)
+        return mlp.forward_batch(victim, X)
+
+    steps_taken, outcomes = 0, set()
+    for seed, target in [(101, 0), (102, 1), (103, 2), (104, 0), (105, 1)]:
+        calls[0] = rows[0] = 0
+        x0, _ = uniform_array(seed, DIM)
+        cfg = _bb(tau=0.95, step=0.01, max_queries=150)
+        want = adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM, x0,
+                                   target, cfg)
+        got = adv.blackbox_attack(adv.RowScorer(batch), DIM, x0, target, cfg)
+        x, queries, prob = _reference_blackbox(lambda x: mlp.forward(victim, x),
+                                               DIM, x0, target, cfg)
+        assert (want.final.tobytes(), want.queries_used, want.final_prob) \
+            == (x.tobytes(), queries, prob)
+        assert got.start.tobytes() == want.start.tobytes()
+        assert got.final.tobytes() == want.final.tobytes()
+        assert (got.target_class, got.queries_used, got.final_prob, got.success) \
+            == (want.target_class, want.queries_used, want.final_prob, want.success)
+        n_steps = (got.queries_used - 1) // (2 * DIM + 1)
+        assert calls[0] == 1 + 2 * n_steps
+        assert rows[0] == got.queries_used
+        steps_taken += n_steps
+        outcomes.add(got.success)
+    assert steps_taken >= 20 and outcomes == {True, False}
+
+
+def test_row_scorer_sees_the_one_row_points_in_order(victim):
+    seen_rows, seen_one = [], []
+
+    def batch(X):
+        seen_rows.extend(x.tobytes() for x in X)
+        return mlp.forward_batch(victim, X)
+
+    def one(x):
+        seen_one.append(np.asarray(x).tobytes())
+        return mlp.forward(victim, x)
+
+    x0 = np.array([0.0, 1.0, 0.9995, 0.5, 0.0005, 1.0])  # probes clamp
+    cfg = _bb(tau=0.95, max_queries=1 + 3 * (2 * DIM + 1))
+    adv.blackbox_attack(adv.RowScorer(batch), DIM, x0, 2, cfg)
+    assert len(seen_rows) == 1 + 3 * (2 * DIM + 1)
+    adv.blackbox_attack(one, DIM, x0, 2, cfg)
+    assert seen_one == seen_rows
+    seen_one.clear()
+    _reference_blackbox(one, DIM, x0, 2, cfg)
+    assert seen_one == seen_rows
+
+
+@pytest.mark.parametrize("fn", [
+    lambda X: np.full(len(X), 0.5),                          # wrong rank
+    lambda X: np.full((len(X) + 1, 2), 0.5),                 # one row too many
+    lambda X: np.full((max(len(X) - 1, 0), 2), 0.5),         # one row short
+    lambda X: np.ones((len(X), 1)),                          # single class
+    lambda X: np.tile([0.7, 0.6], (len(X), 1)),              # sum != 1
+    lambda X: np.tile([-0.1, 1.1], (len(X), 1)),             # negative entry
+    lambda X: np.tile([math.nan, 1.0], (len(X), 1)),         # non-finite
+], ids=["rank", "extra-row", "short", "one-class", "sum", "negative", "nan"])
+def test_blackbox_rejects_malformed_row_scorers(fn):
+    with pytest.raises(ProtocolError):
+        adv.blackbox_attack(adv.RowScorer(fn), 3, np.full(3, 0.5), 0, _bb(tau=0.6))
+
+
+def test_blackbox_rejects_a_bad_row_in_a_probe_batch(victim):
+    """The start point is fine; one probe row of the first step is not."""
+    def fn(X):
+        probs = mlp.forward_batch(victim, X)
+        if len(X) > 1:
+            probs[len(X) // 2] *= 1.5
+        return probs
+
+    with pytest.raises(ProtocolError, match="do not sum to 1"):
+        adv.blackbox_attack(adv.RowScorer(fn), DIM, np.full(DIM, 0.5), 0,
+                            _bb(tau=0.99))
+
+
+def test_blackbox_rejects_one_row_scorers_of_mixed_width():
+    def scorer(x):
+        return np.array([0.5, 0.5]) if x[0] == 0.5 else np.array([0.2, 0.3, 0.5])
+
+    with pytest.raises(ProtocolError):
+        adv.blackbox_attack(scorer, 3, np.full(3, 0.5), 0, _bb(tau=0.6))
+
+
 # -- scoring -----------------------------------------------------------------------
 
 

@@ -186,6 +186,32 @@ def test_explain_verdict_with_a_key_missing(tmp_path, capsys):
     assert "trial 0 verdict lacks p_value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["statistic", "p_value", "cheat_probability"])
+@pytest.mark.parametrize("value", ["x", None, True, [0.5]])
+def test_explain_verdict_with_a_field_that_is_not_a_number(tmp_path, capsys,
+                                                           key, value):
+    verdict = {"method": "steg_probe", "decision": "LikelyHonest",
+               "n_probes": 50, "statistic": 25.0, "p_value": 0.5,
+               "cheat_probability": 0.5, "detail": "k=50", key: value}
+    report = {"scenario": "StegProbe",
+              "trial_results": [{"seed": 1, "verdict": verdict}]}
+    assert _explain(tmp_path, report) == cli.EXIT_CONFIG
+    assert f"trial 0 verdict {key} is not a number" in capsys.readouterr().err
+
+
+def test_explain_config_that_is_not_an_object(tmp_path, capsys):
+    verdict = {"method": "steg_probe", "decision": "LikelyHonest",
+               "n_probes": 50, "statistic": 25, "p_value": 0.5,
+               "cheat_probability": 0.5, "detail": "k=50"}
+    report = {"scenario": "StegProbe", "config": [1],
+              "trial_results": [{"seed": 1, "verdict": verdict}]}
+    assert _explain(tmp_path, report) == cli.EXIT_CONFIG
+    assert "report config is not a JSON object" in capsys.readouterr().err
+    report["config"] = {"verifier": {"k": 50}}
+    assert _explain(tmp_path, report) == cli.EXIT_OK
+    assert "statistic:         25" in capsys.readouterr().out
+
+
 def test_auditor_demo_reproducible(tmp_path, capsys):
     a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["auditor-demo", "--rounds", "2", "--out", str(a_path)]) == 0

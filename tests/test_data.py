@@ -99,6 +99,25 @@ def test_recipe_builds_same_dataset():
     assert np.array_equal(a.labels, b.labels)
 
 
+def test_recipe_pool_is_built_once_per_process_and_read_only():
+    recipe = BlobRecipe(2, 20, 3, 0.1, 77)
+    pool = recipe.build()
+    assert recipe.build() is pool
+    assert BlobRecipe(2, 20, 3, 0.1, 77).build() is pool
+    assert BlobRecipe(2, 20, 3, 0.1, 78).build() is not pool
+    with pytest.raises(ValueError):
+        pool.inputs[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        pool.labels[0] = 1
+    fresh = make_blobs(2, 20, 3, 0.1, 77)
+    assert np.array_equal(pool.inputs, fresh.inputs)
+    # what callers cut from the shared pool is theirs to change
+    train, held = split_per_class(pool, 5)
+    train.inputs[0, 0] = 0.5
+    held.labels[0] = 1
+    assert np.array_equal(recipe.build().inputs, fresh.inputs)
+
+
 def test_recipe_canonical_bytes_distinguish():
     base = BlobRecipe(2, 20, 3, 0.1, 77)
     assert base.canonical_bytes() == BlobRecipe(2, 20, 3, 0.1, 77).canonical_bytes()

@@ -1,14 +1,20 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from veriml import auditor, cache, runner
+from veriml import auditor, cache, canon, data, runner
 from veriml import config as cfgmod
+from veriml.adversarial import (AttackConfig, SigmoidParams, claim_check,
+                                robustness_benchmark)
+from veriml.entities import (CACHED_REPLAY, PROVIDER_KINDS, QueryBatch,
+                             provider_classify)
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
-from veriml.mlp import save_model
+from veriml.mlp import forward, save_model
+from veriml.rng import derive_seed
 
 REPORT_KEYS = {"schema_version", "version", "scenario", "master_seed", "trials",
                "config", "trial_results", "aggregates", "wall_time_s"}
@@ -99,6 +105,102 @@ def test_robustness_honest_deltas_are_exactly_zero():
 def test_robustness_flags_weaker_substitute():
     report = _run(cfgmod.ROBUSTNESS, provider_kind="SubstituteModel")
     assert report["aggregates"]["detection_rate"] == 1.0
+
+
+def _reference_trial_robustness(fx, raw, seed):
+    """_trial_robustness by its definition: one-row forward for the claim,
+    one provider_classify per attack query on the derive_seed(seed, 3)
+    stream. Returns the trial, the provider and a box holding the stream's
+    end state and the number of attack queries."""
+    ver = raw["verifier"]
+    dim = fx.data.recipe.dim
+    classes = list(range(fx.data.recipe.n_classes))
+    acfg = AttackConfig(tau=ver["tau"], step_size=ver["step_size"],
+                        max_queries=ver["max_queries"])
+    params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
+    claimed = robustness_benchmark(lambda x: forward(fx.supplier.model, x), dim,
+                                   classes, ver["trials_per_class"], acfg,
+                                   params, seed)
+    provider = fx.fresh_provider()
+    box = {"rng": derive_seed(seed, 3), "queries": 0}
+
+    def service(x):
+        resp, box["rng"] = provider_classify(provider, x, box["rng"])
+        box["queries"] += 1
+        return resp.probs
+
+    measured = robustness_benchmark(service, dim, classes,
+                                    ver["trials_per_class"], acfg, params, seed)
+    verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
+                          ver["tolerance"])
+    trial = {"seed": seed, "verdict": verdict.to_dict(),
+             "latency_ms": runner._mean_latency(provider, dim, seed),
+             "claimed_scores": [s.to_dict() for s in claimed],
+             "measured_scores": [s.to_dict() for s in measured]}
+    return trial, provider, box
+
+
+@pytest.mark.parametrize("mac", [False, True])
+@pytest.mark.parametrize("seed", [5, 2 ** 40 + 3])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
+                                                kind, seed, mac):
+    cfg, base = robust_env
+    supplier = base.supplier
+    if mac:  # nonces for the honest path, forged tags for the cheat path
+        supplier = dataclasses.replace(supplier, mac_key=bytes(range(32)))
+    fx = dataclasses.replace(base, supplier=supplier, provider_kind=kind,
+                             cheat_rate=0.5, noise_sigma=0.05)
+    raw = cfg.raw
+    # every rng state a provider query hands back, in order (the reference's
+    # one-query calls are batches of one), and the providers the trials make
+    states, made = [], []
+    real_plan = QueryBatch.provider
+
+    def plan(self, p, x, rng):
+        rng = real_plan(self, p, x, rng)
+        states.append(rng)
+        return rng
+
+    monkeypatch.setattr(QueryBatch, "provider", plan)
+    real_fresh = fx.fresh_provider
+    monkeypatch.setattr(fx, "fresh_provider",
+                        lambda: made.append(real_fresh()) or made[-1])
+
+    want, ref_provider, box = _reference_trial_robustness(fx, raw, seed)
+    want_states = list(states)
+    del states[:]
+    got = runner._trial_robustness(fx, raw, seed)
+    assert got == want
+    assert states == want_states
+    assert states[-1 - runner._LATENCY_PINGS] == box["rng"]
+    if kind == CACHED_REPLAY:
+        assert 0 < len(ref_provider.cache) < box["queries"]
+    assert made[-1].cache.keys() == ref_provider.cache.keys()
+    for key, resp in ref_provider.cache.items():
+        assert canon.vec(made[-1].cache[key].probs) == canon.vec(resp.probs)
+        assert made[-1].cache[key].certificate == resp.certificate
+        assert made[-1].cache[key].latency_ms == resp.latency_ms
+
+
+def test_cold_build_fixtures_makes_each_pool_once(tmp_path, monkeypatch):
+    """The held-out split and both cache-miss trainings share one pool."""
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
+    made = []
+    real = data.make_blobs
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(data, "make_blobs", counted)
+    data._pool.cache_clear()
+    raw = cfgmod.builtin_config(cfgmod.ROBUSTNESS, trials=1)
+    block = raw["supplier"]["data"]
+    runner.build_fixtures(cfgmod.validate_config(raw))
+    assert len(list(tmp_path.glob("*.bin"))) == 2  # supplier and cheap trained
+    assert made == [(block["n_classes"], block["n_per_class"], block["dim"],
+                     block["spread"], block["seed"])]
 
 
 def test_auditor_trials_reach_consensus():

@@ -314,6 +314,7 @@ def test_steg_probe_equals_its_definition(steg_env, reject_third, sent_log,
     ref_cache, cache = dict(stored), dict(stored)
     want, want_sent = _plain_steg_probe(_kind_provider(fx, kind, mac, ref_cache),
                                         fx.suite, fx.probe_covers, plan)
+    del sent_log[:]  # the one-query reference calls are batches of one
     got = steg_probe(_kind_provider(fx, kind, mac, cache), fx.suite,
                      fx.probe_covers, plan)
     assert got == want
@@ -339,6 +340,7 @@ def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
     for i in clean[3::4]:
         _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
     assert len(stored) >= 4
+    del sent_log[:]
 
     steg_probe(_kind_provider(fx, CACHED_REPLAY, False), fx.suite,
                fx.probe_covers, plan)
@@ -348,6 +350,7 @@ def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
     want, want_sent = _plain_steg_probe(
         _kind_provider(fx, CACHED_REPLAY, False, cache=ref_cache),
         fx.suite, fx.probe_covers, plan)
+    del sent_log[:]
     got = steg_probe(_kind_provider(fx, CACHED_REPLAY, False, cache=cache),
                      fx.suite, fx.probe_covers, plan)
     assert got == want
@@ -380,6 +383,7 @@ def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac
     detect = sum(np.argmax(np.frombuffer(p, "<f8")) == mc for _, p in want_sent[0::2])
     clean = sum(np.argmax(np.frombuffer(p, "<f8")) != mc for _, p in want_sent[1::2])
     n = len(covers)
+    del sent_log[:]  # the one-query reference calls are batches of one
     got = verifiers.measure_roundtrip(supplier, suite.steg, suite.reveal,
                                       suite.checker, covers, 700)
     assert got == ((detect + 1) / (n + 2), (clean + 1) / (n + 2))
