@@ -9,10 +9,10 @@ claims, and a hash-chained multi-oracle audit ledger.
 
 from ._version import __version__
 from .errors import (AccessDeniedError, ConfigValidationError, FixtureError,
-                     FundingError, GenerationFailureError, InvariantViolation,
-                     ParameterError, ProbeSetupError, ProtocolError,
-                     ShapeError, SpecIntegrityError, StateError,
-                     TrainingFailureError, VerimlError)
+                     FundingError, GenerationFailureError, ParameterError,
+                     ProbeSetupError, ProtocolError, ShapeError,
+                     SpecIntegrityError, StateError, TrainingFailureError,
+                     VerimlError)
 
 __all__ = [
     "__version__",
@@ -20,5 +20,4 @@ __all__ = [
     "GenerationFailureError", "ProbeSetupError", "ProtocolError",
     "ConfigValidationError", "FixtureError", "FundingError",
     "AccessDeniedError", "StateError", "SpecIntegrityError",
-    "InvariantViolation",
 ]

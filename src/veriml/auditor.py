@@ -298,7 +298,6 @@ class Ledger:
         self.acl: set[bytes] = set(initial_balances)
         self.total_supply: int = sum(initial_balances.values())
         self.escrow: dict[bytes, _OpenRequest] = {}
-        self.pending_requests: dict[bytes, str] = {}
         self.blocks: list[Block] = [Block(0, canon.ZERO32, (),
                                           _block_hash(0, canon.ZERO32, ()))]
         self._seq = 0
@@ -364,7 +363,6 @@ class Ledger:
         request_id = block.tx_list[0].tx_id
         self.balances[client_id] -= fee
         self.escrow[request_id] = _OpenRequest(client_id, fee, spec.spec_digest)
-        self.pending_requests[request_id] = "open"
         return request_id
 
     def record_reports(self, reports: list[MetricReport]) -> Block:
@@ -376,10 +374,10 @@ class Ledger:
         """Close out a request: split the escrowed fee equally among the
         majority voters (integer division, remainder to the lowest oracle
         id), or refund the client in full when there is no consensus."""
-        if self.pending_requests.get(request_id) != "open":
+        open_req = self.escrow.get(request_id)
+        if open_req is None:
             raise StateError("request is not open")
         reporter_ids = {r.oracle_id for r in reports}
-        open_req = self.escrow[request_id]
 
         payloads: list[Payload] = []
         if consensus is None:
@@ -398,7 +396,6 @@ class Ledger:
                 self.balances[oid] = self.balances.get(oid, 0) + amount
                 payloads.append(Reward(oid, amount))
         del self.escrow[request_id]
-        self.pending_requests[request_id] = "closed"
         self.append_block(payloads)
 
     # -- export --

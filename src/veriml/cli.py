@@ -30,7 +30,10 @@ EXIT_INTERNAL = 4
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigValidationError([f"out: cannot write {out_path} ({exc})"])
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(text)
@@ -82,7 +85,7 @@ def _cmd_sweep(args) -> int:
     reports = runner.sweep(cfg, args.param, values)
     bundle = {"schema_version": cfgmod.SCHEMA_VERSION, "version": __version__,
               "sweep_param": args.param, "values": values, "reports": reports}
-    _write_output(json.dumps(bundle, sort_keys=True, indent=2) + "\n", args.out)
+    _write_output(runner.report_to_json(bundle), args.out)
     for value, rep in zip(values, reports):
         print(f"{args.param}={value}: detection rate "
               f"{rep['aggregates']['detection_rate']:.3f}", file=sys.stderr)
@@ -102,7 +105,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_auditor_demo(args) -> int:
     demo = runner.auditor_demo(master_seed=args.seed, rounds=args.rounds)
-    _write_output(json.dumps(demo, sort_keys=True, indent=2) + "\n", args.out)
+    _write_output(runner.report_to_json(demo), args.out)
     print(f"auditor demo: {len(demo['rounds'])} rounds, chain_ok="
           f"{demo['chain_ok']}, conservation={demo['conservation']}",
           file=sys.stderr)

@@ -170,7 +170,7 @@ def _check_data(chk: _Check, obj: dict, path: str):
     p = f"{path}.data"
     chk.number(data, p, "n_classes", lo=2, integer=True)
     n_per = chk.number(data, p, "n_per_class", lo=2, integer=True)
-    chk.number(data, p, "dim", lo=1, integer=True)
+    chk.number(data, p, "dim", lo=2, integer=True)
     chk.number(data, p, "spread", lo=1e-9)
     chk.number(data, p, "seed", lo=0, hi=_MAX_SEED, integer=True)
     if n_per is not None:
@@ -267,7 +267,8 @@ def _check_verifier(chk: _Check, cfg: dict, scenario: str):
         steg = chk.section(cfg, "", "steg")
         if steg is not None:
             chk.number(steg, "steg", "secret_dim", lo=1, integer=True)
-            chk.number(steg, "steg", "beta", lo=0.0, default=1.0)
+            if chk.number(steg, "steg", "beta", lo=0.0, default=1.0) == 0.0:
+                chk.fail("steg.beta", "must be > 0")
             _check_train(chk, steg, "steg", with_data_seed=True)
             cal = chk.number(steg, "steg", "calibration_count", lo=1,
                              integer=True)
@@ -307,7 +308,9 @@ def _check_verifier(chk: _Check, cfg: dict, scenario: str):
     elif scenario == ROBUSTNESS:
         n_classes = data.get("n_classes")
         tau = chk.number(ver, "verifier", "tau", lo=0.0, hi=1.0, default=0.9)
-        if tau is not None and isinstance(n_classes, int) and tau <= 1.0 / n_classes:
+        if tau == 1.0:
+            chk.fail("verifier.tau", "must be < 1")
+        elif tau is not None and isinstance(n_classes, int) and tau <= 1.0 / n_classes:
             chk.fail("verifier.tau",
                      f"must exceed 1/n_classes = {1.0 / n_classes:.4f}")
         chk.number(ver, "verifier", "step_size", lo=1e-9, default=0.05)
@@ -320,7 +323,8 @@ def _check_verifier(chk: _Check, cfg: dict, scenario: str):
         if sig is None and mq is not None:
             ver["sigmoid"] = {"q0": mq / 4.0, "s_scale": mq / 16.0}
         elif isinstance(sig, dict):
-            chk.number(sig, "verifier.sigmoid", "q0", lo=0.0)
+            if chk.number(sig, "verifier.sigmoid", "q0", lo=0.0) == 0.0:
+                chk.fail("verifier.sigmoid.q0", "must be > 0")
             chk.number(sig, "verifier.sigmoid", "s_scale", lo=1e-9)
         elif sig is not None:
             chk.fail("verifier.sigmoid", "expected an object")

@@ -164,7 +164,8 @@ def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
 class _Query:
     """One planned query: the rng draws are taken, so all its answer still
     needs is the model's output on x. `response` is set once answered (at
-    planning time for a replay-cache hit)."""
+    planning time for a replay-cache hit); `store` is the replay cache that
+    holds this query under `digest` until then."""
 
     __slots__ = ("x", "model", "key", "nonce", "tag", "latency", "noise",
                  "store", "digest", "response")
@@ -206,10 +207,10 @@ def _plan_cheat(p: Provider, x: np.ndarray, rng: int) -> tuple[_Query, int]:
     return q, rng
 
 
-def _plan_provider(p: Provider, x, rng: int, pending: dict) -> tuple[_Query, int]:
-    """The rng phase of one provider query. `pending` maps (replay cache,
-    digest) to the unanswered CachedReplay misses of the current batch, so a
-    repeated input is answered once and replayed without a draw."""
+def _plan_provider(p: Provider, x, rng: int) -> tuple[_Query, int]:
+    """The rng phase of one provider query. A CachedReplay miss enters the
+    replay cache as its planned query until `_respond` answers it, so an
+    input repeated before then is answered once and replayed without a draw."""
     x = np.asarray(x, dtype=np.float64)
 
     if p.kind == HONEST_PASSTHROUGH:
@@ -227,14 +228,13 @@ def _plan_provider(p: Provider, x, rng: int, pending: dict) -> tuple[_Query, int
     if p.kind == CACHED_REPLAY:
         digest = canon.sha256(canon.vec(x))
         hit = p.cache.get(digest)
+        if isinstance(hit, _Query):
+            return hit, rng
         if hit is not None:
             return _Query(x, response=hit), rng
-        slot = (id(p.cache), digest)
-        if slot in pending:
-            return pending[slot], rng
         q, rng = _plan_supplier(p.backend, x, rng)
         q.store, q.digest = p.cache, digest
-        pending[slot] = q
+        p.cache[digest] = q
         return q, rng
 
     # NoisyPassthrough: one gaussian per output after the supplier's draws
@@ -267,26 +267,20 @@ def _respond(q: _Query, probs: np.ndarray) -> Response:
 
 
 class QueryBatch:
-    """Many queries in two phases. `provider` and `supplier` take each
-    query's rng draws in call order, so other draws may be interleaved on
-    the same stream; `answer` then evaluates each model once over all its
-    rows (batch-invariant, so the bytes equal one-at-a-time answers) and
-    returns the responses in query order. Replay caches are filled by
-    `answer`, in query order; a CachedReplay input repeated within the batch
-    is answered once. provider_classify and supplier_classify below are the
-    one-query case."""
+    """Many queries in two phases. `provider` takes each query's rng draws in
+    call order, so other draws may be interleaved on the same stream;
+    `answer` then evaluates each model once over all its rows
+    (batch-invariant, so the bytes equal one-at-a-time answers) and returns
+    the responses in query order. Replay caches are filled by `answer`, in
+    query order; a CachedReplay input repeated within the batch is answered
+    once. provider_classify and supplier_classify below are the one-query
+    case."""
 
     def __init__(self):
         self._queries: list[_Query] = []
-        self._pending: dict = {}
 
     def provider(self, p: Provider, x, rng: int) -> int:
-        q, rng = _plan_provider(p, x, rng, self._pending)
-        self._queries.append(q)
-        return rng
-
-    def supplier(self, s: Supplier, x, rng: int) -> int:
-        q, rng = _plan_supplier(s, np.asarray(x, dtype=np.float64), rng)
+        q, rng = _plan_provider(p, x, rng)
         self._queries.append(q)
         return rng
 
@@ -301,21 +295,19 @@ class QueryBatch:
             probs.update(zip(map(id, qs), out))
         for q in todo:
             _respond(q, probs[id(q)])
-        self._pending.clear()
         return [q.response for q in self._queries]
 
 
 def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
     """Answer one query: reveal head when present (n+1 classes), the plain
-    model otherwise; certificate attached when the supplier holds a MAC key."""
-    batch = QueryBatch()
-    rng = batch.supplier(s, x, rng)
-    return batch.answer()[0], rng
+    model otherwise; certificate attached when the supplier holds a MAC key.
+    An honest pass-through takes exactly the supplier's draws, so it is the
+    supplier's one query path."""
+    return provider_classify(Provider(HONEST_PASSTHROUGH, s), x, rng)
 
 
 def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
-    """One query against the provider. Honest pass-through is byte-identical
-    to asking the supplier directly with the same rng state."""
+    """One query against the provider."""
     batch = QueryBatch()
     rng = batch.provider(p, x, rng)
     return batch.answer()[0], rng

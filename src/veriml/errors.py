@@ -64,7 +64,3 @@ class StateError(VerimlError):
 
 class SpecIntegrityError(VerimlError):
     """A model spec's stored digest does not match its contents."""
-
-
-class InvariantViolation(VerimlError):
-    """An internal invariant failed; indicates a bug, not bad input."""

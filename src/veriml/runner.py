@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,15 +22,15 @@ from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       run_audit_round)
 from .cache import _cached, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (LatencyModel, Provider, QueryBatch, SeedPublication,
-                       Supplier)
+from .entities import (LatencyModel, Provider, QueryBatch, Response,
+                       SeedPublication, Supplier)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
 from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward_batch
 from .rng import derive_seed, uniform_array
 from .steg import (RevealClassifier, StegModel, load_steg_bundle,
                    save_steg_bundle, train_steg_joint)
-from .verifiers import (LIKELY_FRAUDULENT, ProbePlan, StegSuite,
+from .verifiers import (LIKELY_FRAUDULENT, ProbePlan, StegSuite, Verdict,
                         deterministic_benchmark, measure_roundtrip,
                         metaresult_verify, probabilistic_benchmark, steg_probe)
 
@@ -86,16 +86,19 @@ def _latency_from(block: dict) -> LatencyModel:
 @dataclass
 class _Fixtures:
     data: _DataBundle
-    supplier: Supplier | None = None
-    provider_kind: str | None = None
-    cheap_model: MlpModel | None = None
-    cheat_rate: float = 0.0
-    noise_sigma: float = 0.0
-    provider_latency: LatencyModel | None = None
+    provider: Provider | None = None  # the prototype; its cache stays empty
     suite: StegSuite | None = None
     probe_covers: np.ndarray | None = None
     publication: SeedPublication | None = None
     model_spec: ModelSpec | None = None
+
+    @property
+    def supplier(self) -> Supplier | None:
+        return self.provider.backend if self.provider else None
+
+    @property
+    def cheap_model(self) -> MlpModel | None:
+        return self.provider.cheap_model if self.provider else None
 
     @property
     def mac_key(self) -> bytes | None:  # read by acceptance criterion c6
@@ -104,10 +107,7 @@ class _Fixtures:
     def fresh_provider(self) -> Provider:
         """Providers carry per-run mutable state (the replay cache), so each
         trial gets its own instance over the shared immutable fixtures."""
-        return Provider(kind=self.provider_kind, backend=self.supplier,
-                        cheap_model=self.cheap_model, cheat_rate=self.cheat_rate,
-                        cache={}, noise_sigma=self.noise_sigma,
-                        latency=self.provider_latency)
+        return replace(self.provider, cache={})
 
 
 def _check_supplier(model: MlpModel, train: Dataset) -> None:
@@ -153,32 +153,34 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 
     prov_block = raw["provider"]
     cheap_block = prov_block.get("cheap")
+    cheap_model = None
     if cheap_block is not None:
         _, cheap_tcfg = _seed_and_train_cfg(cheap_block["train"],
                                             data_seed=sup_block["data"]["seed"])
-        fx.cheap_model = trained_model(
+        cheap_model = trained_model(
             tuple(cheap_block["architecture"]), cheap_tcfg, fx.data.recipe,
             fx.data.train_per_class, stride=cheap_block["subsample_stride"],
             adversarial_epsilon=cheap_block["adversarial_epsilon"])
-    fx.provider_kind = prov_block["kind"]
-    fx.cheat_rate = prov_block["cheat_rate"]
-    fx.noise_sigma = prov_block["noise_sigma"]
-    fx.provider_latency = _latency_from(prov_block)
 
     reveal = None
     if cfg.scenario == cfgmod.STEG_PROBE:
         steg, reveal = _steg_pair(raw, fx)
     mac_hex = sup_block.get("mac_key_hex")
-    fx.supplier = Supplier(model=model, reveal=reveal,
-                           mac_key=bytes.fromhex(mac_hex) if mac_hex else None,
-                           latency=_latency_from(sup_block))
+    supplier = Supplier(model=model, reveal=reveal,
+                        mac_key=bytes.fromhex(mac_hex) if mac_hex else None,
+                        latency=_latency_from(sup_block))
+    fx.provider = Provider(kind=prov_block["kind"], backend=supplier,
+                           cheap_model=cheap_model,
+                           cheat_rate=prov_block["cheat_rate"],
+                           noise_sigma=prov_block["noise_sigma"],
+                           latency=_latency_from(prov_block))
 
     if cfg.scenario == cfgmod.STEG_PROBE:
         block = raw["steg"]
         cal = block["calibration_count"]
         covers = fx.data.held.inputs
         try:
-            p_detect, p_clean = measure_roundtrip(fx.supplier, steg, reveal,
+            p_detect, p_clean = measure_roundtrip(supplier, steg, reveal,
                                                   model, covers[:cal],
                                                   block["calibration_seed"])
         except GenerationFailureError as exc:
@@ -193,66 +195,65 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 # -- per-scenario trials --------------------------------------------------------
 
 
-def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
-    state = derive_seed(seed, 7)
-    batch = QueryBatch()
-    for _ in range(_LATENCY_PINGS):
-        x, state = uniform_array(state, dim)
-        state = batch.provider(provider, x, state)
-    total = 0.0
-    for resp in batch.answer():
-        total += resp.latency_ms
-    return total / _LATENCY_PINGS
-
-
-def _trial_steg(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    ver = raw["verifier"]
-    plan = ProbePlan(ver["k"], ver["frac_steg"], seed, ver["alpha"])
-    provider = fx.fresh_provider()
-    verdict = steg_probe(provider, fx.suite, fx.probe_covers, plan)
-    lat = _mean_latency(provider, fx.data.recipe.dim, seed)
-    return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
-
-
-def _trial_deterministic(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    n_q = raw["verifier"]["n_queries"]
-    dim = fx.data.recipe.dim
-    flat, _ = uniform_array(derive_seed(seed, 1), n_q * dim)
-    queries = flat.reshape(n_q, dim)
-    provider = fx.fresh_provider()
-    verdict = deterministic_benchmark(provider, fx.publication, fx.data.recipe,
-                                      queries, rng=derive_seed(seed, 2))
-    lat = _mean_latency(provider, dim, seed)
-    return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
-
-
-def _trial_probabilistic(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    ver = raw["verifier"]
-    provider = fx.fresh_provider()
-    verdict = probabilistic_benchmark(provider, fx.supplier, fx.data.held,
-                                      ver["k"], ver["alpha"], seed)
-    lat = _mean_latency(provider, fx.data.recipe.dim, seed)
-    return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
-
-
-def _trial_metaresult(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    k = raw["verifier"]["k"]
-    dim = fx.data.recipe.dim
-    provider = fx.fresh_provider()
-    state = derive_seed(seed, 1)
-    batch = QueryBatch()
-    xs = []
-    for _ in range(k):
+def _ask_uniform(provider: Provider, dim: int, state: int,
+                 n: int) -> tuple[list[np.ndarray], list[Response]]:
+    """Draw an input, then ask it, n times on one stream."""
+    batch, xs = QueryBatch(), []
+    for _ in range(n):
         x, state = uniform_array(state, dim)
         state = batch.provider(provider, x, state)
         xs.append(x)
-    verdict = metaresult_verify(list(zip(xs, batch.answer())), fx.supplier.mac_key)
-    lat = _mean_latency(provider, dim, seed)
-    return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
+    return xs, batch.answer()
 
 
-def _trial_robustness(fx: _Fixtures, raw: dict, seed: int) -> dict:
-    ver = raw["verifier"]
+def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
+    _, answers = _ask_uniform(provider, dim, derive_seed(seed, 7), _LATENCY_PINGS)
+    return sum(resp.latency_ms for resp in answers) / _LATENCY_PINGS
+
+
+def _verdict_trial(run):
+    """The trial skeleton of the five verdict scenarios: a fresh provider,
+    `run(fx, verifier block, seed, provider)` giving (verdict, extra trial
+    fields), then the latency pings on that provider."""
+    def trial(fx: _Fixtures, raw: dict, seed: int) -> dict:
+        provider = fx.fresh_provider()
+        verdict, extra = run(fx, raw["verifier"], seed, provider)
+        lat = _mean_latency(provider, fx.data.recipe.dim, seed)
+        return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat,
+                **extra}
+    return trial
+
+
+@_verdict_trial
+def _trial_steg(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+    plan = ProbePlan(ver["k"], ver["frac_steg"], seed, ver["alpha"])
+    return steg_probe(provider, fx.suite, fx.probe_covers, plan), {}
+
+
+@_verdict_trial
+def _trial_deterministic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+    n_q, dim = ver["n_queries"], fx.data.recipe.dim
+    flat, _ = uniform_array(derive_seed(seed, 1), n_q * dim)
+    return deterministic_benchmark(provider, fx.publication, fx.data.recipe,
+                                   flat.reshape(n_q, dim),
+                                   rng=derive_seed(seed, 2)), {}
+
+
+@_verdict_trial
+def _trial_probabilistic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+    return probabilistic_benchmark(provider, fx.supplier, fx.data.held,
+                                   ver["k"], ver["alpha"], seed), {}
+
+
+@_verdict_trial
+def _trial_metaresult(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+    xs, answers = _ask_uniform(provider, fx.data.recipe.dim,
+                               derive_seed(seed, 1), ver["k"])
+    return metaresult_verify(list(zip(xs, answers)), fx.supplier.mac_key), {}
+
+
+@_verdict_trial
+def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
     acfg = AttackConfig(tau=ver["tau"], step_size=ver["step_size"],
@@ -266,7 +267,6 @@ def _trial_robustness(fx: _Fixtures, raw: dict, seed: int) -> dict:
         RowScorer(lambda X: forward_batch(supplier_model, X)), dim, classes,
         ver["trials_per_class"], acfg, params, seed)
 
-    provider = fx.fresh_provider()
     box = {"rng": derive_seed(seed, 3)}
 
     def service(X):
@@ -280,10 +280,8 @@ def _trial_robustness(fx: _Fixtures, raw: dict, seed: int) -> dict:
                                     ver["trials_per_class"], acfg, params, seed)
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
-    lat = _mean_latency(provider, dim, seed)
-    return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat,
-            "claimed_scores": [s.to_dict() for s in claimed],
-            "measured_scores": [s.to_dict() for s in measured]}
+    return verdict, {"claimed_scores": [s.to_dict() for s in claimed],
+                     "measured_scores": [s.to_dict() for s in measured]}
 
 
 def _audit_setup(ver: dict) -> tuple[list[OracleProfile], bytes, Ledger]:
@@ -376,8 +374,7 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-_VERDICT_KEYS = {"method", "decision", "n_probes", "statistic", "p_value",
-                 "cheat_probability", "detail"}
+_VERDICT_KEYS = {f.name for f in fields(Verdict)}
 
 
 def explain_verdict(report: dict, trial_index: int) -> str:

@@ -15,9 +15,11 @@ Four methods:
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
-steg_probe and the steg calibration (measure_roundtrip) draw all their
-containers first, with one steg.draw_containers call on a stream of their
-own (derive_seed(seed, 1)), then plan every query in one loop on their seed.
+steg_probe and the steg calibration (measure_roundtrip) share one probe
+core: it draws all the containers first, with one steg.draw_containers call
+on a stream of their own (derive_seed(seed, 1)), then plans every query in
+one loop on the caller's stream. The calibration asks the supplier as an
+honest pass-through provider, which takes exactly the supplier's draws.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from . import canon, stats
 from .cache import trained_model
 from .data import BlobRecipe
-from .entities import (Provider, QueryBatch, Response, SeedPublication,
-                       Supplier, verify_certificate)
+from .entities import (HONEST_PASSTHROUGH, Provider, QueryBatch, Response,
+                       SeedPublication, Supplier, verify_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
@@ -124,26 +126,39 @@ class StegSuite:
                 raise ParameterError(f"{name} must be in (0,1)")
 
 
+def _probe_counts(provider: Provider, steg: StegModel,
+                  reveal: RevealClassifier, checker: MlpModel,
+                  rows: np.ndarray, is_steg: np.ndarray, seed: int,
+                  state: int) -> tuple[int, int]:
+    """The probe core: turn the `is_steg` rows into containers on
+    derive_seed(seed, 1), ask every row in order on the stream `state`, and
+    return (containers flagged as message class, clean rows not flagged)."""
+    containers, _, _ = draw_containers(steg, reveal, checker, rows[is_steg],
+                                       derive_seed(seed, 1))
+    rows = rows.copy()
+    rows[is_steg] = containers
+    batch = QueryBatch()
+    for x in rows:
+        state = batch.provider(provider, x, state)
+    mc = reveal.message_class
+    flagged = np.array([int(np.argmax(r.probs)) == mc for r in batch.answer()])
+    return int(flagged[is_steg].sum()), int((~flagged[~is_steg]).sum())
+
+
 def measure_roundtrip(supplier: Supplier, steg: StegModel,
                       reveal: RevealClassifier, checker: MlpModel,
                       covers: np.ndarray, seed: int) -> tuple[float, float]:
     """Empirical honest-path rates on held-out covers, Laplace-smoothed so
     neither rate is ever exactly 0 or 1: the fraction of generated containers
     the supplier flags as message class, and the fraction of raw covers it
-    does not."""
+    does not. Each cover is asked twice in a row, as a container and raw."""
     n = len(covers)
     if n < 1:
         raise ParameterError("need at least one held-out cover")
-    mc = reveal.message_class
-    containers, _, _ = draw_containers(steg, reveal, checker, covers,
-                                       derive_seed(seed, 1))
-    batch, state = QueryBatch(), seed
-    for z, x in zip(containers, covers):
-        state = batch.supplier(supplier, z, state)
-        state = batch.supplier(supplier, x, state)
-    answers = batch.answer()
-    detect = sum(int(np.argmax(r.probs)) == mc for r in answers[0::2])
-    clean = sum(int(np.argmax(r.probs)) != mc for r in answers[1::2])
+    is_steg = np.arange(2 * n) % 2 == 0
+    detect, clean = _probe_counts(Provider(HONEST_PASSTHROUGH, supplier), steg,
+                                  reveal, checker, np.repeat(covers, 2, axis=0),
+                                  is_steg, seed, seed)
     return (detect + 1) / (n + 2), (clean + 1) / (n + 2)
 
 
@@ -162,27 +177,12 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     steg_pos, state = sample_indices(state, plan.k, plan.n_steg)
     is_steg = np.zeros(plan.k, dtype=bool)
     is_steg[steg_pos] = True
-    mc = suite.reveal.message_class
-
-    queries = covers[cover_idx]
     try:
-        containers, _, _ = draw_containers(
-            suite.steg, suite.reveal, suite.checker, queries[is_steg],
-            derive_seed(plan.seed, 1))
+        hits, clean_ok = _probe_counts(provider, suite.steg, suite.reveal,
+                                       suite.checker, covers[cover_idx],
+                                       is_steg, plan.seed, state)
     except GenerationFailureError as exc:
         raise ProbeSetupError(f"container generation failed: {exc}") from exc
-    queries[is_steg] = containers
-    batch = QueryBatch()
-    for x in queries:
-        state = batch.provider(provider, x, state)
-
-    hits = clean_ok = 0
-    for steg_row, resp in zip(is_steg, batch.answer()):
-        flagged = int(np.argmax(resp.probs)) == mc
-        if steg_row:
-            hits += int(flagged)
-        else:
-            clean_ok += int(not flagged)
 
     n_clean = plan.k - plan.n_steg
     guard_p = stats.binomial_tail_leq(clean_ok, n_clean, suite.p_clean)
@@ -254,10 +254,10 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
-    batch = QueryBatch()
+    honest, batch = Provider(HONEST_PASSTHROUGH, supplier), QueryBatch()
     for i in idx:
         state = batch.provider(provider, labeled.inputs[i], state)
-        state = batch.supplier(supplier, labeled.inputs[i], state)
+        state = batch.provider(honest, labeled.inputs[i], state)
     answers = batch.answer()
     correct_p = correct_s = 0
     for i, rp, rs in zip(idx, answers[0::2], answers[1::2]):

@@ -250,7 +250,7 @@ def test_submit_escrows_fee():
     assert ledger.balance_of(CLIENT) == 990
     assert ledger.escrowed_total() == 10
     assert ledger.conservation_holds()
-    assert ledger.pending_requests[rid] == "open"
+    assert rid in ledger.escrow
     with pytest.raises(FundingError):
         ledger.submit_request(CLIENT, spec, 0)
     with pytest.raises(FundingError):
@@ -274,7 +274,7 @@ def test_settle_splits_fee_with_remainder_to_lowest_id():
     assert ledger.escrowed_total() == 0
     assert ledger.conservation_holds()
     assert ledger.verify_chain()
-    assert ledger.pending_requests[rid] == "closed"
+    assert rid not in ledger.escrow
 
 
 def test_settle_without_consensus_refunds_client():

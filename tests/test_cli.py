@@ -134,6 +134,21 @@ def test_sweep_rejects_non_numeric_values(config_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["run"],
+    ["sweep", "--param", "verifier.n_queries", "--values", "5"],
+    ["auditor-demo", "--rounds", "1"],
+], ids=["run", "sweep", "auditor-demo"])
+def test_unwritable_out_is_a_config_error(config_path, tmp_path, capsys, args):
+    # used to raise FileNotFoundError with a traceback after the campaign ran
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    if args[0] != "auditor-demo":
+        args = args + ["--config", config_path]
+    assert cli.main(args + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"out: cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_explain_round_trip(config_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["run", "--config", config_path, "--out", str(out)]) == 0

@@ -252,6 +252,27 @@ def test_partial_cheat_rate_range():
         cfgmod.validate_config(raw)  # both ends legal
 
 
+@pytest.mark.parametrize("scenario, path, value, message", [
+    (cfgmod.DETERMINISTIC_BENCH, "supplier.data.dim", 1, "must be >= 2"),
+    (cfgmod.ROBUSTNESS, "verifier.tau", 1.0, "must be < 1"),
+    (cfgmod.ROBUSTNESS, "verifier.sigmoid.q0", 0, "must be > 0"),
+    (cfgmod.STEG_PROBE, "steg.beta", 0, "must be > 0"),
+])
+def test_values_the_constructors_reject_fail_validation(scenario, path, value,
+                                                        message):
+    # each used to pass validation and fail later inside the fixture build
+    # or a trial, with no field path
+    raw = _builtin(scenario)
+    if scenario == cfgmod.ROBUSTNESS:
+        raw["verifier"]["sigmoid"] = {"q0": 150.0, "s_scale": 37.5}
+    *parents, key = path.split(".")
+    obj = raw
+    for name in parents:
+        obj = obj[name]
+    obj[key] = value
+    _expect_errors(raw, f"{path}: {message}")
+
+
 def test_auditor_takes_no_provider():
     raw = _builtin(cfgmod.AUDITOR)
     assert raw["provider"] is None

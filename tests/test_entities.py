@@ -346,10 +346,12 @@ def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
         rp, rng = entities.provider_classify(one, x, rng)
         rs, rng = entities.supplier_classify(supplier, x, rng)
         seq += [rp, rs]
+    # the supplier side is asked as an honest pass-through provider
+    honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
     many, rng_b, batch = provider(), 7, entities.QueryBatch()
     for x in rows:
         rng_b = batch.provider(many, x, rng_b)
-        rng_b = batch.supplier(supplier, x, rng_b)
+        rng_b = batch.provider(honest, x, rng_b)
     assert rng_b == rng
     _same_answers(seq, batch.answer())
     _same_cache(one.cache, many.cache)
@@ -359,5 +361,6 @@ def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
     supplier, _ = supplier_pair
     batch = entities.QueryBatch()
     with pytest.raises(ShapeError):
-        batch.supplier(supplier, np.zeros(5), 1)
+        batch.provider(entities.Provider(entities.HONEST_PASSTHROUGH, supplier),
+                       np.zeros(5), 1)
     assert batch.answer() == []

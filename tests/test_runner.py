@@ -149,8 +149,9 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
     supplier = base.supplier
     if mac:  # nonces for the honest path, forged tags for the cheat path
         supplier = dataclasses.replace(supplier, mac_key=bytes(range(32)))
-    fx = dataclasses.replace(base, supplier=supplier, provider_kind=kind,
-                             cheat_rate=0.5, noise_sigma=0.05)
+    fx = dataclasses.replace(base, provider=dataclasses.replace(
+        base.provider, kind=kind, backend=supplier, cheat_rate=0.5,
+        noise_sigma=0.05))
     raw = cfg.raw
     # every rng state a provider query hands back, in order (the reference's
     # one-query calls are batches of one), and the providers the trials make
