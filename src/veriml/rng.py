@@ -42,10 +42,42 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_array(z: "np.ndarray") -> "np.ndarray":
+    """`mix64` of every entry of a ``uint64`` array, computed in place (the
+    products wrap mod 2**64, as the masks do in `mix64`). Returns ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def draw_array(starts: "np.ndarray", steps: "np.ndarray") -> "np.ndarray":
+    """Draw number ``steps`` after state ``starts``, entry by entry
+    (broadcast, both ``uint64``): the value the ``steps``-th `rng_next`
+    from that state returns."""
+    z = steps * np.uint64(_GOLDEN)
+    z += starts
+    return mix64_array(z)
+
+
+def uniform_of(v: "np.ndarray") -> "np.ndarray":
+    """`rng_uniform`'s float for each ``uint64`` draw: its top 53 bits over
+    2**53."""
+    return (v >> np.uint64(11)).astype(np.float64) * _INV53
+
+
 def rng_next(state: int) -> tuple[int, int]:
     """Advance one splitmix64 step. Returns (64-bit value, next state)."""
     nxt = (state + _GOLDEN) & MASK64
     return mix64(nxt), nxt
+
+
+def rng_advance(state: int, n: int) -> int:
+    """The state ``n`` draws after ``state``: draw k after state s is
+    ``mix64(s + k * golden)``, so a stream can be skipped without taking it."""
+    return (state + n * _GOLDEN) & MASK64
 
 
 def rng_uniform(state: int) -> tuple[float, int]:
@@ -113,16 +145,12 @@ def uniform_array(state: int, count: int) -> tuple["np.ndarray", int]:
             v = ((v ^ (v >> 27)) * _MIX2) & MASK64
             out.append(((v ^ (v >> 31)) >> 11) * _INV53)
         return np.array(out, dtype=np.float64), z
-    z = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.arange(1, count + 1, dtype=np.uint64)  # draw_array, in place
     z *= np.uint64(_GOLDEN)
     z += np.uint64(state)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = mix64_array(z)
     z >>= np.uint64(11)
-    return z.astype(np.float64) * _INV53, (state + count * _GOLDEN) & MASK64
+    return z.astype(np.float64) * _INV53, rng_advance(state, count)
 
 
 def _below_array(state: int, bounds: "np.ndarray") -> tuple["np.ndarray", int]:

@@ -362,12 +362,12 @@ def run_scenario(cfg: cfgmod.ScenarioConfig) -> dict:
 
 def sweep(cfg: cfgmod.ScenarioConfig, param_name: str, values: list) -> list[dict]:
     """One run_scenario per value of a numeric config field (dotted path,
-    e.g. "provider.cheat_rate"); fixtures are shared through the disk cache."""
-    reports = []
-    for value in values:
-        raw = cfgmod.set_config_value(cfg.raw, param_name, value)
-        reports.append(run_scenario(cfgmod.validate_config(raw)))
-    return reports
+    e.g. "provider.cheat_rate"); fixtures are shared through the disk cache.
+    Every value's config is validated before the first campaign runs."""
+    cfgs = [cfgmod.validate_config(
+                cfgmod.set_config_value(cfg.raw, param_name, value))
+            for value in values]
+    return [run_scenario(c) for c in cfgs]
 
 
 def report_to_json(report: dict) -> str:

@@ -141,7 +141,7 @@ def _probe_counts(provider: Provider, steg: StegModel,
     for x in rows:
         state = batch.provider(provider, x, state)
     mc = reveal.message_class
-    flagged = np.array([int(np.argmax(r.probs)) == mc for r in batch.answer()])
+    flagged = np.array([r.probs.argmax() == mc for r in batch.answer()])
     return int(flagged[is_steg].sum()), int((~flagged[~is_steg]).sum())
 
 
@@ -260,10 +260,10 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
         state = batch.provider(honest, labeled.inputs[i], state)
     answers = batch.answer()
     correct_p = correct_s = 0
-    for i, rp, rs in zip(idx, answers[0::2], answers[1::2]):
-        y = int(labeled.labels[i])
-        correct_p += int(np.argmax(rp.probs)) == y
-        correct_s += int(np.argmax(rs.probs)) == y
+    labels = labeled.labels[idx].tolist()
+    for y, rp, rs in zip(labels, answers[0::2], answers[1::2]):
+        correct_p += int(rp.probs.argmax()) == y
+        correct_s += int(rs.probs.argmax()) == y
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)
     gap = (correct_s - correct_p) / k
     decision = LIKELY_FRAUDULENT if p_value < alpha else LIKELY_HONEST

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veriml import entities, mlp
+from veriml import canon, entities, mlp
 from veriml.errors import ParameterError, ShapeError
-from veriml.rng import uniform_array
+from veriml.rng import rng_bytes, rng_gauss, rng_uniform, uniform_array
 from veriml.steg import RevealClassifier
 
 KEY = bytes(range(32))
@@ -111,6 +111,16 @@ def test_latency_models_decorrelate_on_shared_stream():
 def test_latency_validation():
     with pytest.raises(ParameterError):
         entities.LatencyModel(-1.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_latencies_rejected(bad):
+    with pytest.raises(ParameterError, match="finite"):
+        entities.LatencyModel(bad, 1.0, 0)
+    with pytest.raises(ParameterError, match="finite"):
+        entities.LatencyModel(1.0, bad, 0)
+    with pytest.raises(ParameterError, match="finite"):
+        entities.Response(np.array([0.5, 0.5]), None, bad)
 
 
 # -- suppliers -------------------------------------------------------------------
@@ -355,6 +365,179 @@ def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
     assert rng_b == rng
     _same_answers(seq, batch.answer())
     _same_cache(one.cache, many.cache)
+
+
+# -- columnar batches: one uint64 pass equals one query at a time ---------------
+
+
+def _reference_classify(p, x, rng):
+    """One provider query by its plain definition: the path's draws in order
+    on the stream (coin, nonce or forged tag, latency, noise), the model's
+    forward on x, the certificate over the un-noised probabilities."""
+    s = p.backend
+
+    def supplier(rng, sigma=0.0):
+        probs = mlp.forward(s.reveal.model if s.reveal is not None else s.model, x)
+        cert = None
+        if s.mac_key is not None:
+            nonce, rng = rng_bytes(rng, 16)
+            cert = entities.issue_certificate(s.mac_key, x, probs, nonce)
+        latency, rng = s.latency.sample(rng)
+        if sigma:
+            g = np.empty(len(probs))
+            for i in range(len(g)):
+                g[i], rng = rng_gauss(rng)
+            noisy = np.clip(probs + sigma * g, 0.0, 1.0)
+            total = noisy.sum()
+            probs = (noisy / total if total > 0
+                     else np.full(len(noisy), 1.0 / len(noisy)))
+        return entities.Response(probs, cert, latency), rng
+
+    def cheat(rng):
+        cert = None
+        if s.mac_key is not None:
+            nonce, rng = rng_bytes(rng, 16)
+            tag, rng = rng_bytes(rng, 32)
+            cert = entities.Certificate(nonce, tag)
+        latency, rng = p.latency.sample(rng)
+        return entities.Response(mlp.forward(p.cheap_model, x), cert, latency), rng
+
+    if p.kind == entities.SUBSTITUTE_MODEL:
+        return cheat(rng)
+    if p.kind == entities.PARTIAL_CHEAT:
+        u, rng = rng_uniform(rng)
+        return cheat(rng) if u < p.cheat_rate else supplier(rng)
+    if p.kind == entities.NOISY_PASSTHROUGH:
+        return supplier(rng, p.noise_sigma)
+    if p.kind == entities.CACHED_REPLAY:
+        digest = canon.sha256(canon.vec(x))
+        if digest not in p.cache:
+            p.cache[digest], rng = supplier(rng)
+        return p.cache[digest], rng
+    return supplier(rng)
+
+
+def _wide_variant(steg_env, kind, mac, reveal):
+    """`_variant` with latency seeds outside [0, 2**63) (the API takes any
+    int) and noise wide enough that some rows clip to all zeros."""
+    _, fx = steg_env
+    supplier = entities.Supplier(
+        model=fx.supplier.model, reveal=fx.supplier.reveal if reveal else None,
+        mac_key=KEY if mac else None,
+        latency=entities.LatencyModel(3.0, 1.0, 3 * 2 ** 63 + 5))
+
+    def provider():
+        return entities.Provider(
+            kind=kind, backend=supplier, cheap_model=fx.cheap_model,
+            cheat_rate=0.5, cache={},
+            noise_sigma=3.3 if kind == entities.NOISY_PASSTHROUGH else 0.0,
+            latency=entities.LatencyModel(2.0, 4.0, -(2 ** 40 + 7)))
+    return provider
+
+
+def _two_batches(n):
+    """Batch one: n distinct rows. Batch two: n rows that start with batch
+    one's first row and ask one new row twice (second and last)."""
+    rows = [_x(5000 + i) for i in range(2 * n)]
+    if n < 3:
+        return rows[:n], rows[:1] * n
+    return rows[:n], [rows[0], rows[n]] + rows[n + 1:2 * n - 2] + [rows[n]]
+
+
+_COLUMNAR_SIZES = [1, entities._CROSSOVER - 1, entities._CROSSOVER, 200]
+
+_GRID = pytest.mark.parametrize("kind,mac,reveal", [
+    (kind, mac, reveal) for kind in entities.PROVIDER_KINDS
+    for mac in (False, True) for reveal in (False, True)])
+
+
+@_GRID
+def test_provider_classify_is_the_plain_definition(steg_env, kind, mac, reveal):
+    provider = _wide_variant(steg_env, kind, mac, reveal)
+    first, second = _two_batches(12)
+    one, rng, seq = provider(), 5, []
+    ref, rng_r, want = provider(), 5, []
+    for x in first + second:
+        resp, rng = entities.provider_classify(one, x, rng)
+        seq.append(resp)
+        resp, rng_r = _reference_classify(ref, x, rng_r)
+        want.append(resp)
+    assert rng == rng_r
+    _same_answers(want, seq)
+    _same_cache(ref.cache, one.cache)
+
+
+@pytest.mark.parametrize("n", _COLUMNAR_SIZES)
+@_GRID
+def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
+                                             reveal, n):
+    provider = _wide_variant(steg_env, kind, mac, reveal)
+    first, second = _two_batches(n)
+    one, rng, seq = provider(), 99, []
+    for x in first + second:
+        resp, rng = entities.provider_classify(one, x, rng)
+        seq.append(resp)
+
+    passes = []
+    array_draws = entities._array_draws
+
+    def counted(lays, starts):
+        passes.append(len(lays))
+        return array_draws(lays, starts)
+
+    monkeypatch.setattr(entities, "_array_draws", counted)
+    many, rng_b, got = provider(), 99, []
+    for part in (first, second):
+        batch = entities.QueryBatch()
+        for x in part:
+            rng_b = batch.provider(many, x, rng_b)
+        got += batch.answer()
+    assert rng_b == rng
+    _same_answers(seq, got)
+    _same_cache(one.cache, many.cache)
+    # the first batch's n rows all draw: one uint64 pass from the crossover on
+    assert passes[:1] == ([n] if n >= entities._CROSSOVER else [])
+    if kind == entities.NOISY_PASSTHROUGH and n == 200:
+        # clipped to all zeros, renormalized to uniform, in the array pass
+        assert any(np.all(r.probs == 1.0 / len(r.probs)) for r in got[:n])
+
+
+@pytest.mark.parametrize("state", [2 ** 64 + 99, -99])
+@pytest.mark.parametrize("kind", entities.PROVIDER_KINDS)
+def test_columnar_batch_takes_any_int_state(steg_env, kind, state):
+    # rng_next reduces any int mod 2**64; the uint64 pass must do the same
+    provider = _wide_variant(steg_env, kind, True, True)
+    rows, _ = _two_batches(entities._CROSSOVER)
+    one, rng, seq = provider(), state, []
+    for x in rows:
+        resp, rng = entities.provider_classify(one, x, rng)
+        seq.append(resp)
+    many, rng_b, batch = provider(), state, entities.QueryBatch()
+    for x in rows:
+        rng_b = batch.provider(many, x, rng_b)
+    assert rng_b == rng
+    _same_answers(seq, batch.answer())
+
+
+def test_replay_pending_in_another_batch_is_answered_once(supplier_pair):
+    supplier, _ = supplier_pair
+    p = entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier)
+    x, y = _x(31), _x(32)
+    first, second = entities.QueryBatch(), entities.QueryBatch()
+    rng = first.provider(p, x, 3)
+    rng = second.provider(p, x, rng)   # pending in `first`: no draw
+    rng = second.provider(p, y, rng)
+    rng = first.provider(p, y, rng)    # pending in `second`
+    got = second.answer()
+    assert got[0] is first.answer()[0] is p.cache[canon.sha256(canon.vec(x))]
+    assert first.answer()[1] is got[1]
+    ref, rng_r = {}, 3
+    for z in (x, x, y, y):
+        _, rng_r = entities.provider_classify(
+            entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier,
+                              cache=ref), z, rng_r)
+    assert rng == rng_r
+    _same_cache(ref, p.cache)
 
 
 def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):

@@ -203,3 +203,16 @@ def test_uniform_array_masks_the_incoming_state(seed):
         assert got.tobytes() == arr.tobytes() and got_end == end
     assert 0 <= end < 2 ** 64
     assert rng.uniform_array(seed + 2 ** 64, 0)[1] == seed
+
+
+@given(SEEDS, st.integers(min_value=0, max_value=40))
+def test_counted_draws_are_the_walked_draws(seed, n):
+    # draw k after state s is mix64(s + k * golden): skipping n draws and
+    # taking them as one array give the values and state of n rng_next calls
+    state, walked = seed, []
+    for _ in range(n):
+        v, state = rng.rng_next(state)
+        walked.append(v)
+    assert rng.rng_advance(seed, n) == state
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    assert rng.draw_array(np.uint64(seed), steps).tolist() == walked

@@ -240,6 +240,16 @@ def test_sweep_rejects_values_that_fail_validation():
         runner.sweep(cfg, "provider.cheat_rate", [2.0])
 
 
+def test_sweep_validates_every_value_before_running_any(monkeypatch):
+    cfg = cfgmod.validate_config(
+        cfgmod.builtin_config(cfgmod.DETERMINISTIC_BENCH, trials=1))
+    ran = []
+    monkeypatch.setattr(runner, "run_scenario", ran.append)
+    with pytest.raises(ConfigValidationError, match="verifier.n_queries"):
+        runner.sweep(cfg, "verifier.n_queries", [5, 10, 0])
+    assert ran == []
+
+
 # -- explain -----------------------------------------------------------------------
 
 

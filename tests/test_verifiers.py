@@ -136,8 +136,8 @@ def sent_log(monkeypatch):
 
     def answer(self):
         responses = real_answer(self)
-        log.extend((q.x.tobytes(), canon.vec(r.probs))
-                   for q, r in zip(self._queries, responses))
+        log.extend((x.tobytes(), canon.vec(r.probs))
+                   for x, r in zip(self._xs, responses))
         return responses
 
     monkeypatch.setattr(QueryBatch, "answer", answer)
