@@ -2,15 +2,17 @@
 queries needed to push a target class past a probability threshold, and the
 sigmoid that turns mean query counts into a per-class robustness score.
 
-The whitebox attack reads gradients off the model; the blackbox attack sees
-only an opaque scorer and estimates gradients by central finite differences,
-paying for every evaluation. The scorer comes in two kinds:
+The whitebox attack reads gradients off the model; the blackbox attacks see
+only an opaque scorer and estimate gradients by central finite differences,
+paying for every evaluation. Many blackbox attacks advance in lockstep: each
+step scores every live attack's 2 * dim probes in one call, then every live
+attack's moved point in a second. The scorer comes in two kinds:
 
 - a plain callable ``x -> probabilities``, called once per query;
-- a ``RowScorer`` wrapping ``X -> rows of probabilities``, called once per
-  step for the step's 2 * dim probes and once for the moved point.
+- a ``RowScorer`` wrapping ``(X, owners) -> rows of probabilities``, called
+  once per batch and told which attack owns each row.
 
-Both see the same points in the same order, so they give the same trace.
+Both see the same points in the same order, so they give the same traces.
 Query accounting is exact and part of the contract, whichever the kind:
 
     whitebox:  queries = 1 + n_steps
@@ -134,21 +136,24 @@ def whitebox_attack(model: MlpModel, x0, target: int, cfg: AttackConfig) -> Atta
 
 @dataclass(frozen=True)
 class RowScorer:
-    """A blackbox scorer over many points at once: `fn` maps an (m, dim)
-    array to (m, n_classes) probabilities, row i answering X[i]."""
+    """A blackbox scorer over many points at once: `fn(X, owners)` maps an
+    (m, dim) array to (m, n_classes) probabilities, row i answering X[i] for
+    attack `owners[i]` (an index into the attacks' starts). A stateless
+    scorer ignores the owners; a service that draws per attack plans each
+    row on its owner's stream."""
 
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 Scorer = Callable[[np.ndarray], Sequence[float]] | RowScorer
 
 
-def _rows_of(query: Scorer) -> Callable[[np.ndarray], np.ndarray]:
+def _rows_of(query: Scorer) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The rows form of a scorer; a plain callable is asked once per row."""
     if isinstance(query, RowScorer):
         return query.fn
 
-    def rows(X: np.ndarray) -> np.ndarray:
+    def rows(X: np.ndarray, owners: np.ndarray) -> np.ndarray:
         out = [np.asarray(query(x), dtype=np.float64) for x in X]
         if len({p.shape for p in out}) != 1:
             raise ProtocolError("scorer must return a probability vector")
@@ -156,10 +161,12 @@ def _rows_of(query: Scorer) -> Callable[[np.ndarray], np.ndarray]:
     return rows
 
 
-def _checked_probs(raw, m: int) -> np.ndarray:
-    """The scorer's answer to m points, checked row by row."""
+def _checked_probs(raw, m: int, width: int | None = None) -> np.ndarray:
+    """The scorer's answer to m points, checked row by row (and against the
+    class count `width` once it is known)."""
     probs = np.asarray(raw, dtype=np.float64)
-    if probs.ndim != 2 or len(probs) != m or probs.shape[1] < 2:
+    if (probs.ndim != 2 or len(probs) != m or probs.shape[1] < 2
+            or width is not None and probs.shape[1] != width):
         raise ProtocolError("scorer must return a probability vector")
     if not np.all(np.isfinite(probs)) or probs.min() < 0.0:
         raise ProtocolError("scorer returned non-probabilities")
@@ -168,40 +175,72 @@ def _checked_probs(raw, m: int) -> np.ndarray:
     return probs
 
 
-def blackbox_attack(query: Scorer, dim: int, x0, target: int,
-                    cfg: AttackConfig) -> AttackTrace:
-    """Same sign-step ascent against an opaque scorer. Each step estimates
-    the gradient by central finite differences over all `dim` coordinates
-    (2*dim queries, scored as one batch: up_0, dn_0, up_1, dn_1, ...) and
-    then evaluates the moved point (1 query); a step is only begun when the
-    full 2*dim+1 fits into the remaining budget, so the closed-form count
-    1 + n_steps*(2*dim+1) holds exactly."""
+def blackbox_attacks(query: Scorer, dim: int, starts: Sequence,
+                     targets: Sequence[int], cfg: AttackConfig) -> list[AttackTrace]:
+    """Sign-step ascent against an opaque scorer, one attack per (start,
+    target), all advancing in lockstep. Each step estimates an attack's
+    gradient by central finite differences over all `dim` coordinates (2*dim
+    queries: up_0, dn_0, up_1, dn_1, ...) and then evaluates the moved point
+    (1 query). The scorer sees every start in one call, then per step every
+    live attack's probes in one call (attack-major) and every live attack's
+    moved point in a second. An attack leaves the live set when it reaches
+    tau or when the next full 2*dim+1 would overrun its budget, so the
+    closed-form count 1 + n_steps*(2*dim+1) holds exactly per attack. The
+    attacks share nothing, so with a batch-invariant scorer each trace is the
+    one its attack gets alone."""
     if cfg.mode != BLACKBOX:
         raise ParameterError("config mode must be Blackbox")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1 or len(x0) != dim:
-        raise ShapeError(f"start point must have dim {dim}")
+    starts = [np.asarray(x0, dtype=np.float64) for x0 in starts]
+    if len(starts) != len(targets):
+        raise ParameterError("need one target per start")
+    for x0 in starts:
+        if x0.ndim != 1 or len(x0) != dim:
+            raise ShapeError(f"start point must have dim {dim}")
+    if not starts:
+        return []
     score = _rows_of(query)
 
-    probs = _checked_probs(score(x0[None, :]), 1)[0]
-    if not 0 <= target < len(probs):
-        raise ParameterError(f"target {target} out of range for {len(probs)} classes")
-    _check_tau_feasible(cfg.tau, len(probs))
-    x = x0.copy()
-    prob = float(probs[target])
+    n = len(starts)
+    live = np.arange(n)
+    probs = _checked_probs(score(np.array(starts), live), n)
+    width = probs.shape[1]
+    for target in targets:
+        if not 0 <= target < width:
+            raise ParameterError(f"target {target} out of range for {width} classes")
+    _check_tau_feasible(cfg.tau, width)
+    tgt = np.array(targets, dtype=np.intp)
+    x = np.array(starts)
+    prob = probs[live, tgt]
+    # every live attack has taken every step so far, so one count serves all
     queries = 1
     step_cost = 2 * dim + 1
     coord = np.arange(dim)
-    while prob < cfg.tau and queries + step_cost <= cfg.max_queries:
-        probes = np.repeat(x[None, :], 2 * dim, axis=0)
-        probes[2 * coord, coord] = np.minimum(1.0, x + cfg.fd_epsilon)
-        probes[2 * coord + 1, coord] = np.maximum(0.0, x - cfg.fd_epsilon)
-        p = _checked_probs(score(probes), 2 * dim)[:, target]
-        g = (p[0::2] - p[1::2]) / (2.0 * cfg.fd_epsilon)
-        x = np.clip(x + cfg.step_size * np.sign(g), 0.0, 1.0)
-        prob = float(_checked_probs(score(x[None, :]), 1)[0, target])
+    steps = np.zeros(n, dtype=np.intp)
+    live = live[prob < cfg.tau]
+    while len(live) and queries + step_cost <= cfg.max_queries:
+        m, xl = len(live), x[live]
+        probes = np.repeat(xl[:, None, :], 2 * dim, axis=1)
+        probes[:, 2 * coord, coord] = np.minimum(1.0, xl + cfg.fd_epsilon)
+        probes[:, 2 * coord + 1, coord] = np.maximum(0.0, xl - cfg.fd_epsilon)
+        p = _checked_probs(score(probes.reshape(m * 2 * dim, dim),
+                                 np.repeat(live, 2 * dim)), m * 2 * dim, width)
+        p = p.reshape(m, 2 * dim, width)[np.arange(m), :, tgt[live]]
+        g = (p[:, 0::2] - p[:, 1::2]) / (2.0 * cfg.fd_epsilon)
+        xl = np.clip(xl + cfg.step_size * np.sign(g), 0.0, 1.0)
+        x[live] = xl
+        moved = _checked_probs(score(xl, live), m, width)
+        prob[live] = moved[np.arange(m), tgt[live]]
+        steps[live] += 1
         queries += step_cost
-    return AttackTrace(x0, x, target, queries, prob, prob >= cfg.tau)
+        live = live[prob[live] < cfg.tau]
+    return [AttackTrace(starts[k], x[k], targets[k], 1 + int(steps[k]) * step_cost,
+                        float(prob[k]), bool(prob[k] >= cfg.tau)) for k in range(n)]
+
+
+def blackbox_attack(query: Scorer, dim: int, x0, target: int,
+                    cfg: AttackConfig) -> AttackTrace:
+    """One black-box attack: the one-attack case of `blackbox_attacks`."""
+    return blackbox_attacks(query, dim, [x0], [target], cfg)[0]
 
 
 def robustness_score(mean_queries: float, params: SigmoidParams) -> float:
@@ -215,18 +254,24 @@ def robustness_benchmark(service: Scorer, dim: int, classes: Sequence[int],
                          trials_per_class: int, cfg: AttackConfig,
                          params: SigmoidParams, seed: int) -> list[RobustnessScore]:
     """Per class: attack from `trials_per_class` uniform starts in [0,1]^dim
-    (seeded per (class, trial)) and average the query counts, charging failed
-    attacks the full budget. Deterministic given the seed."""
+    and average the query counts, charging failed attacks the full budget.
+    Attack k = class_index * trials_per_class + trial starts from
+    derive_seed(seed, k); all attacks run in one `blackbox_attacks` call, so
+    a RowScorer's owners are these k. Deterministic given the seed."""
     if trials_per_class < 1:
         raise ParameterError("trials_per_class must be >= 1")
+    classes = list(classes)
+    if len(set(classes)) != len(classes):
+        raise ParameterError(f"duplicate classes in {classes}")
+    starts = [uniform_array(derive_seed(seed, k), dim)[0]
+              for k in range(len(classes) * trials_per_class)]
+    targets = [cls for cls in classes for _ in range(trials_per_class)]
+    traces = blackbox_attacks(service, dim, starts, targets, cfg)
     out = []
     for ci, cls in enumerate(classes):
         total = 0.0
         failures = 0
-        for t in range(trials_per_class):
-            start_state = derive_seed(seed, ci * trials_per_class + t)
-            x0, _ = uniform_array(start_state, dim)
-            trace = blackbox_attack(service, dim, x0, cls, cfg)
+        for trace in traces[ci * trials_per_class:(ci + 1) * trials_per_class]:
             if trace.success:
                 total += trace.queries_used
             else:
@@ -259,6 +304,10 @@ def claim_check(measured: Sequence[RobustnessScore],
         raise ParameterError("tolerance must be >= 0")
     got = {m.class_id: m.score for m in measured}
     want = dict(claimed)
+    if len(got) != len(measured) or len(want) != len(claimed):
+        raise ParameterError("duplicate class ids: measured "
+                             f"{[m.class_id for m in measured]}, claimed "
+                             f"{[c for c, _ in claimed]}")
     if set(got) != set(want):
         raise ParameterError(
             f"class sets differ: measured {sorted(got)} vs claimed {sorted(want)}")

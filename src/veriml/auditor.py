@@ -106,8 +106,8 @@ def compute_metric(spec: ModelSpec) -> float:
                                   robustness_benchmark)
         cfg = AttackConfig(tau=0.9, step_size=0.05, max_queries=400)
         seed = int.from_bytes(spec.spec_digest[:8], "little")
-        scores = robustness_benchmark(RowScorer(lambda X: forward_batch(model, X)),
-                                      spec.architecture[0],
+        scorer = RowScorer(lambda X, _owners: forward_batch(model, X))
+        scores = robustness_benchmark(scorer, spec.architecture[0],
                                       [spec.metric_class], 3, cfg,
                                       SigmoidParams.for_budget(400), seed)
         value = scores[0].score

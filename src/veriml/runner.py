@@ -264,16 +264,20 @@ def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
     # attack seeds the verifier is about to use on the service
     supplier_model = fx.supplier.model
     claimed = robustness_benchmark(
-        RowScorer(lambda X: forward_batch(supplier_model, X)), dim, classes,
-        ver["trials_per_class"], acfg, params, seed)
+        RowScorer(lambda X, _owners: forward_batch(supplier_model, X)), dim,
+        classes, ver["trials_per_class"], acfg, params, seed)
 
-    box = {"rng": derive_seed(seed, 3)}
+    # attack k draws on its own stream, so the attacks are independent and
+    # advance in lockstep: each scorer call plans every row on its owner's
+    # stream, in row order, then answers them as one batch
+    base = derive_seed(seed, 3)
+    streams = [derive_seed(base, k)
+               for k in range(len(classes) * ver["trials_per_class"])]
 
-    def service(X):
-        # each row's draws in row order on the one stream, then one answer
+    def service(X, owners):
         batch = QueryBatch()
-        for x in X:
-            box["rng"] = batch.provider(provider, x, box["rng"])
+        for x, k in zip(X, owners.tolist()):
+            streams[k] = batch.provider(provider, x, streams[k])
         return np.stack([resp.probs for resp in batch.answer()])
 
     measured = robustness_benchmark(RowScorer(service), dim, classes,

@@ -181,7 +181,7 @@ def test_row_scorer_attack_equals_one_row_attack(victim):
     the attack's definition."""
     calls, rows = [0], [0]
 
-    def batch(X):
+    def batch(X, owners):
         calls[0] += 1
         rows[0] += len(X)
         return mlp.forward_batch(victim, X)
@@ -213,7 +213,7 @@ def test_row_scorer_attack_equals_one_row_attack(victim):
 def test_row_scorer_sees_the_one_row_points_in_order(victim):
     seen_rows, seen_one = [], []
 
-    def batch(X):
+    def batch(X, owners):
         seen_rows.extend(x.tobytes() for x in X)
         return mlp.forward_batch(victim, X)
 
@@ -233,13 +233,13 @@ def test_row_scorer_sees_the_one_row_points_in_order(victim):
 
 
 @pytest.mark.parametrize("fn", [
-    lambda X: np.full(len(X), 0.5),                          # wrong rank
-    lambda X: np.full((len(X) + 1, 2), 0.5),                 # one row too many
-    lambda X: np.full((max(len(X) - 1, 0), 2), 0.5),         # one row short
-    lambda X: np.ones((len(X), 1)),                          # single class
-    lambda X: np.tile([0.7, 0.6], (len(X), 1)),              # sum != 1
-    lambda X: np.tile([-0.1, 1.1], (len(X), 1)),             # negative entry
-    lambda X: np.tile([math.nan, 1.0], (len(X), 1)),         # non-finite
+    lambda X, _: np.full(len(X), 0.5),                       # wrong rank
+    lambda X, _: np.full((len(X) + 1, 2), 0.5),              # one row too many
+    lambda X, _: np.full((max(len(X) - 1, 0), 2), 0.5),      # one row short
+    lambda X, _: np.ones((len(X), 1)),                       # single class
+    lambda X, _: np.tile([0.7, 0.6], (len(X), 1)),           # sum != 1
+    lambda X, _: np.tile([-0.1, 1.1], (len(X), 1)),          # negative entry
+    lambda X, _: np.tile([math.nan, 1.0], (len(X), 1)),      # non-finite
 ], ids=["rank", "extra-row", "short", "one-class", "sum", "negative", "nan"])
 def test_blackbox_rejects_malformed_row_scorers(fn):
     with pytest.raises(ProtocolError):
@@ -248,7 +248,7 @@ def test_blackbox_rejects_malformed_row_scorers(fn):
 
 def test_blackbox_rejects_a_bad_row_in_a_probe_batch(victim):
     """The start point is fine; one probe row of the first step is not."""
-    def fn(X):
+    def fn(X, owners):
         probs = mlp.forward_batch(victim, X)
         if len(X) > 1:
             probs[len(X) // 2] *= 1.5
@@ -265,6 +265,118 @@ def test_blackbox_rejects_one_row_scorers_of_mixed_width():
 
     with pytest.raises(ProtocolError):
         adv.blackbox_attack(scorer, 3, np.full(3, 0.5), 0, _bb(tau=0.6))
+
+
+# (seed of the start, target): an immediate success, successes after 3 to 9
+# steps, and three attacks that run out of a 150-query budget after 11 steps
+_LOCKSTEP = [(101, 0), (102, 1), (105, 0), (103, 0), (109, 2), (101, 1),
+             (107, 0), (102, 2)]
+
+
+def _lockstep_cfg():
+    return _bb(tau=0.95, step=0.01, max_queries=150)
+
+
+def test_lockstep_attacks_equal_one_at_a_time(victim):
+    """Every trace equals its attack run alone, bit for bit, with a RowScorer
+    and with a plain callable; each step makes one probe call of live*2*dim
+    rows and one moved-point call of live rows, attack-major, and every row
+    carries its attack's index and the point that attack asks alone."""
+    cfg = _lockstep_cfg()
+    starts = [uniform_array(seed, DIM)[0] for seed, _ in _LOCKSTEP]
+    targets = [t for _, t in _LOCKSTEP]
+    alone, alone_rows = [], []
+    for x0, target in zip(starts, targets):
+        rows = []
+
+        def one_attack(X, owners, _rows=rows):
+            assert owners.tolist() == [0] * len(X)
+            _rows.extend(x.tobytes() for x in X)
+            return mlp.forward_batch(victim, X)
+
+        alone.append(adv.blackbox_attack(adv.RowScorer(one_attack), DIM, x0,
+                                         target, cfg))
+        alone_rows.append(rows)
+    steps = [(t.queries_used - 1) // (2 * DIM + 1) for t in alone]
+    assert steps == [0, 6, 3, 11, 9, 11, 7, 11]
+    assert [t.success for t in alone] == [True, True, True, False, True,
+                                          False, True, False]
+
+    calls = []
+
+    def lockstep(X, owners):
+        calls.append((X.copy(), owners.copy()))
+        return mlp.forward_batch(victim, X)
+
+    def plain(x):
+        calls.append(None)
+        return mlp.forward(victim, x)
+
+    for scorer in (adv.RowScorer(lockstep), plain):
+        got = adv.blackbox_attacks(scorer, DIM, starts, targets, cfg)
+        assert len(got) == len(alone)
+        for g, w in zip(got, alone):
+            assert g.start.tobytes() == w.start.tobytes()
+            assert g.final.tobytes() == w.final.tobytes()
+            assert (g.target_class, g.queries_used, g.final_prob, g.success) \
+                == (w.target_class, w.queries_used, w.final_prob, w.success)
+    assert len(calls) == 1 + 2 * max(steps) + sum(t.queries_used for t in alone)
+
+    row_calls = calls[:1 + 2 * max(steps)]
+    assert row_calls[0][1].tolist() == list(range(len(starts)))
+    for s in range(max(steps)):
+        live = [k for k, n in enumerate(steps) if n > s]
+        (probes, probe_owners), (moved, moved_owners) = row_calls[1 + 2 * s:3 + 2 * s]
+        assert probe_owners.tolist() == [k for k in live for _ in range(2 * DIM)]
+        assert len(probes) == len(live) * 2 * DIM
+        assert moved_owners.tolist() == live and len(moved) == len(live)
+    seen = [[] for _ in starts]
+    for X, owners in row_calls:
+        for x, k in zip(X, owners.tolist()):
+            seen[k].append(x.tobytes())
+    assert seen == alone_rows
+
+
+def test_lockstep_rejects_a_bad_row_in_one_attacks_block(victim):
+    """One probe row of one attack's block, in the second step, breaks the
+    sum; the whole call is rejected."""
+    starts = [uniform_array(seed, DIM)[0] for seed, _ in _LOCKSTEP]
+    targets = [t for _, t in _LOCKSTEP]
+    probe_calls = [0]
+
+    def fn(X, owners):
+        probs = mlp.forward_batch(victim, X)
+        if len(X) > len(set(owners.tolist())):
+            probe_calls[0] += 1
+            if probe_calls[0] == 2:
+                probs[np.flatnonzero(owners == 4)[3]] *= 1.5
+        return probs
+
+    with pytest.raises(ProtocolError, match="do not sum to 1"):
+        adv.blackbox_attacks(adv.RowScorer(fn), DIM, starts, targets,
+                             _lockstep_cfg())
+    assert probe_calls[0] == 2
+
+
+def test_lockstep_validation(victim):
+    scorer = lambda x: mlp.forward(victim, x)
+    starts = [np.full(DIM, 0.5), np.full(DIM, 0.25)]
+    assert adv.blackbox_attacks(scorer, DIM, [], [], _bb()) == []
+    with pytest.raises(ParameterError):
+        adv.blackbox_attacks(scorer, DIM, starts, [0], _bb())
+    with pytest.raises(ParameterError):
+        adv.blackbox_attacks(scorer, DIM, starts, [0, 3], _bb())
+    with pytest.raises(ShapeError):
+        adv.blackbox_attacks(scorer, DIM, [starts[0], np.full(DIM + 1, 0.5)],
+                             [0, 1], _bb())
+
+    def widening(X, owners):  # a third class appears after the start call
+        probs = mlp.forward_batch(victim, X)
+        return probs if len(X) == 2 else np.hstack([probs, np.zeros((len(X), 1))])
+
+    with pytest.raises(ProtocolError):
+        adv.blackbox_attacks(adv.RowScorer(widening), DIM, starts, [0, 1],
+                             _bb(tau=0.99))
 
 
 # -- scoring -----------------------------------------------------------------------
@@ -319,6 +431,9 @@ def test_benchmark_validation(victim):
     scorer = lambda x: mlp.forward(victim, x)
     with pytest.raises(ParameterError):
         adv.robustness_benchmark(scorer, DIM, [0], 0, _bb(),
+                                 adv.SigmoidParams.for_budget(400), seed=1)
+    with pytest.raises(ParameterError, match="duplicate"):
+        adv.robustness_benchmark(scorer, DIM, [0, 1, 0], 1, _bb(),
                                  adv.SigmoidParams.for_budget(400), seed=1)
 
 
@@ -377,3 +492,14 @@ def test_claim_check_validation():
         adv.claim_check([_score(0, 0.8)], [(1, 0.8)], tolerance=0.01)
     with pytest.raises(ParameterError):
         adv.claim_check([_score(0, 0.8)], [(0, 0.8)], tolerance=-0.1)
+
+
+@pytest.mark.parametrize("measured", [[0.1, 0.99], [0.99, 0.1]])
+def test_claim_check_rejects_duplicate_class_ids(measured):
+    """A duplicate id would let list order pick the verdict."""
+    with pytest.raises(ParameterError, match="duplicate"):
+        adv.claim_check([_score(0, v) for v in measured], [(0, 0.99)],
+                        tolerance=0.01)
+    with pytest.raises(ParameterError, match="duplicate"):
+        adv.claim_check([_score(0, 0.99)], [(0, v) for v in measured],
+                        tolerance=0.01)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veriml import auditor, mlp
+from veriml import adversarial as adv
+from veriml import auditor, cache, canon, mlp
 from veriml.data import BlobRecipe
 from veriml.errors import (AccessDeniedError, FundingError, ParameterError,
                            SpecIntegrityError, StateError)
@@ -83,6 +84,27 @@ def test_compute_metric_is_memoized_and_in_range():
     assert 0.0 <= first <= 1.0
     assert auditor._METRIC_CACHE[spec.spec_digest] == first
     assert auditor.compute_metric(spec) == first
+
+
+@pytest.mark.parametrize("metric_class", [0, 1])
+def test_robustness_metric_equals_one_query_benchmark(metric_class):
+    """The metric's row scorer keeps the bits of the benchmark driven by the
+    one-row forward, one query at a time."""
+    sc = mlp.SeedConfig(1, 2, 5)
+    tc = mlp.TrainConfig(0.5, 16, 4, sc)
+    recipe = BlobRecipe(2, 10, 2, 0.1, 5)
+    spec = auditor.make_model_spec((2, 4, 2), sc, tc, recipe,
+                                   auditor.METRIC_ROBUSTNESS, metric_class)
+    got = auditor.compute_metric(spec)
+    model = cache.trained_model(spec.architecture, tc, recipe, recipe.n_per_class)
+    want = adv.robustness_benchmark(
+        lambda x: mlp.forward(model, x), 2, [metric_class], 3,
+        adv.AttackConfig(tau=0.9, step_size=0.05, max_queries=400),
+        adv.SigmoidParams.for_budget(400),
+        int.from_bytes(spec.spec_digest[:8], "little"))
+    assert canon.f64(got) == canon.f64(want[0].score)
+    # the attacks take steps and all three succeed within the budget
+    assert want[0].n_failures == 0 and want[0].mean_queries > 10
 
 
 def test_value_bucket_floors():

@@ -3,18 +3,20 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from veriml import auditor, cache, canon, data, runner
 from veriml import config as cfgmod
-from veriml.adversarial import (AttackConfig, SigmoidParams, claim_check,
-                                robustness_benchmark)
+from veriml.adversarial import (AttackConfig, RobustnessScore, SigmoidParams,
+                                claim_check, robustness_benchmark,
+                                robustness_score)
 from veriml.entities import (CACHED_REPLAY, PROVIDER_KINDS, QueryBatch,
                              provider_classify)
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
 from veriml.mlp import forward, save_model
-from veriml.rng import derive_seed
+from veriml.rng import derive_seed, uniform_array
 
 REPORT_KEYS = {"schema_version", "version", "scenario", "master_seed", "trials",
                "config", "trial_results", "aggregates", "wall_time_s"}
@@ -107,30 +109,87 @@ def test_robustness_flags_weaker_substitute():
     assert report["aggregates"]["detection_rate"] == 1.0
 
 
+def _attack_by_definition(dim, x0, target, cfg):
+    """One black-box attack by its definition, as a generator: it yields each
+    point it asks, one at a time, is sent the point's probabilities, and
+    returns its final point, query count and final probability."""
+    x = x0.copy()
+    prob = float((yield x)[target])
+    queries = 1
+    while prob < cfg.tau and queries + 2 * dim + 1 <= cfg.max_queries:
+        g = np.empty(dim)
+        for j in range(dim):
+            up, dn = x.copy(), x.copy()
+            up[j] = min(1.0, x[j] + cfg.fd_epsilon)
+            dn[j] = max(0.0, x[j] - cfg.fd_epsilon)
+            g[j] = (float((yield up)[target]) - float((yield dn)[target])) \
+                / (2.0 * cfg.fd_epsilon)
+        x = np.clip(x + cfg.step_size * np.sign(g), 0.0, 1.0)
+        prob = float((yield x)[target])
+        queries += 2 * dim + 1
+    return x, queries, prob
+
+
 def _reference_trial_robustness(fx, raw, seed):
-    """_trial_robustness by its definition: one-row forward for the claim,
-    one provider_classify per attack query on the derive_seed(seed, 3)
-    stream. Returns the trial, the provider and a box holding the stream's
-    end state and the number of attack queries."""
+    """_trial_robustness by its definition: one-row forward for the claim;
+    for the measured side, attack k = class_index * trials + trial starts
+    from derive_seed(seed, k) and asks one provider_classify per query on its
+    own stream derive_seed(derive_seed(seed, 3), k). The attacks go in
+    lockstep: every start, then per step each live attack's 2*dim probes
+    (attack-major), then each live attack's moved point. Returns the trial,
+    the provider and a box holding each query's attack ("owners"), each
+    attack's end state ("rngs") and the number of attack queries."""
     ver = raw["verifier"]
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
+    trials = ver["trials_per_class"]
     acfg = AttackConfig(tau=ver["tau"], step_size=ver["step_size"],
                         max_queries=ver["max_queries"])
     params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
     claimed = robustness_benchmark(lambda x: forward(fx.supplier.model, x), dim,
-                                   classes, ver["trials_per_class"], acfg,
-                                   params, seed)
+                                   classes, trials, acfg, params, seed)
     provider = fx.fresh_provider()
-    box = {"rng": derive_seed(seed, 3), "queries": 0}
+    n = len(classes) * trials
+    box = {"rngs": [derive_seed(derive_seed(seed, 3), k) for k in range(n)],
+           "owners": [], "queries": 0}
+    attacks = [_attack_by_definition(dim, uniform_array(derive_seed(seed, k), dim)[0],
+                                     classes[k // trials], acfg)
+               for k in range(n)]
+    asking = {k: next(attacks[k]) for k in range(n)}
+    results = [None] * n
 
-    def service(x):
-        resp, box["rng"] = provider_classify(provider, x, box["rng"])
+    def ask(k):
+        resp, box["rngs"][k] = provider_classify(provider, asking[k],
+                                                 box["rngs"][k])
+        box["owners"].append(k)
         box["queries"] += 1
-        return resp.probs
+        try:
+            asking[k] = attacks[k].send(resp.probs)
+        except StopIteration as done:
+            results[k] = done.value
+            del asking[k]
 
-    measured = robustness_benchmark(service, dim, classes,
-                                    ver["trials_per_class"], acfg, params, seed)
+    for k in range(n):
+        ask(k)
+    while asking:
+        live = sorted(asking)
+        for k in live:
+            for _ in range(2 * dim):
+                ask(k)
+        for k in live:
+            ask(k)
+    measured = []
+    for ci, cls in enumerate(classes):
+        total, failures = 0.0, 0
+        for _, queries, prob in results[ci * trials:(ci + 1) * trials]:
+            if prob >= acfg.tau:
+                total += queries
+            else:
+                failures += 1
+                total += acfg.max_queries
+        mean_q = total / trials
+        measured.append(RobustnessScore(
+            cls, mean_q, robustness_score(mean_q, params), trials, failures))
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
     trial = {"seed": seed, "verdict": verdict.to_dict(),
@@ -153,15 +212,16 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
         base.provider, kind=kind, backend=supplier, cheat_rate=0.5,
         noise_sigma=0.05))
     raw = cfg.raw
-    # every rng state a provider query hands back, in order (the reference's
-    # one-query calls are batches of one), and the providers the trials make
+    # every provider query's rng state before and after it, in order (the
+    # reference's one-query calls are batches of one), and the providers the
+    # trials make
     states, made = [], []
     real_plan = QueryBatch.provider
 
     def plan(self, p, x, rng):
-        rng = real_plan(self, p, x, rng)
-        states.append(rng)
-        return rng
+        out = real_plan(self, p, x, rng)
+        states.append((rng, out))
+        return out
 
     monkeypatch.setattr(QueryBatch, "provider", plan)
     real_fresh = fx.fresh_provider
@@ -174,7 +234,15 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
     got = runner._trial_robustness(fx, raw, seed)
     assert got == want
     assert states == want_states
-    assert states[-1 - runner._LATENCY_PINGS] == box["rng"]
+    # each attack's queries chain its own stream from derive_seed(base, k)
+    # to the reference's end state; the latency pings come after them
+    attack_states = states[:-runner._LATENCY_PINGS]
+    assert len(attack_states) == len(box["owners"]) == box["queries"]
+    at = [derive_seed(derive_seed(seed, 3), k) for k in range(len(box["rngs"]))]
+    for (before, after), k in zip(attack_states, box["owners"]):
+        assert before == at[k]
+        at[k] = after
+    assert at == box["rngs"]
     if kind == CACHED_REPLAY:
         assert 0 < len(ref_provider.cache) < box["queries"]
     assert made[-1].cache.keys() == ref_provider.cache.keys()
