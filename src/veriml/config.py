@@ -111,9 +111,7 @@ class _Check:
 def _check_latency(chk: _Check, obj: dict, path: str, default_base: float):
     lat = obj.get("latency")
     if lat is None:
-        obj["latency"] = {"base_ms": default_base, "jitter_ms": default_base / 2,
-                          "seed": 0}
-        lat = obj["latency"]
+        lat = obj["latency"] = {}
     if not isinstance(lat, dict):
         chk.fail(f"{path}.latency", "expected an object")
         return

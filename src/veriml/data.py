@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rng import uniform_array
+from .rng import gauss_of, uniform_array
 
 
 @dataclass
@@ -99,9 +99,7 @@ def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,
     coordinate) is fixed, so the dataset is a pure function of the seed.
 
     Each normal is `rng_gauss`'s Box-Muller pair of uniforms, evaluated a
-    class block at a time with the same bits: `log` and `cos` are the scalar
-    libm calls `rng_gauss` makes (numpy's vector `log` rounds differently on
-    some inputs); the other steps are exactly rounded either way.
+    class block at a time by `gauss_of` with the same bits.
     """
     if n_classes < 2:
         raise ParameterError("n_classes must be >= 2")
@@ -119,10 +117,7 @@ def make_blobs(n_classes: int, n_per_class: int, dim: int, spread: float,
     inputs = np.empty((n_classes * n_per_class, dim))
     for c in range(n_classes):
         u, state = uniform_array(state, 2 * block)
-        log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, block)
-        cos = np.fromiter(map(math.cos, ((2.0 * math.pi) * u[1::2]).tolist()),
-                          np.float64, block)
-        g = (np.sqrt(-2.0 * log) * cos).reshape(n_per_class, dim)
+        g = gauss_of(u[0::2], u[1::2]).reshape(n_per_class, dim)
         x = centers[c] + spread * g
         # min(1.0, max(0.0, x)) exactly, NaN included
         x = np.where(x > 0.0, x, 0.0)

@@ -4,8 +4,10 @@ certificates ("metaresults") that make supplier answers unforgeable.
 
 All classification and latency behavior is driven by explicit rng states
 threaded through the calls, so any interaction sequence replays exactly.
-Queries are asked through a QueryBatch: planning a query counts its draws
-on the stream, and answering the batch takes them all in one pass.
+Each provider fixes its answer routes (the supplier's, the substitute's)
+when it is made. Queries are asked through a QueryBatch: planning a query
+picks its route and counts its draws on the stream, and answering the batch
+answers each route's rows as one block.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 from . import canon
 from .errors import ParameterError, ShapeError
 from .mlp import MlpModel, SeedConfig, TrainConfig, forward_batch
-from .rng import (MASK64, draw_array, mix64, mix64_array, rng_advance, rng_bytes,
-                  rng_gauss, rng_next, rng_uniform, uniform_of)
+from .rng import (MASK64, draw_array, gauss_of, mix64, mix64_array, rng_advance,
+                  rng_bytes, rng_gauss, rng_next, rng_uniform, uniform_of)
 from .steg import RevealClassifier
 
 HONEST_PASSTHROUGH = "HonestPassthrough"
@@ -100,7 +102,7 @@ class SeedPublication:
             raise ParameterError("architecture needs >= 2 layers")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Supplier:
     """The trusted service: a trained classifier, optionally wrapped with a
     steg reveal head, seed publication, and a certificate MAC key."""
@@ -118,10 +120,40 @@ class Supplier:
             raise ParameterError("mac_key must be 32 bytes")
 
 
-@dataclass
+class _Route(NamedTuple):
+    """One answer path: its model, the MAC key of a real certificate or
+    `forged` for a random one, its latency model and noise sigma. A query on
+    the path takes `count` draws after its start state: the certificate's
+    nonce (2) and forged tag (4), the latency at `latency_at`, then the noise
+    (2 per output) when sigma > 0."""
+
+    model: MlpModel
+    key: bytes | None
+    forged: bool
+    latency: LatencyModel
+    sigma: float
+    latency_at: int
+    count: int
+
+
+def _route(model: MlpModel, key: bytes | None, forged: bool,
+           latency: LatencyModel, sigma: float = 0.0) -> _Route:
+    at = 6 if forged else 0 if key is None else 2
+    return _Route(model, key, forged, latency, sigma, at,
+                  at + 1 + (2 * model.n_out if sigma else 0))
+
+
+@dataclass(frozen=True)
 class Provider:
     """The intermediary under test. `kind` selects honest pass-through or one
-    of the cheating strategies; everything else is per-kind configuration."""
+    of the cheating strategies; everything else is per-kind configuration.
+
+    Its answer paths are fixed when it is made. The honest one is the
+    supplier's: reveal head when present, a real certificate when the
+    supplier holds a MAC key, its latency, and NoisyPassthrough's noise. The
+    cheat one (with a cheap model) is the substitute's: the cheap model, a
+    forged certificate whenever the honest path carries a real one, and the
+    provider's own latency."""
 
     kind: str
     backend: Supplier
@@ -130,6 +162,8 @@ class Provider:
     cache: dict = field(default_factory=dict)
     noise_sigma: float = 0.0
     latency: LatencyModel = field(default_factory=LatencyModel)
+    _honest: _Route = field(init=False, repr=False, compare=False)
+    _cheat: _Route | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PROVIDER_KINDS:
@@ -142,6 +176,14 @@ class Provider:
             raise ParameterError("PartialCheat requires cheat_rate in [0, 1]")
         if self.kind == NOISY_PASSTHROUGH and self.noise_sigma <= 0.0:
             raise ParameterError("NoisyPassthrough requires noise_sigma > 0")
+        s = self.backend
+        sigma = self.noise_sigma if self.kind == NOISY_PASSTHROUGH else 0.0
+        object.__setattr__(self, "_honest", _route(
+            s.model if s.reveal is None else s.reveal.model, s.mac_key, False,
+            s.latency, sigma))
+        object.__setattr__(self, "_cheat", None if self.cheap_model is None else
+                           _route(self.cheap_model, None, s.mac_key is not None,
+                                  self.latency))
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -169,128 +211,73 @@ def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
     return hmac.compare_digest(expected, cert.tag)
 
 
-#: `QueryBatch.answer` takes the draws of fewer rows than this with Python
-#: ints, one row at a time, and from here on in one ``uint64`` pass over the
-#: batch. The pass has a fixed numpy cost; on a 2-vCPU Xeon VM (numpy 2.4)
-#: it paid off from about 8 rows whose queries take 7 or more draws (forged
-#: tags, noise) and from about 32 rows of one-draw queries (no MAC key).
+#: `QueryBatch.answer` takes the draws of a route's rows with Python ints,
+#: one row at a time, when fewer than this many rows of the batch take the
+#: route, and from here on in one ``uint64`` pass over them. The pass has a
+#: fixed numpy cost; on a 2-vCPU Xeon VM (numpy 2.4) it paid off from about
+#: 8 rows whose queries take 7 or more draws (forged tags, noise) and from
+#: about 32 rows of one-draw queries (no MAC key).
 _CROSSOVER = 24
 
 
-class _Layout(NamedTuple):
-    """One query path's draws after its start state: the offsets of the
-    nonce (2 draws), the forged tag (4), the latency (1) and the noise
-    (2 per output), None where the path takes none, and their count."""
-
-    model: MlpModel
-    key: bytes | None
-    nonce: int | None
-    tag: int | None
-    latency_at: int
-    latency: LatencyModel
-    noise: int | None
-    sigma: float
-    count: int
-
-
-def _supplier_layout(s: Supplier, sigma: float = 0.0) -> _Layout:
-    """The supplier's path: reveal head when present, a real certificate when
-    it holds a MAC key, its latency, then `sigma`-scaled noise if sigma > 0."""
-    model = s.reveal.model if s.reveal is not None else s.model
-    nonce, lat = (None, 0) if s.mac_key is None else (0, 2)
-    noise, count = (lat + 1, lat + 1 + 2 * model.n_out) if sigma else (None, lat + 1)
-    return _Layout(model, s.mac_key, nonce, None, lat, s.latency, noise, sigma,
-                   count)
-
-
-def _cheat_layout(p: Provider) -> _Layout:
-    """Substitute path: the cheap model answers, with a forged (random)
-    certificate whenever the honest path would carry a real one, and the
-    provider's own latency."""
-    if p.backend.mac_key is None:
-        return _Layout(p.cheap_model, None, None, None, 0, p.latency, None, 0.0, 1)
-    return _Layout(p.cheap_model, None, 0, 2, 6, p.latency, None, 0.0, 7)
-
-
-def _scalar_draws(lays: list[_Layout], starts: list[int]):
-    """`_array_draws` with Python ints: each row walks its draws in layout
+def _scalar_draws(route: _Route, starts: list[int]):
+    """`_array_draws` with Python ints: each row walks the route's draws in
     order (nonce, forged tag, latency, noise) from its start state."""
     nonces, tags, latencies, noise = [], [], [], []
-    for lay, state in zip(lays, starts):
-        nonce = tag = g = None
-        if lay.nonce is not None:
+    for state in starts:
+        if route.latency_at:  # a certificate: its nonce, then a forged tag
             nonce, state = rng_bytes(state, 16)
-        if lay.tag is not None:
+            nonces.append(nonce)
+        if route.forged:
             tag, state = rng_bytes(state, 32)
-        latency, state = lay.latency.sample(state)
-        if lay.noise is not None:
-            g = np.empty(lay.model.n_out)
-            for c in range(len(g)):
-                g[c], state = rng_gauss(state)
-            g = lay.sigma * g
-        nonces.append(nonce)
-        tags.append(tag)
+            tags.append(tag)
+        latency, state = route.latency.sample(state)
         latencies.append(latency)
-        noise.append(g)
-    return nonces, tags, latencies, noise
+        if route.sigma:
+            g = []
+            for _ in range(route.model.n_out):
+                z, state = rng_gauss(state)
+                g.append(z)
+            noise.append(g)
+    return (nonces if route.latency_at else None, tags if route.forged else None,
+            latencies, route.sigma * np.array(noise) if route.sigma else None)
 
 
-def _array_draws(lays: list[_Layout], starts: list[int]):
-    """Every row's draws in one ``uint64`` pass: row i takes draws 1..count
-    after its start state. Returns per row its nonce and forged tag bytes,
-    its latency and its noise (sigma times a gaussian per output), None
-    where the row's path takes none."""
-    counts = np.array([lay.count for lay in lays])
-    ends = np.cumsum(counts)
-    bases = ends - counts
-    steps = np.arange(1, int(ends[-1]) + 1) - np.repeat(bases, counts)
-    v = draw_array(np.repeat(np.array(starts, dtype=np.uint64), counts),
-                   steps.astype(np.uint64))
-    blob = v.astype("<u8").tobytes()
-    nonces, tags, lat_at, pairs, sigma = [], [], [], [], []
-    for lay, b in zip(lays, bases.tolist()):
-        nonces.append(None if lay.nonce is None
-                      else blob[8 * (b + lay.nonce):8 * (b + lay.nonce) + 16])
-        tags.append(None if lay.tag is None
-                    else blob[8 * (b + lay.tag):8 * (b + lay.tag) + 32])
-        lat_at.append(b + lay.latency_at)
-        if lay.noise is not None:
-            pairs.extend(range(b + lay.noise, b + lay.count, 2))
-            sigma.extend([lay.sigma] * lay.model.n_out)
+def _array_draws(route: _Route, starts: list[int]):
+    """The rows' draws in one ``uint64`` pass: row i takes draws 1..count
+    after its start state, one row of a ``(rows, count)`` table whose columns
+    are the route's fields. Returns the rows' nonce and forged tag bytes
+    (None where the route takes none), their latencies and their noise
+    (sigma times a gaussian per output, None without noise)."""
+    v = draw_array(np.array(starts, dtype=np.uint64)[:, None],
+                   np.arange(1, route.count + 1, dtype=np.uint64))
+    at, nonces, tags, noise = route.latency_at, None, None, None
+    if at:
+        blob, w = v[:, :at].astype("<u8").tobytes(), 8 * at
+        nonces = [blob[b:b + 16] for b in range(0, len(blob), w)]
+        if route.forged:
+            tags = [blob[b + 16:b + 48] for b in range(0, len(blob), w)]
     # LatencyModel.sample: u from mix64(v ^ seed), any int seed taken mod 2**64
-    seeds = np.array([lay.latency.seed & MASK64 for lay in lays], dtype=np.uint64)
-    u = uniform_of(mix64_array(v[lat_at] ^ seeds))
-    base = np.array([float(lay.latency.base_ms) for lay in lays])
-    jitter = np.array([float(lay.latency.jitter_ms) for lay in lays])
-    latencies = (base + jitter * u).tolist()
-    noise = [None] * len(lays)
-    if pairs:
-        # rng_gauss's Box-Muller on each pair, with libm's log and cos as there
-        pairs = np.array(pairs)
-        u1, u2 = uniform_of(v[pairs]), uniform_of(v[pairs + 1])
-        logs = np.fromiter(map(math.log, (1.0 - u1).tolist()), np.float64,
-                           len(pairs))
-        coss = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()),
-                           np.float64, len(pairs))
-        flat = np.array(sigma) * (np.sqrt(-2.0 * logs) * coss)
-        start = 0
-        for k, lay in enumerate(lays):
-            if lay.noise is not None:
-                noise[k] = flat[start:start + lay.model.n_out]
-                start += lay.model.n_out
+    lat = route.latency
+    u = uniform_of(mix64_array(v[:, at] ^ np.uint64(lat.seed & MASK64)))
+    latencies = (float(lat.base_ms) + float(lat.jitter_ms) * u).tolist()
+    if route.sigma:
+        noise = route.sigma * gauss_of(uniform_of(v[:, at + 1::2]),
+                                       uniform_of(v[:, at + 2::2]))
     return nonces, tags, latencies, noise
 
 
 class QueryBatch:
     """Many queries in two phases, stored as columns. `provider` plans a
-    query: it records the input, the answering model and the rng state the
-    query's draws start from, and returns the state after them, counted but
-    not taken (PartialCheat's coin, which picks the path, is the one draw
-    taken then), so other draws may be interleaved on the same stream.
-    `answer` takes every planned row's draws in one pass (with Python ints
-    below `_CROSSOVER` rows), evaluates each model once over all its rows
-    (batch-invariant, so the bytes equal one-at-a-time answers), attaches
-    certificates and noise, and returns the responses in query order.
+    query: it records the input, the provider's route that answers it and
+    the rng state the query's draws start from, and returns the state after
+    them, counted but not taken (PartialCheat's coin, which picks the route,
+    is the one draw taken then), so other draws may be interleaved on the
+    same stream. `answer` answers each route's planned rows as one block:
+    their draws in one pass (with Python ints below `_CROSSOVER` rows), one
+    forward over them (batch-invariant, so the bytes equal one-at-a-time
+    answers), noise on the block, all real certificates or all forged or
+    none; it returns the responses in query order.
 
     A CachedReplay miss enters the replay cache as this batch's pending row
     until `answer` replaces it with the response, so an input repeated
@@ -299,7 +286,7 @@ class QueryBatch:
 
     def __init__(self):
         self._xs: list[np.ndarray] = []
-        self._layouts: list[_Layout | None] = []
+        self._routes: list[_Route | None] = []
         self._starts: list[int] = []
         # None until answered; a replay holds its Response, or the
         # (batch, row) still pending in the replay cache when planned
@@ -318,32 +305,28 @@ class QueryBatch:
                 if isinstance(hit, tuple):
                     self._replays.append(row)
                 self._xs.append(x)
-                self._layouts.append(None)
+                self._routes.append(None)
                 self._starts.append(0)
                 self._responses.append(hit)
                 return rng
-        # the query's path; PartialCheat's coin, which picks it, is the only
-        # draw taken while planning
-        if p.kind == SUBSTITUTE_MODEL:
-            lay = _cheat_layout(p)
-        elif p.kind == PARTIAL_CHEAT:
+        # PartialCheat's coin, which picks the route, is the only draw taken
+        # while planning
+        route = p._cheat if p.kind == SUBSTITUTE_MODEL else p._honest
+        if p.kind == PARTIAL_CHEAT:
             u, rng = rng_uniform(rng)
-            lay = _cheat_layout(p) if u < p.cheat_rate else _supplier_layout(p.backend)
-        elif p.kind == NOISY_PASSTHROUGH:
-            lay = _supplier_layout(p.backend, p.noise_sigma)
-        else:
-            lay = _supplier_layout(p.backend)
-        if x.ndim != 1 or len(x) != lay.model.n_in:
+            if u < p.cheat_rate:
+                route = p._cheat
+        if x.ndim != 1 or len(x) != route.model.n_in:
             raise ShapeError(f"query dim {x.shape} does not match model input "
-                             f"{lay.model.n_in}")
+                             f"{route.model.n_in}")
         if digest is not None:
             p.cache[digest] = (self, row)
             self._commits[row] = (p.cache, digest)
         self._xs.append(x)
-        self._layouts.append(lay)
+        self._routes.append(route)
         self._starts.append(rng & MASK64)  # any int, as rng_next takes
         self._responses.append(None)
-        return rng_advance(rng, lay.count)
+        return rng_advance(rng, route.count)
 
     def answer(self) -> list[Response]:
         fresh = [i for i in range(self._answered, len(self._xs))
@@ -360,49 +343,42 @@ class QueryBatch:
         return list(self._responses)
 
     def _answer_rows(self, fresh: list[int]) -> None:
-        """Respond to the planned rows `fresh`, then commit the replay-cache
-        entries they fill."""
-        lays = [self._layouts[i] for i in fresh]
-        draws = _scalar_draws if len(fresh) < _CROSSOVER else _array_draws
-        nonces, tags, latencies, noise = draws(lays, [self._starts[i] for i in fresh])
-        groups: dict[int, list[int]] = {}
-        for k, lay in enumerate(lays):
-            groups.setdefault(id(lay.model), []).append(k)
-        for ks in groups.values():
-            model = lays[ks[0]].model
-            X = np.array([self._xs[fresh[k]] for k in ks])
-            P = forward_batch(model, X)
-            probs = list(P)
-            noisy = [j for j, k in enumerate(ks) if noise[k] is not None]
-            if noisy:
+        """Respond to the planned rows `fresh`, one block per route, then
+        commit the replay-cache entries they fill."""
+        blocks: dict[int, list[int]] = {}
+        for i in fresh:
+            blocks.setdefault(id(self._routes[i]), []).append(i)
+        for rows in blocks.values():
+            route = self._routes[rows[0]]
+            draws = _scalar_draws if len(rows) < _CROSSOVER else _array_draws
+            nonces, tags, latencies, noise = draws(route, [self._starts[i] for i in rows])
+            X = np.array([self._xs[i] for i in rows])
+            probs = P = forward_batch(route.model, X)
+            if noise is not None:
                 # perturb, clamp to [0,1], renormalize by the row sum (uniform
                 # if it is 0); the supplier's certificate, issued over P
                 # below, rides along and is invalid for the altered vector
-                N = P if len(noisy) == len(ks) else P[noisy]
-                N = np.clip(N + np.array([noise[ks[j]] for j in noisy]), 0.0, 1.0)
-                total = N.sum(axis=1, keepdims=True)
+                probs = np.clip(P + noise, 0.0, 1.0)
+                total = probs.sum(axis=1, keepdims=True)
                 if total.all():  # the usual case, without the masked pass
-                    N /= total
+                    probs /= total
                 else:
                     kept = total > 0
-                    N = np.where(kept, N / np.where(kept, total, 1.0),
-                                 1.0 / model.n_out)
-                for j, row in zip(noisy, N):
-                    probs[j] = row
-            xb = None
-            for j, k in enumerate(ks):
-                cert = None
-                if tags[k] is not None:
-                    cert = Certificate(nonces[k], tags[k])
-                elif nonces[k] is not None:
-                    # _cert_message, cut from the group's canonical bytes
-                    if xb is None:
-                        xw, pw = 8 * model.n_in, 8 * model.n_out
-                        xb, pb = canon.vec(X), canon.vec(P)
-                    msg = (xb[j * xw:(j + 1) * xw] + pb[j * pw:(j + 1) * pw]
-                           + nonces[k])
-                    cert = Certificate(nonces[k], hmac_sha256(lays[k].key, msg))
-                self._responses[fresh[k]] = Response(probs[j], cert, latencies[k])
+                    probs = np.where(kept, probs / np.where(kept, total, 1.0),
+                                     1.0 / route.model.n_out)
+            if tags is not None:
+                certs = list(map(Certificate, nonces, tags))
+            elif nonces is not None:
+                # _cert_message, cut from the block's canonical bytes
+                xw, pw = 8 * route.model.n_in, 8 * route.model.n_out
+                xb, pb = canon.vec(X), canon.vec(P)
+                certs = [Certificate(n, hmac_sha256(
+                    route.key, xb[j * xw:(j + 1) * xw] + pb[j * pw:(j + 1) * pw] + n))
+                    for j, n in enumerate(nonces)]
+            else:
+                certs = [None] * len(rows)
+            for i, pr, cert, latency in zip(rows, probs, certs, latencies):
+                self._responses[i] = Response(pr, cert, latency)
         for i, (cache, digest) in self._commits.items():
             cache[digest] = self._responses[i]
         self._commits.clear()

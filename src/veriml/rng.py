@@ -57,9 +57,7 @@ def draw_array(starts: "np.ndarray", steps: "np.ndarray") -> "np.ndarray":
     """Draw number ``steps`` after state ``starts``, entry by entry
     (broadcast, both ``uint64``): the value the ``steps``-th `rng_next`
     from that state returns."""
-    z = steps * np.uint64(_GOLDEN)
-    z += starts
-    return mix64_array(z)
+    return mix64_array(steps * np.uint64(_GOLDEN) + starts)
 
 
 def uniform_of(v: "np.ndarray") -> "np.ndarray":
@@ -93,6 +91,17 @@ def rng_gauss(state: int) -> tuple[float, int]:
     # 1 - u1 keeps the log argument in (0, 1], avoiding log(0).
     r = math.sqrt(-2.0 * math.log(1.0 - u1))
     return r * math.cos(2.0 * math.pi * u2), state
+
+
+def gauss_of(u1: "np.ndarray", u2: "np.ndarray") -> "np.ndarray":
+    """`rng_gauss`'s normal for each pair of uniforms (float arrays of one
+    shape), with the same bits: `log` and `cos` are the scalar libm calls
+    rng_gauss makes (numpy's vector `log` rounds differently on some inputs);
+    the other steps are exactly rounded either way."""
+    log = np.fromiter(map(math.log, (1.0 - u1).ravel().tolist()), np.float64, u1.size)
+    cos = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).ravel().tolist()),
+                      np.float64, u2.size)
+    return (np.sqrt(-2.0 * log) * cos).reshape(u1.shape)
 
 
 def rng_below(state: int, n: int) -> tuple[int, int]:

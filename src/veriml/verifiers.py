@@ -38,7 +38,7 @@ from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
 from .mlp import MlpModel, forward_batch
 from .rng import derive_seed, sample_indices
 from .steg import RevealClassifier, StegModel, draw_containers
-from .stats import two_proportion_z  # noqa: F401  (re-exported: part of this API)
+from .stats import two_proportion_z
 
 LIKELY_HONEST = "LikelyHonest"
 LIKELY_FRAUDULENT = "LikelyFraudulent"

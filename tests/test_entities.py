@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,22 +484,36 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
     passes = []
     array_draws = entities._array_draws
 
-    def counted(lays, starts):
-        passes.append(len(lays))
-        return array_draws(lays, starts)
+    def counted(route, starts):
+        passes.append(len(starts))
+        return array_draws(route, starts)
 
     monkeypatch.setattr(entities, "_array_draws", counted)
-    many, rng_b, got = provider(), 99, []
+    many, rng_b, got, ends = provider(), 99, [], []
     for part in (first, second):
         batch = entities.QueryBatch()
         for x in part:
             rng_b = batch.provider(many, x, rng_b)
+        # the rows that draw, counted per route: one uint64 pass for each
+        # route with at least _CROSSOVER of them, and none for the others
+        drawn = collections.Counter(
+            id(route) for route, resp in zip(batch._routes, batch._responses)
+            if resp is None)
+        begin = len(passes)
         got += batch.answer()
+        ends.append(len(passes))
+        assert sorted(passes[begin:]) == sorted(
+            k for k in drawn.values() if k >= entities._CROSSOVER)
     assert rng_b == rng
     _same_answers(seq, got)
     _same_cache(one.cache, many.cache)
-    # the first batch's n rows all draw: one uint64 pass from the crossover on
-    assert passes[:1] == ([n] if n >= entities._CROSSOVER else [])
+    # the first batch's n rows all draw (a cheat row is the cheap model's)
+    cheats = sum(np.array_equal(r.probs, mlp.forward(many.cheap_model, x))
+                 for r, x in zip(got[:n], first))
+    big = sorted(k for k in (cheats, n - cheats) if k >= entities._CROSSOVER)
+    assert sorted(passes[:ends[0]]) == big
+    if kind == entities.PARTIAL_CHEAT and n == 200:
+        assert len(big) == 2 and sum(big) == n
     if kind == entities.NOISY_PASSTHROUGH and n == 200:
         # clipped to all zeros, renormalized to uniform, in the array pass
         assert any(np.all(r.probs == 1.0 / len(r.probs)) for r in got[:n])
@@ -547,3 +564,52 @@ def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
         batch.provider(entities.Provider(entities.HONEST_PASSTHROUGH, supplier),
                        np.zeros(5), 1)
     assert batch.answer() == []
+
+
+def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch):
+    # one route below the crossover takes Python ints, the other one uint64
+    # pass, in the same batch
+    wide = _wide_variant(steg_env, entities.PARTIAL_CHEAT, True, True)
+
+    def provider():
+        return dataclasses.replace(wide(), cheat_rate=0.2)
+    rows = [_x(7000 + i) for i in range(40)]
+    one, rng, seq = provider(), 11, []
+    for x in rows:
+        resp, rng = entities.provider_classify(one, x, rng)
+        seq.append(resp)
+
+    calls = []
+    for name in ("_scalar_draws", "_array_draws"):
+        def counted(route, starts, name=name, draws=getattr(entities, name)):
+            calls.append((name, len(starts)))
+            return draws(route, starts)
+        monkeypatch.setattr(entities, name, counted)
+    many, rng_b, batch = provider(), 11, entities.QueryBatch()
+    for x in rows:
+        rng_b = batch.provider(many, x, rng_b)
+    assert rng_b == rng
+    _same_answers(seq, batch.answer())
+    rows_of = dict(calls)
+    assert len(calls) == 2 and sum(rows_of.values()) == len(rows)
+    assert rows_of["_scalar_draws"] < entities._CROSSOVER <= rows_of["_array_draws"]
+
+
+def test_actors_are_frozen(supplier_pair):
+    supplier, fx = supplier_pair
+    provider = entities.Provider(entities.PARTIAL_CHEAT, supplier,
+                                 cheap_model=fx.cheap_model, cheat_rate=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        provider.cheat_rate = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        supplier.mac_key = None
+
+
+def test_replace_rebuilds_routes_with_an_empty_cache(supplier_pair):
+    supplier, fx = supplier_pair
+    provider = entities.Provider(entities.CACHED_REPLAY, supplier,
+                                 cheap_model=fx.cheap_model)
+    entities.provider_classify(provider, _x(41), 3)
+    fresh = dataclasses.replace(provider, cache={})
+    assert len(provider.cache) == 1 and fresh.cache == {}
+    assert fresh._honest == provider._honest and fresh._cheat == provider._cheat

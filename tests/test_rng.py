@@ -56,6 +56,35 @@ def test_gauss_moments():
     assert abs(arr.std() - 1.0) < 0.08
 
 
+def _unmix64(z):
+    """The state-free inverse of `rng.mix64`."""
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+    z = unshift(z, 31)
+    z = (z * pow(rng._MIX2, -1, 1 << 64)) & rng.MASK64
+    z = unshift(z, 27)
+    z = (z * pow(rng._MIX1, -1, 1 << 64)) & rng.MASK64
+    return unshift(z, 30)
+
+
+def test_gauss_of_is_rng_gauss_bit_for_bit():
+    # the extremes of u1: a first draw of 0 and one of 2**64 - 1
+    edges = [(_unmix64(v) - rng._GOLDEN) & rng.MASK64 for v in (0, rng.MASK64)]
+    states = np.array(edges + [rng.derive_seed(5, i) for i in range(22)],
+                      dtype=np.uint64)
+    u = rng.uniform_of(rng.draw_array(states[:, None],
+                                      np.arange(1, 3, dtype=np.uint64)))
+    assert u[0, 0] == 0.0 and u[1, 0] == 1.0 - 2.0 ** -53
+    want = np.array([rng.rng_gauss(int(s))[0] for s in states])
+    assert rng.gauss_of(u[:, 0], u[:, 1]).tobytes() == want.tobytes()
+    u = u.reshape(4, 6, 2)
+    got = rng.gauss_of(u[..., 0], u[..., 1])
+    assert got.shape == (4, 6) and got.tobytes() == want.tobytes()
+
+
 @given(SEEDS, st.integers(min_value=1, max_value=1000))
 def test_below_in_range(seed, n):
     v, _ = rng.rng_below(seed, n)
