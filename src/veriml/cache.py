@@ -1,11 +1,15 @@
 """The checksummed, content-addressed fixture cache and the one seeded
 trainer behind it. A model's key digests every training input and training is
-bit-deterministic, so a cache hit *is* the retrain from those seeds."""
+bit-deterministic, so a cache hit *is* the retrain from those seeds. Pure
+results measured on cached fixtures (the steg calibration rates, the
+supplier's training accuracy) are stored beside them as fixed float tuples."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -65,6 +69,22 @@ def _cached(key: bytes, load, build, save):
     value = build()
     _cache_store(key, save(value))
     return value
+
+
+def _cached_f64s(key: bytes, count: int, build) -> tuple[float, ...]:
+    """`count` floats stored as little-endian f64 under `key`; `build()`
+    computes them on a miss. A blob of another length or holding a
+    non-finite value is rebuilt like a corrupt one."""
+    fmt = f"<{count}d"
+
+    def load(blob: bytes) -> tuple[float, ...]:
+        values = struct.unpack(fmt, blob)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite cached value")
+        return values
+
+    return _cached(key, load, lambda: tuple(map(float, build())),
+                   lambda values: struct.pack(fmt, *values))
 
 
 def _arch_bytes(arch: tuple[int, ...]) -> bytes:

@@ -1,7 +1,8 @@
 """Scenario execution: build the supplier/provider fixtures a config
-describes (training once per content digest, cached on disk), run seeded
-verification trials one after another, and aggregate into a machine-readable
-report that is byte-reproducible apart from wall time.
+describes (training once per content digest, cached on disk, and so are the
+supplier's training accuracy and the steg calibration rates measured on those
+fixtures), run seeded verification trials one after another, and aggregate
+into a machine-readable report that is byte-reproducible apart from wall time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .adversarial import (AttackConfig, RowScorer, SigmoidParams,
 from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       compute_metric, identity, make_model_spec,
                       run_audit_round)
-from .cache import _cached, trained_model
+from .cache import _cached, _cached_f64s, _model_cache_key, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
 from .entities import (LatencyModel, Provider, QueryBatch, Response,
                        SeedPublication, Supplier)
@@ -42,13 +43,6 @@ SUPPLIER_MARGIN = 0.2
 
 
 # -- fixture construction -------------------------------------------------------
-
-
-def _steg_cache_key(secret_dim: int, beta: float, tcfg: TrainConfig,
-                    recipe: BlobRecipe, train_per_class: int) -> bytes:
-    return canon.sha256(b"steg.v2" + canon.u32(secret_dim) + canon.f64(beta)
-                        + tcfg.canonical_bytes() + recipe.canonical_bytes()
-                        + canon.u32(train_per_class))
 
 
 @dataclass
@@ -76,6 +70,27 @@ def _seed_and_train_cfg(train_block: dict, data_seed: int) -> tuple[SeedConfig, 
     return seeds, TrainConfig(train_block["learning_rate"],
                               train_block["epochs"], train_block["batch_size"],
                               seeds)
+
+
+def _steg_train_cfg(block: dict) -> TrainConfig:
+    return _seed_and_train_cfg(block["train"], block["train"]["data_seed"])[1]
+
+
+def _steg_cache_key(block: dict, data: _DataBundle) -> bytes:
+    return canon.sha256(b"steg.v2" + canon.u32(block["secret_dim"])
+                        + canon.f64(block["beta"])
+                        + _steg_train_cfg(block).canonical_bytes()
+                        + data.recipe.canonical_bytes()
+                        + canon.u32(data.train_per_class))
+
+
+def _calib_cache_key(steg_key: bytes, model_key: bytes, count: int,
+                     seed: int) -> bytes:
+    # the supplier model key fixes the recipe and training split, so the
+    # held-out covers; the calibration asks through an honest provider, so
+    # the MAC key, latency and provider fields change no rate it reads
+    return canon.sha256(b"calib.v1" + steg_key + model_key + canon.u64(count)
+                        + canon.u64(seed))
 
 
 def _latency_from(block: dict) -> LatencyModel:
@@ -110,10 +125,12 @@ class _Fixtures:
         return replace(self.provider, cache={})
 
 
-def _check_supplier(model: MlpModel, train: Dataset) -> None:
-    """The supplier quality gate, run on every build (a cache entry stored
-    before the gate existed is loaded without training)."""
-    acc = accuracy(model, train)
+def _check_supplier(model_key: bytes, model: MlpModel, train: Dataset) -> None:
+    """The supplier quality gate. The training accuracy is measured once per
+    model key and cached; the comparison runs on every build, cache hits
+    included, so a model stored before the gate existed is checked too."""
+    [acc] = _cached_f64s(canon.sha256(b"gate.v1" + model_key), 1,
+                         lambda: (accuracy(model, train),))
     chance = 1.0 / train.n_classes
     if acc < chance + SUPPLIER_MARGIN:
         raise TrainingFailureError(
@@ -124,12 +141,9 @@ def _check_supplier(model: MlpModel, train: Dataset) -> None:
 
 def _steg_pair(raw: dict, fx: _Fixtures) -> tuple[StegModel, RevealClassifier]:
     block = raw["steg"]
-    _, tcfg = _seed_and_train_cfg(block["train"], block["train"]["data_seed"])
-    key = _steg_cache_key(block["secret_dim"], block["beta"], tcfg,
-                          fx.data.recipe, fx.data.train_per_class)
-    return _cached(key, load_steg_bundle,
+    return _cached(_steg_cache_key(block, fx.data), load_steg_bundle,
                    lambda: train_steg_joint(fx.data.train, block["secret_dim"],
-                                            block["beta"], tcfg),
+                                            block["beta"], _steg_train_cfg(block)),
                    lambda pair: save_steg_bundle(*pair))
 
 
@@ -147,9 +161,12 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
                                         ver["metric"], ver["metric_class"])
         return fx
 
+    eps = sup_block["adversarial_epsilon"]
+    model_key = _model_cache_key(arch, tcfg, fx.data.recipe,
+                                 fx.data.train_per_class, 1, eps)
     model = trained_model(arch, tcfg, fx.data.recipe, fx.data.train_per_class,
-                          adversarial_epsilon=sup_block["adversarial_epsilon"])
-    _check_supplier(model, fx.data.train)
+                          adversarial_epsilon=eps)
+    _check_supplier(model_key, model, fx.data.train)
 
     prov_block = raw["provider"]
     cheap_block = prov_block.get("cheap")
@@ -179,10 +196,12 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
         block = raw["steg"]
         cal = block["calibration_count"]
         covers = fx.data.held.inputs
+        key = _calib_cache_key(_steg_cache_key(block, fx.data), model_key, cal,
+                               block["calibration_seed"])
         try:
-            p_detect, p_clean = measure_roundtrip(supplier, steg, reveal,
-                                                  model, covers[:cal],
-                                                  block["calibration_seed"])
+            p_detect, p_clean = _cached_f64s(key, 2, lambda: measure_roundtrip(
+                supplier, steg, reveal, model, covers[:cal],
+                block["calibration_seed"]))
         except GenerationFailureError as exc:
             raise FixtureError(f"steg calibration failed: {exc}") from exc
         fx.suite = StegSuite(steg, reveal, model, p_detect, p_clean)
@@ -346,7 +365,7 @@ def _aggregate(scenario: str, trials: list[dict]) -> dict:
 
 
 def run_scenario(cfg: cfgmod.ScenarioConfig) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     fx = build_fixtures(cfg)
     trial_fn = _TRIAL_FNS[cfg.scenario]
     results = [trial_fn(fx, cfg.raw, derive_seed(cfg.master_seed, t))
@@ -360,14 +379,16 @@ def run_scenario(cfg: cfgmod.ScenarioConfig) -> dict:
         "config": cfg.raw,
         "trial_results": results,
         "aggregates": _aggregate(cfg.scenario, results),
-        "wall_time_s": round(time.time() - started, 6),
+        "wall_time_s": round(time.perf_counter() - started, 6),
     }
 
 
 def sweep(cfg: cfgmod.ScenarioConfig, param_name: str, values: list) -> list[dict]:
     """One run_scenario per value of a numeric config field (dotted path,
-    e.g. "provider.cheat_rate"); fixtures are shared through the disk cache.
-    Every value's config is validated before the first campaign runs."""
+    e.g. "provider.cheat_rate"); fixtures are shared through the disk cache,
+    and so are the supplier gate's accuracy and the steg calibration, which
+    no provider field changes. Every value's config is validated before the
+    first campaign runs."""
     cfgs = [cfgmod.validate_config(
                 cfgmod.set_config_value(cfg.raw, param_name, value))
             for value in values]

@@ -258,11 +258,20 @@ def test_steg_calibration_failure_is_a_fixture_error(tmp_path, monkeypatch, caps
         return Z, np.zeros_like(flagged), kept
 
     monkeypatch.setattr(steg, "generate_message_batch", no_container)
+    # an empty cache of its own: a calibration stored by an earlier test
+    # would be a hit and never draw a container
+    root = tmp_path / "cache"
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(root))
     path = tmp_path / "steg.json"
     path.write_text(json.dumps(cfgmod.builtin_config(cfgmod.STEG_PROBE, trials=1)),
                     encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == cli.EXIT_FIXTURE
     assert "steg calibration failed" in capsys.readouterr().err
+    # supplier, cheap model, gate accuracy and steg bundle were stored; the
+    # failed calibration stored no (p_detect, p_clean) entry
+    entries = list(root.glob("*.bin"))
+    assert len(entries) == 4
+    assert not [p for p in entries if len(p.read_bytes()) == 32 + 16]
 
 
 def _diverged_supplier_config(tmp_path):

@@ -1,12 +1,15 @@
 import copy
 import dataclasses
+import hashlib
 import json
+import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from veriml import auditor, cache, canon, data, runner
+from veriml import auditor, cache, canon, cli, data, mlp, runner, verifiers
 from veriml import config as cfgmod
 from veriml.adversarial import (AttackConfig, RobustnessScore, SigmoidParams,
                                 claim_check, robustness_benchmark,
@@ -267,7 +270,9 @@ def test_cold_build_fixtures_makes_each_pool_once(tmp_path, monkeypatch):
     raw = cfgmod.builtin_config(cfgmod.ROBUSTNESS, trials=1)
     block = raw["supplier"]["data"]
     runner.build_fixtures(cfgmod.validate_config(raw))
-    assert len(list(tmp_path.glob("*.bin"))) == 2  # supplier and cheap trained
+    # supplier and cheap trained, plus the supplier's gate accuracy
+    assert len(list(tmp_path.glob("*.bin"))) == 3
+    assert len(_payload_entries(tmp_path, _GATE_LEN)) == 1
     assert made == [(block["n_classes"], block["n_per_class"], block["dim"],
                      block["spread"], block["seed"])]
 
@@ -443,3 +448,168 @@ def test_reference_and_oracle_retrains_are_cache_hits(tmp_path, monkeypatch):
     warm = [_run(cfgmod.DETERMINISTIC_BENCH, provider_kind="HonestPassthrough"),
             _run(cfgmod.AUDITOR)]
     assert [_stable_json(r) for r in warm] == [_stable_json(r) for r in cold]
+
+
+# -- cached calibration and gate accuracy ------------------------------------------
+
+_CALIB_LEN, _GATE_LEN = 16, 8  # payload bytes: (p_detect, p_clean), accuracy
+
+
+def _payload_entries(root: Path, length: int) -> list[Path]:
+    """The cache entries whose payload (after the 32-byte checksum) is
+    `length` bytes: the calibration and gate entries, never a model."""
+    return sorted(p for p in root.glob("*.bin")
+                  if len(p.read_bytes()) == 32 + length)
+
+
+def _steg_raw(kind="SubstituteModel", trials=2):
+    return cfgmod.builtin_config(cfgmod.STEG_PROBE, provider_kind=kind,
+                                 trials=trials)
+
+
+def _steg_sweep(raw):
+    return runner.sweep(cfgmod.validate_config(raw), "provider.cheat_rate",
+                        [0.1, 0.5, 0.9])
+
+
+@pytest.fixture(scope="module")
+def cold_steg(tmp_path_factory):
+    """A fixture cache filled from empty by one StegProbe campaign and one
+    3-value PartialCheat sweep, with the stable bytes of those cold reports."""
+    root = tmp_path_factory.mktemp("cold-steg-cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VERIML_CACHE_DIR", str(root))
+        campaign = runner.run_scenario(cfgmod.validate_config(_steg_raw()))
+        swept = _steg_sweep(_steg_raw("PartialCheat"))
+    return root, [_stable_json(r) for r in [campaign, *swept]]
+
+
+def _warm_copy(cold_steg, tmp_path, monkeypatch) -> Path:
+    root = tmp_path / "cache"
+    shutil.copytree(cold_steg[0], root)
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(root))
+    return root
+
+
+def _forbid(monkeypatch, name, *modules):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a filled cache")
+    for mod in modules:
+        monkeypatch.setattr(mod, name, forbidden)
+
+
+def _counted(monkeypatch, name, *modules):
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_cold_campaign_stores_one_calibration_and_one_gate_entry(cold_steg):
+    root = cold_steg[0]
+    assert len(_payload_entries(root, _CALIB_LEN)) == 1
+    assert len(_payload_entries(root, _GATE_LEN)) == 1
+    fx = runner.build_fixtures(cfgmod.validate_config(_steg_raw()))
+    [calib] = _payload_entries(root, _CALIB_LEN)
+    assert calib.read_bytes()[32:] == struct.pack(
+        "<2d", fx.suite.p_detect, fx.suite.p_clean)
+
+
+def test_warm_campaign_and_sweep_measure_no_pure_fixture(cold_steg, tmp_path,
+                                                         monkeypatch):
+    # regression guard: on a filled cache neither the steg calibration nor
+    # the supplier's training accuracy is measured again
+    _warm_copy(cold_steg, tmp_path, monkeypatch)
+    _forbid(monkeypatch, "measure_roundtrip", runner, verifiers)
+    _forbid(monkeypatch, "accuracy", runner, mlp)
+    campaign = runner.run_scenario(cfgmod.validate_config(_steg_raw()))
+    swept = _steg_sweep(_steg_raw("PartialCheat"))
+    assert [_stable_json(r) for r in [campaign, *swept]] == cold_steg[1]
+
+
+@pytest.mark.parametrize("path, value", [
+    ("supplier.mac_key_hex", "ab" * 32),
+    ("supplier.latency", {"base_ms": 9.0, "jitter_ms": 1.5, "seed": 5}),
+    ("provider.latency", {"base_ms": 2.0, "jitter_ms": 0.0, "seed": 77}),
+    ("provider.kind", "HonestPassthrough"),
+    ("provider.cheat_rate", 0.3),
+])
+def test_calibration_entry_ignores_transport_and_provider_fields(
+        cold_steg, tmp_path, monkeypatch, path, value):
+    root = _warm_copy(cold_steg, tmp_path, monkeypatch)
+    stored = sorted(root.glob("*.bin"))
+    base = runner.build_fixtures(cfgmod.validate_config(_steg_raw()))
+    raw = _steg_raw("PartialCheat" if path == "provider.cheat_rate" else
+                    "SubstituteModel")
+    section, field = path.split(".")
+    raw[section][field] = value
+    _forbid(monkeypatch, "measure_roundtrip", runner, verifiers)
+    fx = runner.build_fixtures(cfgmod.validate_config(raw))
+    assert (fx.suite.p_detect, fx.suite.p_clean) == (base.suite.p_detect,
+                                                     base.suite.p_clean)
+    assert sorted(root.glob("*.bin")) == stored  # a hit stores nothing
+
+
+@pytest.mark.parametrize("field, value", [
+    ("calibration_seed", 701),
+    ("calibration_count", 149),
+    ("beta", 0.5),
+])
+def test_calibration_entry_misses_on_a_calibration_input(
+        cold_steg, tmp_path, monkeypatch, field, value):
+    root = _warm_copy(cold_steg, tmp_path, monkeypatch)
+    raw = _steg_raw()
+    raw["steg"][field] = value
+    calls = _counted(monkeypatch, "measure_roundtrip", runner, verifiers)
+    cfg = cfgmod.validate_config(raw)
+    runner.build_fixtures(cfg)
+    assert len(calls) == 1
+    assert len(_payload_entries(root, _CALIB_LEN)) == 2
+    runner.build_fixtures(cfg)
+    assert len(calls) == 1  # the new entry is a hit from then on
+
+
+@pytest.mark.parametrize("length, damage", [
+    (_CALIB_LEN, "flip"), (_CALIB_LEN, "nan"), (_CALIB_LEN, "short"),
+    (_GATE_LEN, "flip"), (_GATE_LEN, "nan"), (_GATE_LEN, "short"),
+])
+def test_corrupt_calibration_or_gate_entry_is_recomputed(
+        cold_steg, tmp_path, monkeypatch, length, damage):
+    root = _warm_copy(cold_steg, tmp_path, monkeypatch)
+    [path] = _payload_entries(root, length)
+    good = path.read_bytes()
+    if damage == "flip":  # fails its checksum
+        bad = good[:-1] + bytes([good[-1] ^ 0x01])
+    else:  # checksummed, but no tuple of finite floats of the right length
+        payload = (struct.pack("<d", float("nan")) * (length // 8)
+                   if damage == "nan" else good[32:-1])
+        bad = hashlib.sha256(payload).digest() + payload
+    path.write_bytes(bad)
+    measured = (_counted(monkeypatch, "measure_roundtrip", runner, verifiers)
+                if length == _CALIB_LEN else
+                _counted(monkeypatch, "accuracy", runner, mlp))
+    campaign = runner.run_scenario(cfgmod.validate_config(_steg_raw()))
+    assert len(measured) == 1
+    assert path.read_bytes() == good  # the rebuilt entry replaced it
+    assert _stable_json(campaign) == cold_steg[1][0]
+
+
+def test_stored_gate_accuracy_below_the_margin_still_exits_3(tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path / "cache"))
+    raw = cfgmod.builtin_config(cfgmod.PROBABILISTIC_BENCH, trials=1)
+    config = tmp_path / "prob.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config),
+                     "--out", str(tmp_path / "r.json")]) == cli.EXIT_OK
+    [gate] = _payload_entries(tmp_path / "cache", _GATE_LEN)
+    cache._cache_store(bytes.fromhex(gate.stem), struct.pack("<d", 0.4))
+    _forbid(monkeypatch, "accuracy", runner, mlp)
+    assert cli.main(["run", "--config", str(config)]) == cli.EXIT_FIXTURE
+    assert "supplier training accuracy 0.400 does not beat chance" in \
+        capsys.readouterr().err

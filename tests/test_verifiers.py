@@ -407,8 +407,11 @@ def test_steg_probe_without_any_valid_container_is_a_setup_error(steg_env):
 
 
 def test_calibration_without_any_valid_container_is_a_fixture_error(
-        steg_env, monkeypatch):
+        steg_env, tmp_path, monkeypatch):
     cfg, _ = steg_env
+    # an empty cache of its own: the calibration steg_env stored would be a
+    # hit, and the blinded reveal head would never be asked
+    monkeypatch.setenv("VERIML_CACHE_DIR", str(tmp_path))
     real_pair = runner._steg_pair
 
     def blind_pair(raw, fx):
