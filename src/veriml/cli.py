@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config problem, 3 fixture training failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -238,7 +239,10 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="veriml",
         description="Seeded verification campaigns for outsourced classifiers.")

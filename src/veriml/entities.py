@@ -5,9 +5,10 @@ certificates ("metaresults") that make supplier answers unforgeable.
 All classification and latency behavior is driven by explicit rng states
 threaded through the calls, so any interaction sequence replays exactly.
 Each provider fixes its answer routes (the supplier's, the substitute's)
-when it is made. Queries are asked through a QueryBatch: planning a query
-picks its route and counts its draws on the stream, and answering the batch
-answers each route's rows as one block.
+when it is made. Queries are asked through a QueryBatch: planning takes a
+block of rows in one call, picking each row's route and counting its draws
+on the stream, and answering the batch answers each route's rows as one
+block and returns the answers as columns.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from . import canon
 from .errors import ParameterError, ShapeError
 from .mlp import MlpModel, SeedConfig, TrainConfig, forward_batch
-from .rng import (MASK64, draw_array, gauss_of, mix64, mix64_array, rng_advance,
-                  rng_bytes, rng_gauss, rng_next, rng_uniform, uniform_of)
+from .rng import (_GOLDEN, _INV53, MASK64, draw_array, gauss_of, mix64, mix64_array,
+                  rng_bytes, rng_gauss, rng_next, uniform_of)
 from .steg import RevealClassifier
 
 HONEST_PASSTHROUGH = "HonestPassthrough"
@@ -164,6 +165,9 @@ class Provider:
     latency: LatencyModel = field(default_factory=LatencyModel)
     _honest: _Route = field(init=False, repr=False, compare=False)
     _cheat: _Route | None = field(init=False, repr=False, compare=False)
+    # the route of every query of a kind that makes no per-query choice
+    # (neither a cheat coin nor a replay lookup), None otherwise
+    _fixed: _Route | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PROVIDER_KINDS:
@@ -184,6 +188,9 @@ class Provider:
         object.__setattr__(self, "_cheat", None if self.cheap_model is None else
                            _route(self.cheap_model, None, s.mac_key is not None,
                                   self.latency))
+        object.__setattr__(self, "_fixed", {
+            HONEST_PASSTHROUGH: self._honest, NOISY_PASSTHROUGH: self._honest,
+            SUBSTITUTE_MODEL: self._cheat}.get(self.kind))
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
@@ -267,121 +274,346 @@ def _array_draws(route: _Route, starts: list[int]):
     return nonces, tags, latencies, noise
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+class Answers:
+    """A batch's answers as columns, row i answering the i-th query planned:
+    the probabilities, as `matrix` (rows x classes) when every row has one
+    width (None otherwise) and as `probs`, one vector per row (views into
+    the matrix); `labels`, each row's argmax as an int array (from the
+    matrix in one pass); `certificates`, a Certificate or None per row; and
+    `latencies`, a float per row. `probs` and `labels` are built on first
+    use. `answers[i]` is row i as a Response: the replay-cache entry itself
+    for a row a cache keeps, a new one otherwise."""
+
+    __slots__ = ("matrix", "certificates", "latencies", "_probs", "_labels",
+                 "_kept")
+
+    def __init__(self, matrix: np.ndarray | None, probs: list | None,
+                 labels: np.ndarray | None, certificates: list,
+                 latencies: list, kept: dict):
+        self.matrix = matrix
+        self.certificates = certificates
+        self.latencies = latencies
+        self._probs = probs
+        self._labels = labels
+        self._kept = kept
+
+    @property
+    def probs(self) -> list:
+        if self._probs is None:
+            self._probs = list(self.matrix)
+        return self._probs
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self._labels is None:
+            self._labels = self.matrix.argmax(axis=1)
+        return self._labels
+
+    def __len__(self) -> int:
+        return len(self.latencies)
+
+    def __getitem__(self, i: int) -> Response:
+        i = range(len(self.latencies))[i]
+        kept = self._kept.get(i)
+        if kept is not None:
+            return kept
+        return Response(self.probs[i], self.certificates[i], self.latencies[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.latencies)))
+
+
 class QueryBatch:
-    """Many queries in two phases, stored as columns. `provider` plans a
-    query: it records the input, the provider's route that answers it and
-    the rng state the query's draws start from, and returns the state after
-    them, counted but not taken (PartialCheat's coin, which picks the route,
-    is the one draw taken then), so other draws may be interleaved on the
-    same stream. `answer` answers each route's planned rows as one block:
-    their draws in one pass (with Python ints below `_CROSSOVER` rows), one
-    forward over them (batch-invariant, so the bytes equal one-at-a-time
-    answers), noise on the block, all real certificates or all forged or
-    none; it returns the responses in query order.
+    """Many queries in two phases, stored as columns. `ask` plans a block of
+    rows X (m x n_in), each asked of one or more providers in turn: for
+    every row it records the provider's route that answers it and the rng
+    state the query's draws start from, and it returns the state after them,
+    counted but not taken (PartialCheat's coin, which picks the route, is the
+    one draw taken then), so other draws may be interleaved on the same
+    stream. Rows of providers with one route each start on one arithmetic
+    progression of the stream; PartialCheat's coins and CachedReplay's
+    replay-cache lookups (digests cut from the block's canonical bytes) take
+    one walk over the rows. `answer` answers each route's planned rows as
+    one block: their draws in one pass (with Python ints below `_CROSSOVER`
+    rows), one forward over them (batch-invariant, so the bytes equal
+    one-at-a-time answers), noise on the block, all real certificates or all
+    forged or none, and Response's latency check once; it returns the
+    answers as columns (`Answers`) in query order, and builds a Response
+    only for a row a replay cache keeps.
 
     A CachedReplay miss enters the replay cache as this batch's pending row
-    until `answer` replaces it with the response, so an input repeated
-    before then is answered once and replayed without a draw.
-    provider_classify and supplier_classify below are the one-query case."""
+    until `answer` replaces it with a Response, so an input repeated before
+    then is answered once and replayed without a draw.
+    provider_classify and supplier_classify below are the block of one."""
 
     def __init__(self):
-        self._xs: list[np.ndarray] = []
-        self._routes: list[_Route | None] = []
-        self._starts: list[int] = []
-        # None until answered; a replay holds its Response, or the
-        # (batch, row) still pending in the replay cache when planned
-        self._responses: list = []
-        self._replays: list[int] = []  # rows of the latter kind
+        self._routes: list[_Route | None] = []  # per row; None for a replay
+        self._starts: list[int] = []  # per row: the state its draws start from
+        # rows planned but not answered, by route: the route, the rows, and
+        # the input blocks they come from, each with the block rows taken
+        # (None for all of them)
+        self._fresh: dict[int, tuple[_Route, list[int], list[tuple]]] = {}
+        self._ascending = True  # every fresh block's rows in plan order
+        # replay rows not answered: the Response, or the (batch, row) still
+        # pending in the replay cache when planned
+        self._replays: dict[int, object] = {}
         self._commits: dict[int, tuple[dict, bytes]] = {}
-        self._answered = 0
+        self._kept: dict[int, Response] = {}  # rows a replay cache holds
+        self._answers = Answers(None, [], _NO_ROWS, [], [], self._kept)
 
-    def provider(self, p: Provider, x, rng: int) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        row, digest = len(self._xs), None
-        if p.kind == CACHED_REPLAY:
-            digest = canon.sha256(canon.vec(x))
-            hit = p.cache.get(digest)
-            if hit is not None:
-                if isinstance(hit, tuple):
-                    self._replays.append(row)
-                self._xs.append(x)
-                self._routes.append(None)
-                self._starts.append(0)
-                self._responses.append(hit)
-                return rng
-        # PartialCheat's coin, which picks the route, is the only draw taken
-        # while planning
-        route = p._cheat if p.kind == SUBSTITUTE_MODEL else p._honest
-        if p.kind == PARTIAL_CHEAT:
-            u, rng = rng_uniform(rng)
-            if u < p.cheat_rate:
-                route = p._cheat
-        if x.ndim != 1 or len(x) != route.model.n_in:
-            raise ShapeError(f"query dim {x.shape} does not match model input "
-                             f"{route.model.n_in}")
-        if digest is not None:
-            p.cache[digest] = (self, row)
-            self._commits[row] = (p.cache, digest)
-        self._xs.append(x)
-        self._routes.append(route)
-        self._starts.append(rng & MASK64)  # any int, as rng_next takes
-        self._responses.append(None)
-        return rng_advance(rng, route.count)
+    def ask(self, X, providers: Provider | tuple[Provider, ...], rng: int) -> int:
+        """Plan every row of X, asked of `providers` (one, or several in
+        turn: row 0 of each, then row 1 of each, ...) on the stream `rng`."""
+        X = np.asarray(X, dtype=np.float64)
+        if isinstance(providers, Provider):
+            providers = (providers,)
+        return self._walk(providers, X, rng, 0)[0]
 
-    def answer(self) -> list[Response]:
-        fresh = [i for i in range(self._answered, len(self._xs))
-                 if self._responses[i] is None]
-        if fresh:
-            self._answer_rows(fresh)
-        for i in self._replays:
-            batch, row = self._responses[i]
-            if batch._responses[row] is None:
-                batch.answer()
-            self._responses[i] = batch._responses[row]
-        self._replays.clear()
-        self._answered = len(self._xs)
-        return list(self._responses)
+    def ask_uniform(self, p: Provider, dim: int, n: int,
+                    rng: int) -> tuple[np.ndarray, int]:
+        """n times on one stream: draw an input of `dim` uniforms
+        (`uniform_array`), then ask it of p. Returns the inputs and the end
+        state. The inputs are taken in one ``uint64`` pass over the walk's
+        input states, except for CachedReplay, whose lookups need them: its
+        walk takes every input up front as if each row missed, and takes
+        them again from the first row a hit (no draws) has moved."""
+        X = np.empty((n, dim))
+        end, leads = self._walk((p,), X, rng, dim)
+        if leads is not None:
+            X[:] = _uniform_rows(leads, dim)
+        return X, end
 
-    def _answer_rows(self, fresh: list[int]) -> None:
-        """Respond to the planned rows `fresh`, one block per route, then
-        commit the replay-cache entries they fill."""
-        blocks: dict[int, list[int]] = {}
-        for i in fresh:
-            blocks.setdefault(id(self._routes[i]), []).append(i)
-        for rows in blocks.values():
-            route = self._routes[rows[0]]
-            draws = _scalar_draws if len(rows) < _CROSSOVER else _array_draws
-            nonces, tags, latencies, noise = draws(route, [self._starts[i] for i in rows])
-            X = np.array([self._xs[i] for i in rows])
-            probs = P = forward_batch(route.model, X)
-            if noise is not None:
-                # perturb, clamp to [0,1], renormalize by the row sum (uniform
-                # if it is 0); the supplier's certificate, issued over P
-                # below, rides along and is invalid for the altered vector
-                probs = np.clip(P + noise, 0.0, 1.0)
-                total = probs.sum(axis=1, keepdims=True)
-                if total.all():  # the usual case, without the masked pass
-                    probs /= total
-                else:
-                    kept = total > 0
-                    probs = np.where(kept, probs / np.where(kept, total, 1.0),
-                                     1.0 / route.model.n_out)
-            if tags is not None:
-                certs = list(map(Certificate, nonces, tags))
-            elif nonces is not None:
-                # _cert_message, cut from the block's canonical bytes
-                xw, pw = 8 * route.model.n_in, 8 * route.model.n_out
-                xb, pb = canon.vec(X), canon.vec(P)
-                certs = [Certificate(n, hmac_sha256(
-                    route.key, xb[j * xw:(j + 1) * xw] + pb[j * pw:(j + 1) * pw] + n))
-                    for j, n in enumerate(nonces)]
-            else:
-                certs = [None] * len(rows)
-            for i, pr, cert, latency in zip(rows, probs, certs, latencies):
-                self._responses[i] = Response(pr, cert, latency)
+    def _walk(self, providers: tuple[Provider, ...], X: np.ndarray, rng: int,
+              lead: int) -> tuple[int, list[int] | None]:
+        """Plan the rows of X, each asked of every provider in turn after
+        `lead` draws of the caller's (its input, when lead > 0). Returns the
+        end state and, unless lead is 0 or a CachedReplay walk drew the
+        inputs into X itself, each row's state before its lead draws."""
+        # route 2j is provider j's only or honest route, 2j + 1 its cheat one
+        table, fixed, replay = [], True, False
+        for p in providers:
+            table += (p._fixed or p._honest,
+                      p._cheat if p.kind == PARTIAL_CHEAT else None)
+            fixed, replay = fixed and p._fixed, replay or p.kind == CACHED_REPLAY
+        width = X.shape[1] if X.ndim == 2 else None
+        for route in table:  # the shape check, once for the block
+            if route is not None and route.model.n_in != width:
+                raise ShapeError(f"query dim {X.shape[1:]} does not match "
+                                 f"model input {route.model.n_in}")
+        base, m, r = len(self._routes), len(X), len(providers)
+        if fixed:  # each provider's rows one arithmetic progression apart
+            only, offsets, at = table[0::2], [], lead * _GOLDEN
+            for j, route in enumerate(only):
+                offsets.append(at)
+                self._add(route, list(range(base + j, base + m * r, r)), X, None)
+                at += route.count * _GOLDEN
+            self._starts += [(rng + k * at + o) & MASK64
+                             for k in range(m) for o in offsets]
+            self._routes += only * m
+            leads = [(rng + k * at) & MASK64 for k in range(m)] if lead else None
+            return ((rng + m * at) & MASK64 if m else rng), leads
+        routes, starts, leads, state = self._routes, self._starts, [], rng
+        rows_of = [[] for _ in table]
+        draw, w, guess = lead and replay, 8 * width, None
+        if draw:
+            # its guess: row k's input starts `stride` draws after row
+            # k - 1's, as when every row misses
+            stride = (lead + sum(route.count for route in table[0::2])
+                      + sum(p.kind == PARTIAL_CHEAT for p in providers)) * _GOLDEN
+        elif replay:
+            xb = canon.vec(X)
+        for i in range(m):
+            if draw:
+                if state & MASK64 != guess:  # the first row or one a hit moved
+                    guess = state & MASK64
+                    X[i:] = _uniform_rows([(guess + k * stride) & MASK64
+                                           for k in range(m - i)], lead)
+                    xb = canon.vec(X)
+                guess = (guess + stride) & MASK64
+                state = (state + lead * _GOLDEN) & MASK64
+            elif lead:
+                leads.append(state & MASK64)
+                state = (state + lead * _GOLDEN) & MASK64
+            for j, p in enumerate(providers):
+                code, row = 2 * j, len(routes)
+                if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
+                    state = (state + _GOLDEN) & MASK64
+                    code += (mix64(state) >> 11) * _INV53 < p.cheat_rate
+                elif p.kind == CACHED_REPLAY:
+                    digest = canon.sha256(xb[i * w:(i + 1) * w])
+                    hit = p.cache.get(digest)
+                    if hit is not None:
+                        self._replays[row] = hit
+                        routes.append(None)
+                        starts.append(state & MASK64)
+                        continue
+                    p.cache[digest] = (self, row)
+                    self._commits[row] = (p.cache, digest)
+                route = table[code]
+                routes.append(route)
+                starts.append(state & MASK64)
+                rows_of[code].append(row)
+                state = (state + route.count * _GOLDEN) & MASK64
+        for route, rows in zip(table, rows_of):
+            if rows:  # with every row of the block, X itself
+                self._add(route, rows, X, None if len(rows) == m * r == m else
+                          [(row - base) // r for row in rows])
+        return state, (leads if lead and not draw else None)
+
+    def _add(self, route: _Route, rows: list[int], X: np.ndarray, picked) -> None:
+        block = self._fresh.get(id(route))
+        if block is None:
+            self._fresh[id(route)] = (route, rows, [(X, picked)])
+        else:  # two providers of one call may share a route
+            self._ascending = self._ascending and rows[0] > block[1][-1]
+            block[1].extend(rows)
+            block[2].append((X, picked))
+
+    def answer(self) -> Answers:
+        done, n = len(self._answers), len(self._routes)
+        if n == done:
+            return self._answers
+        blocks = [(rows, _answer_block(route, [self._starts[i] for i in rows],
+                                       _gather(pieces)))
+                  for route, rows, pieces in self._fresh.values()]
+        self._fresh.clear()
+        if len(blocks) == 1 and not self._replays and self._ascending:
+            M, certs, latencies = blocks[0][1]  # the usual case: one block, in order
+            probs = labels = None
+        else:
+            M, probs, labels, certs, latencies = self._scatter(blocks, done, n)
+        self._ascending = True
+        if self._commits and probs is None:
+            probs = list(M)  # row views, shared with the Answers
         for i, (cache, digest) in self._commits.items():
-            cache[digest] = self._responses[i]
+            j = i - done
+            cache[digest] = self._kept[i] = Response(probs[j], certs[j],
+                                                     latencies[j])
         self._commits.clear()
+        if self._replays:
+            self._replay_rows(done, M, probs, labels, certs, latencies)
+        if done:
+            old = self._answers
+            if (M is not None and old.matrix is not None
+                    and M.shape[1] == old.matrix.shape[1]):
+                M, probs, labels = np.concatenate([old.matrix, M]), None, None
+            else:
+                if labels is None:
+                    labels = M.argmax(axis=1)
+                labels = np.concatenate([old.labels, labels])
+                probs, M = old.probs + (probs if M is None else list(M)), None
+            certs = old.certificates + certs
+            latencies = old.latencies + latencies
+        self._answers = Answers(M, probs, labels, certs, latencies, self._kept)
+        return self._answers
+
+    def _replay_rows(self, done: int, M, probs, labels, certs, latencies) -> None:
+        """Fill the replay rows' columns from the Responses the replay cache
+        keeps, answering first a batch where one is still pending."""
+        at, hits = [], []
+        for i, hit in self._replays.items():
+            if isinstance(hit, tuple):
+                batch, pending = hit
+                if pending not in batch._kept:
+                    batch.answer()
+                hit = batch._kept[pending]
+            self._kept[i] = hit
+            at.append(i - done)
+            hits.append(hit)
+            certs[i - done], latencies[i - done] = hit.certificate, hit.latency_ms
+        self._replays.clear()
+        if M is not None:
+            M[at] = [hit.probs for hit in hits]
+        for j, hit in zip(at, hits) if M is None else ():
+            probs[j], labels[j] = hit.probs, hit.probs.argmax()
+
+    def _scatter(self, blocks: list, done: int, n: int):
+        """The columns of rows done..n from their route blocks, with room for
+        the replay rows: one matrix when every row has one width (a pending
+        replay's width is its route's), else one vector and label per row."""
+        k = n - done
+        widths = {P.shape[1] for _, (P, _, _) in blocks}
+        widths.update(hit[0]._routes[hit[1]].model.n_out if isinstance(hit, tuple)
+                      else len(hit.probs) for hit in self._replays.values())
+        M = np.empty((k, widths.pop())) if len(widths) == 1 else None
+        probs, labels = ((None, None) if M is not None
+                         else ([None] * k, np.empty(k, np.intp)))
+        certs, latencies = [None] * k, np.empty(k)
+        for rows, (P, C, lat) in blocks:
+            at = np.array(rows) - done
+            latencies[at] = lat
+            if M is not None:
+                M[at] = P
+            else:
+                labels[at] = P.argmax(axis=1)
+                for j, pr in zip(at.tolist(), P):
+                    probs[j] = pr
+            for j, cert in zip(at.tolist(), C) if C[0] is not None else ():
+                certs[j] = cert
+        return M, probs, labels, certs, latencies.tolist()
+
+
+def _gather(pieces: list[tuple]) -> np.ndarray:
+    """A route's rows from the input blocks they come from, in order: each
+    piece is a block and the block rows taken (None for all of them)."""
+    if len(pieces) == 1:
+        X, picked = pieces[0]
+        return X if picked is None else X[picked]
+    X = np.concatenate([X for X, _ in pieces])
+    if all(picked is None for _, picked in pieces):
+        return X
+    at, rows = 0, []
+    for piece, picked in pieces:
+        rows += (range(at, at + len(piece)) if picked is None
+                 else [at + i for i in picked])
+        at += len(piece)
+    return X[rows]
+
+
+def _uniform_rows(states: list[int], dim: int) -> np.ndarray:
+    """`uniform_array(s, dim)` for each state s, as the rows of a matrix."""
+    return uniform_of(draw_array(np.array(states, dtype=np.uint64)[:, None],
+                                 np.arange(1, dim + 1, dtype=np.uint64)))
+
+
+def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
+    """One route's rows answered as one block: their probabilities (noised
+    when the route adds noise), certificates and latencies."""
+    draws = _scalar_draws if len(starts) < _CROSSOVER else _array_draws
+    nonces, tags, latencies, noise = draws(route, starts)
+    # Response's latency check, once for the block
+    if not all(map(math.isfinite, latencies)):
+        raise ParameterError("latency_ms must be finite")
+    if min(latencies) < 0:
+        raise ParameterError("latency_ms must be >= 0")
+    probs = P = forward_batch(route.model, X)
+    if noise is not None:
+        # perturb, clamp to [0,1], renormalize by the row sum (uniform if it
+        # is 0); the supplier's certificate, issued over P below, rides along
+        # and is invalid for the altered vector
+        probs = np.clip(P + noise, 0.0, 1.0)
+        total = probs.sum(axis=1, keepdims=True)
+        if total.all():  # the usual case, without the masked pass
+            probs /= total
+        else:
+            kept = total > 0
+            probs = np.where(kept, probs / np.where(kept, total, 1.0),
+                             1.0 / route.model.n_out)
+    if tags is not None:
+        certs = list(map(Certificate, nonces, tags))
+    elif nonces is not None:
+        # _cert_message, cut from the block's canonical bytes
+        xw, pw = 8 * route.model.n_in, 8 * route.model.n_out
+        xb, pb = canon.vec(X), canon.vec(P)
+        certs = [Certificate(n, hmac_sha256(
+            route.key, xb[j * xw:(j + 1) * xw] + pb[j * pw:(j + 1) * pw] + n))
+            for j, n in enumerate(nonces)]
+    else:
+        certs = [None] * len(starts)
+    return probs, certs, latencies
 
 
 def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
@@ -393,7 +625,7 @@ def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
 
 
 def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
-    """One query against the provider."""
+    """One query against the provider: the block of one row."""
     batch = QueryBatch()
-    rng = batch.provider(p, x, rng)
+    rng = batch.ask(np.asarray(x, dtype=np.float64)[None], p, rng)
     return batch.answer()[0], rng

@@ -23,7 +23,7 @@ from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       run_audit_round)
 from .cache import _cached, _cached_f64s, _model_cache_key, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (LatencyModel, Provider, QueryBatch, Response,
+from .entities import (Answers, LatencyModel, Provider, QueryBatch,
                        SeedPublication, Supplier)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
@@ -215,19 +215,16 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 
 
 def _ask_uniform(provider: Provider, dim: int, state: int,
-                 n: int) -> tuple[list[np.ndarray], list[Response]]:
+                 n: int) -> tuple[np.ndarray, Answers]:
     """Draw an input, then ask it, n times on one stream."""
-    batch, xs = QueryBatch(), []
-    for _ in range(n):
-        x, state = uniform_array(state, dim)
-        state = batch.provider(provider, x, state)
-        xs.append(x)
+    batch = QueryBatch()
+    xs, _ = batch.ask_uniform(provider, dim, n, state)
     return xs, batch.answer()
 
 
 def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
     _, answers = _ask_uniform(provider, dim, derive_seed(seed, 7), _LATENCY_PINGS)
-    return sum(resp.latency_ms for resp in answers) / _LATENCY_PINGS
+    return sum(answers.latencies) / _LATENCY_PINGS
 
 
 def _verdict_trial(run):
@@ -287,17 +284,19 @@ def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
         classes, ver["trials_per_class"], acfg, params, seed)
 
     # attack k draws on its own stream, so the attacks are independent and
-    # advance in lockstep: each scorer call plans every row on its owner's
-    # stream, in row order, then answers them as one batch
+    # advance in lockstep: each scorer call plans each attack's run of rows
+    # as one block on its stream, in row order, then answers them as one
+    # batch
     base = derive_seed(seed, 3)
     streams = [derive_seed(base, k)
                for k in range(len(classes) * ver["trials_per_class"])]
 
     def service(X, owners):
         batch = QueryBatch()
-        for x, k in zip(X, owners.tolist()):
-            streams[k] = batch.provider(provider, x, streams[k])
-        return np.stack([resp.probs for resp in batch.answer()])
+        cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(owners)]
+        for a, b, k in zip(cuts, cuts[1:], owners[cuts[:-1]].tolist()):
+            streams[k] = batch.ask(X[a:b], provider, streams[k])
+        return batch.answer().matrix
 
     measured = robustness_benchmark(RowScorer(service), dim, classes,
                                     ver["trials_per_class"], acfg, params, seed)

@@ -15,10 +15,16 @@ Four methods:
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
+The verifiers ask through a QueryBatch, a block of rows per call, and read
+its answers as columns: the steg probe and the probabilistic benchmark
+compare label arrays, the deterministic benchmark compares each batch's
+probability bytes with the reference's in one pass, and no Response is
+built for a row no replay cache keeps.
+
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
-on a stream of their own (derive_seed(seed, 1)), then plans every query in
-one loop on the caller's stream. The calibration asks the supplier as an
+on a stream of their own (derive_seed(seed, 1)), then plans every query as
+one block on the caller's stream. The calibration asks the supplier as an
 honest pass-through provider, which takes exactly the supplier's draws.
 """
 
@@ -31,8 +37,8 @@ import numpy as np
 from . import canon, stats
 from .cache import trained_model
 from .data import BlobRecipe
-from .entities import (HONEST_PASSTHROUGH, Provider, QueryBatch, Response,
-                       SeedPublication, Supplier, verify_certificate)
+from .entities import (HONEST_PASSTHROUGH, Answers, Provider, QueryBatch,
+                       Response, SeedPublication, Supplier, verify_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
@@ -138,10 +144,8 @@ def _probe_counts(provider: Provider, steg: StegModel,
     rows = rows.copy()
     rows[is_steg] = containers
     batch = QueryBatch()
-    for x in rows:
-        state = batch.provider(provider, x, state)
-    mc = reveal.message_class
-    flagged = np.array([r.probs.argmax() == mc for r in batch.answer()])
+    batch.ask(rows, provider, state)
+    flagged = batch.answer().labels == reveal.message_class
     return int(flagged[is_steg].sum()), int((~flagged[~is_steg]).sum())
 
 
@@ -205,35 +209,41 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     provider's probability vectors to match the local ones bit-for-bit on
     their canonical serialization. A single mismatch is proof of fraud; full
     agreement certifies exactly the queried set."""
-    queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    if not queries:
+    if isinstance(queries, np.ndarray):
+        queries = np.asarray(queries, dtype=np.float64)
+    else:
+        queries = [np.asarray(q, dtype=np.float64) for q in queries]
+    if not len(queries):
         return _verdict(METHOD_DETERMINISTIC, 0, 0.0, 1.0, INCONCLUSIVE,
                         "no queries issued")
     local = trained_model(publication.architecture, publication.train_config,
                           data_recipe, data_recipe.n_per_class)
-    for x in queries:
-        if x.shape != (local.n_in,):
-            raise ShapeError(f"query shape {x.shape} does not match published "
-                             f"input width {local.n_in}")
+    if not (isinstance(queries, np.ndarray) and queries.shape[1:] == (local.n_in,)):
+        for x in queries:
+            if np.shape(x) != (local.n_in,):
+                raise ShapeError(f"query shape {np.shape(x)} does not match "
+                                 f"published input width {local.n_in}")
+        queries = np.array(queries)
     # queries go out in batches of 1, 4, 16, ..., each checked against one
     # forward_batch of the reference, so a cheat caught early costs little
     state, start, size = rng, 0, 1
     while start < len(queries):
         chunk = queries[start:start + size]
         batch = QueryBatch()
-        for x in chunk:
-            state = batch.provider(provider, x, state)
-        wants = forward_batch(local, np.stack(chunk))
-        for i, (resp, want) in enumerate(zip(batch.answer(), wants), start):
-            if len(resp.probs) != len(want):
-                raise ShapeError(
-                    f"response width {len(resp.probs)} != published "
-                    f"architecture width {len(want)}")
-            if canon.vec(resp.probs) != canon.vec(want):
-                return _verdict(
-                    METHOD_DETERMINISTIC, i + 1, 1.0, 0.0, LIKELY_FRAUDULENT,
-                    f"query {i} differs from the seed-retrained reference "
-                    f"(bitwise compare)")
+        state = batch.ask(chunk, provider, state)
+        answers = batch.answer()
+        wants = forward_batch(local, chunk)
+        bad = _first_difference(answers, wants)
+        if bad is not None:
+            width = len(answers.probs[bad])
+            if width != wants.shape[1]:
+                raise ShapeError(f"response width {width} != published "
+                                 f"architecture width {wants.shape[1]}")
+            i = start + bad
+            return _verdict(
+                METHOD_DETERMINISTIC, i + 1, 1.0, 0.0, LIKELY_FRAUDULENT,
+                f"query {i} differs from the seed-retrained reference "
+                f"(bitwise compare)")
         start += size
         size *= 4
     return _verdict(
@@ -254,16 +264,12 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
-    honest, batch = Provider(HONEST_PASSTHROUGH, supplier), QueryBatch()
-    for i in idx:
-        state = batch.provider(provider, labeled.inputs[i], state)
-        state = batch.provider(honest, labeled.inputs[i], state)
-    answers = batch.answer()
-    correct_p = correct_s = 0
-    labels = labeled.labels[idx].tolist()
-    for y, rp, rs in zip(labels, answers[0::2], answers[1::2]):
-        correct_p += int(rp.probs.argmax()) == y
-        correct_s += int(rs.probs.argmax()) == y
+    batch = QueryBatch()
+    batch.ask(labeled.inputs[idx],
+              (provider, Provider(HONEST_PASSTHROUGH, supplier)), state)
+    said, y = batch.answer().labels, labeled.labels[idx]
+    correct_p = int((said[0::2] == y).sum())
+    correct_s = int((said[1::2] == y).sum())
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)
     gap = (correct_s - correct_p) / k
     decision = LIKELY_FRAUDULENT if p_value < alpha else LIKELY_HONEST
@@ -271,6 +277,19 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
         METHOD_PROBABILISTIC, k, gap, p_value, decision,
         f"k={k} pairs: supplier {correct_s}/{k}, provider {correct_p}/{k}, "
         f"z={z:.4f}")
+
+
+def _first_difference(answers: Answers, wants: np.ndarray) -> int | None:
+    """The first answer whose width or canonical bytes differ from the same
+    row of `wants`, or None when every row is the same."""
+    width, M = wants.shape[1], answers.matrix
+    if M is not None and M.shape[1] == width:
+        # equal canonical bytes are equal 64-bit words
+        same = (M.view(np.uint64) == wants.view(np.uint64)).all(axis=1)
+    else:
+        same = np.array([len(p) == width and canon.vec(p) == canon.vec(w)
+                         for p, w in zip(answers.probs, wants)])
+    return None if same.all() else int(np.argmin(same))
 
 
 def metaresult_verify(responses: list[tuple[np.ndarray, Response]],

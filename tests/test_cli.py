@@ -328,3 +328,35 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_shared_parser_behaves_as_a_fresh_one(config_path, tmp_path, capsys):
+    """`main` builds its parser once per process; a run, a bad argv, an
+    explain and --version in a row each behave as with a parser built for
+    that call alone."""
+    out = tmp_path / "report.json"
+    steps = [["run", "--config", config_path, "--out", str(out)],
+             ["run", "--no-such-flag"],
+             ["explain", "--report", str(out), "--trial", "1"],
+             ["--version"]]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    shared = [outcome(argv) for argv in steps]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in steps:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [
+        cli.EXIT_OK, ("exit", 2), cli.EXIT_OK, ("exit", 0)]
+    assert "veriml run: error:" in shared[1][2]
+    assert "trial 1" in shared[2][1]

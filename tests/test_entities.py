@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from veriml import canon, entities, mlp
 from veriml.errors import ParameterError, ShapeError
-from veriml.rng import rng_bytes, rng_gauss, rng_uniform, uniform_array
+from veriml.rng import (MASK64, rng_advance, rng_bytes, rng_gauss, rng_uniform,
+                        uniform_array)
 from veriml.steg import RevealClassifier
 
 KEY = bytes(range(32))
@@ -309,6 +311,7 @@ def _same_response(a, b):
 
 
 def _same_answers(seq, got):
+    got = list(got)  # an Answers builds a fresh Response for an unkept row
     assert len(seq) == len(got)
     for a, b in zip(seq, got):
         _same_response(a, b)
@@ -339,8 +342,7 @@ def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
     many, rng_b, got = provider(), 99, []
     for part in (rows[:7], rows[7:]):
         batch = entities.QueryBatch()
-        for x in part:
-            rng_b = batch.provider(many, x, rng_b)
+        rng_b = batch.ask(np.array(part), many, rng_b)
         got += batch.answer()
     assert rng_b == rng
     _same_answers(seq, got)
@@ -362,9 +364,7 @@ def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
     # the supplier side is asked as an honest pass-through provider
     honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
     many, rng_b, batch = provider(), 7, entities.QueryBatch()
-    for x in rows:
-        rng_b = batch.provider(many, x, rng_b)
-        rng_b = batch.provider(honest, x, rng_b)
+    rng_b = batch.ask(np.array(rows), (many, honest), rng_b)
     assert rng_b == rng
     _same_answers(seq, batch.answer())
     _same_cache(one.cache, many.cache)
@@ -492,13 +492,11 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
     many, rng_b, got, ends = provider(), 99, [], []
     for part in (first, second):
         batch = entities.QueryBatch()
-        for x in part:
-            rng_b = batch.provider(many, x, rng_b)
+        rng_b = batch.ask(np.array(part), many, rng_b)
         # the rows that draw, counted per route: one uint64 pass for each
         # route with at least _CROSSOVER of them, and none for the others
         drawn = collections.Counter(
-            id(route) for route, resp in zip(batch._routes, batch._responses)
-            if resp is None)
+            id(route) for route in batch._routes if route is not None)
         begin = len(passes)
         got += batch.answer()
         ends.append(len(passes))
@@ -530,8 +528,7 @@ def test_columnar_batch_takes_any_int_state(steg_env, kind, state):
         resp, rng = entities.provider_classify(one, x, rng)
         seq.append(resp)
     many, rng_b, batch = provider(), state, entities.QueryBatch()
-    for x in rows:
-        rng_b = batch.provider(many, x, rng_b)
+    rng_b = batch.ask(np.array(rows), many, rng_b)
     assert rng_b == rng
     _same_answers(seq, batch.answer())
 
@@ -541,10 +538,9 @@ def test_replay_pending_in_another_batch_is_answered_once(supplier_pair):
     p = entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier)
     x, y = _x(31), _x(32)
     first, second = entities.QueryBatch(), entities.QueryBatch()
-    rng = first.provider(p, x, 3)
-    rng = second.provider(p, x, rng)   # pending in `first`: no draw
-    rng = second.provider(p, y, rng)
-    rng = first.provider(p, y, rng)    # pending in `second`
+    rng = first.ask(x[None], p, 3)
+    rng = second.ask(np.array([x, y]), p, rng)  # x pending in `first`: no draw
+    rng = first.ask(y[None], p, rng)    # pending in `second`
     got = second.answer()
     assert got[0] is first.answer()[0] is p.cache[canon.sha256(canon.vec(x))]
     assert first.answer()[1] is got[1]
@@ -561,9 +557,9 @@ def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
     supplier, _ = supplier_pair
     batch = entities.QueryBatch()
     with pytest.raises(ShapeError):
-        batch.provider(entities.Provider(entities.HONEST_PASSTHROUGH, supplier),
-                       np.zeros(5), 1)
-    assert batch.answer() == []
+        batch.ask(np.zeros((1, 5)),
+                  entities.Provider(entities.HONEST_PASSTHROUGH, supplier), 1)
+    assert len(batch.answer()) == 0
 
 
 def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch):
@@ -586,13 +582,179 @@ def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch
             return draws(route, starts)
         monkeypatch.setattr(entities, name, counted)
     many, rng_b, batch = provider(), 11, entities.QueryBatch()
-    for x in rows:
-        rng_b = batch.provider(many, x, rng_b)
+    rng_b = batch.ask(np.array(rows), many, rng_b)
     assert rng_b == rng
     _same_answers(seq, batch.answer())
     rows_of = dict(calls)
     assert len(calls) == 2 and sum(rows_of.values()) == len(rows)
     assert rows_of["_scalar_draws"] < entities._CROSSOVER <= rows_of["_array_draws"]
+
+
+# -- block plans: a block of rows equals asking one query at a time -------------
+
+
+def _reference_walk(p, x, state):
+    """One query walked by its definition: the route from the kind (the
+    coin with rng_uniform, the replay lookup), the start state, the draws
+    skipped with rng_advance, and the answer by `_reference_classify`.
+    Returns (response, start state, end state)."""
+    route, after = p._honest, state
+    if p.kind == entities.CACHED_REPLAY:
+        if canon.sha256(canon.vec(x)) in p.cache:
+            route = None
+    elif p.kind == entities.PARTIAL_CHEAT:
+        u, after = rng_uniform(state)
+        route = p._cheat if u < p.cheat_rate else p._honest
+    elif p.kind == entities.SUBSTITUTE_MODEL:
+        route = p._cheat
+    start = after & MASK64
+    end = after if route is None else rng_advance(after, route.count)
+    resp, rng = _reference_classify(p, x, state)
+    assert rng == end
+    return resp, start, end
+
+
+def _same_columns(want, answers):
+    """An Answers' columns against reference responses, row by row."""
+    assert answers.labels.tolist() == [int(r.probs.argmax()) for r in want]
+    assert answers.latencies == [r.latency_ms for r in want]
+    assert [c is None for c in answers.certificates] == \
+        [r.certificate is None for r in want]
+    assert [canon.vec(v) for v in answers.probs] == [canon.vec(r.probs) for r in want]
+    if answers.matrix is not None:
+        assert answers.matrix.tobytes() == b"".join(canon.vec(r.probs) for r in want)
+
+
+_POOL = [_x(9000 + i) for i in range(6)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(entities.PROVIDER_KINDS), mac=st.booleans(),
+       reveal=st.booleans(), rate=st.sampled_from([0.0, 0.37, 1.0]),
+       turns=st.sampled_from(["alone", "honest", "twice"]),
+       picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=24),
+       data=st.data())
+def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate,
+                                               turns, picks, data):
+    """Random splits of a query sequence into blocks, each planned in order
+    on one stream in one of two batches; the first batch may be answered
+    part way (before block `early`), and the second batch is answered first
+    at the end, so a CachedReplay input it repeats from the first batch
+    replays a row still pending there. Every row is asked of the provider
+    alone, of the provider and then the honest supplier (ProbabilisticBench's
+    pattern), or of the provider twice in turn."""
+    supplier, variant = _variant(steg_env, kind, mac, reveal)
+
+    def provider():
+        return dataclasses.replace(variant(), cheat_rate=rate)
+    rows = np.array([_POOL[i] for i in picks])
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1)), "cuts")
+                  if len(rows) > 1 else set())
+    blocks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    sides = data.draw(st.lists(st.booleans(), min_size=len(blocks),
+                               max_size=len(blocks)), "sides")
+    early = data.draw(st.integers(0, len(blocks)), "early")
+
+    one, many = provider(), provider()
+    honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
+    ref_honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
+    askers, ref_askers = {"alone": ((many,), (one,)),
+                          "honest": ((many, honest), (one, ref_honest)),
+                          "twice": ((many, many), (one, one))}[turns]
+    state, want, want_starts = 99, [], []
+    for x in rows:
+        for p in ref_askers:
+            resp, start, state = _reference_walk(p, x, state)
+            want.append(resp)
+            want_starts.append(start)
+
+    batches, rng, spans = (entities.QueryBatch(), entities.QueryBatch()), 99, []
+    for b, (block, side) in enumerate(zip(blocks, sides)):
+        if b == early:  # rows planned after an answer join the next one
+            batches[0].answer()
+        batch = batches[side]
+        spans.append((side, len(batch._starts), len(block) * len(askers)))
+        rng = batch.ask(block, many if turns == "alone" else askers, rng)
+    assert rng == state
+    assert [start for side, at, k in spans
+            for start in batches[side]._starts[at:at + k]] == want_starts
+    late = batches[1].answer()  # may answer batch 0 first
+    answered = (batches[0].answer(), late)
+    got = [answered[side][i] for side, at, k in spans for i in range(at, at + k)]
+    _same_answers(want, got)
+    side_of = [side for side, _, k in spans for _ in range(k)]
+    for side in (0, 1):
+        _same_columns([w for w, s in zip(want, side_of) if s == side],
+                      answered[side])
+    _same_cache(one.cache, many.cache)
+
+
+def _reference_uniform(p, dim, n, state):
+    """`runner._ask_uniform` by its per-row definition: an input from
+    uniform_array, then that input asked, n times on one stream."""
+    xs, want, starts = [], [], []
+    for _ in range(n):
+        x, state = uniform_array(state, dim)
+        resp, start, state = _reference_walk(p, x, state)
+        xs.append(x)
+        want.append(resp)
+        starts.append(start)
+    return np.array(xs).reshape(n, dim), want, starts, state
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(entities.PROVIDER_KINDS), mac=st.booleans(),
+       rate=st.sampled_from([0.0, 0.37, 1.0]), n=st.integers(1, 20),
+       seeded=st.integers(0, 19) | st.none())
+def test_ask_uniform_equals_its_definition(steg_env, kind, mac, rate, n, seeded):
+    """With `seeded`, a CachedReplay cache holds the digest of the input the
+    all-miss walk would draw at that row, so the hit skips its draws and
+    shifts every later input."""
+    _, variant = _variant(steg_env, kind, mac, False)
+
+    def provider():
+        return dataclasses.replace(variant(), cheat_rate=rate)
+    one, many = provider(), provider()
+    if kind == entities.CACHED_REPLAY and seeded is not None and seeded < n:
+        xs, want, _, _ = _reference_uniform(provider(), 16, n, 5)
+        key = canon.sha256(canon.vec(xs[seeded]))
+        one.cache[key] = many.cache[key] = want[seeded]
+    xs, want, starts, state = _reference_uniform(one, 16, n, 5)
+    batch = entities.QueryBatch()
+    got_xs, rng = batch.ask_uniform(many, 16, n, 5)
+    assert rng == state
+    assert got_xs.tobytes() == xs.tobytes()
+    assert batch._starts == starts
+    answers = batch.answer()
+    _same_answers(want, answers)
+    _same_columns(want, answers)
+    _same_cache(one.cache, many.cache)
+    if kind == entities.CACHED_REPLAY and seeded is not None and seeded < n - 1:
+        # the hit took no draws, so the next input differs from the all-miss one
+        unseeded, _, _, _ = _reference_uniform(provider(), 16, n, 5)
+        assert got_xs[seeded + 1].tobytes() != unseeded[seeded + 1].tobytes()
+
+
+# -- what the column path guarantees ----------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_latency_is_rejected_from_a_block_and_one_query(supplier_pair):
+    # base + jitter * u overflows to inf once u > 0.797...: the block's
+    # latency check raises what Response's own check raises, from the uint64
+    # pass (40 rows) and from the one-query path
+    supplier, _ = supplier_pair
+    huge = dataclasses.replace(supplier, latency=entities.LatencyModel(1e308, 1e308))
+    p = entities.Provider(entities.HONEST_PASSTHROUGH, huge)
+    batch = entities.QueryBatch()
+    batch.ask(np.array([_x(8000 + i) for i in range(40)]), p, 3)
+    with pytest.raises(ParameterError, match="latency_ms must be finite"):
+        batch.answer()
+    # a start state whose latency draw (after the nonce) overflows
+    state = next(s for s in range(64) if not math.isfinite(
+        huge.latency.sample(rng_advance(s, p._honest.latency_at))[0]))
+    with pytest.raises(ParameterError, match="latency_ms must be finite"):
+        entities.provider_classify(p, _x(8100), state)
 
 
 def test_actors_are_frozen(supplier_pair):

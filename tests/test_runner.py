@@ -9,17 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from veriml import auditor, cache, canon, cli, data, mlp, runner, verifiers
+from veriml import (auditor, cache, canon, cli, data, entities, mlp, runner,
+                    verifiers)
 from veriml import config as cfgmod
 from veriml.adversarial import (AttackConfig, RobustnessScore, SigmoidParams,
                                 claim_check, robustness_benchmark,
                                 robustness_score)
-from veriml.entities import (CACHED_REPLAY, PROVIDER_KINDS, QueryBatch,
-                             provider_classify)
+from veriml.entities import (CACHED_REPLAY, PARTIAL_CHEAT, PROVIDER_KINDS,
+                             QueryBatch, provider_classify)
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
 from veriml.mlp import forward, save_model
-from veriml.rng import derive_seed, uniform_array
+from veriml.rng import derive_seed, rng_advance, uniform_array
 
 REPORT_KEYS = {"schema_version", "version", "scenario", "master_seed", "trials",
                "config", "trial_results", "aggregates", "wall_time_s"}
@@ -202,6 +203,36 @@ def _reference_trial_robustness(fx, raw, seed):
     return trial, provider, box
 
 
+@pytest.mark.parametrize("kind", [k for k in PROVIDER_KINDS if k != CACHED_REPLAY])
+@pytest.mark.parametrize("env", ["prob_env", "steg_env", "det_env"])
+def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
+                                                      env, kind):
+    """The verifiers and the latency pings read the answers' columns: a trial
+    whose provider keeps no replay cache makes no Response at all."""
+    cfg, base = request.getfixturevalue(env)
+    fx = dataclasses.replace(base, provider=dataclasses.replace(
+        base.provider, kind=kind, cheat_rate=0.5, noise_sigma=0.05))
+    made, rows = [], []
+
+    class Counted(entities.Response):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    real_answer = QueryBatch.answer
+
+    def answer(self):
+        answers = real_answer(self)
+        rows.append(len(answers))
+        return answers
+
+    monkeypatch.setattr(entities, "Response", Counted)
+    monkeypatch.setattr(QueryBatch, "answer", answer)
+    runner._TRIAL_FNS[cfg.scenario](fx, cfg.raw, 17)
+    assert sum(rows) > runner._LATENCY_PINGS
+    assert made == []
+
+
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 3])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
@@ -216,17 +247,23 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
         noise_sigma=0.05))
     raw = cfg.raw
     # every provider query's rng state before and after it, in order (the
-    # reference's one-query calls are batches of one), and the providers the
-    # trials make
+    # reference's one-query calls are blocks of one), read from the columns
+    # of the rows each batch answers, and the providers the trials make
     states, made = [], []
-    real_plan = QueryBatch.provider
+    real_answer = QueryBatch.answer
+    coin = 1 if kind == PARTIAL_CHEAT else 0  # the one draw before a start
 
-    def plan(self, p, x, rng):
-        out = real_plan(self, p, x, rng)
-        states.append((rng, out))
-        return out
+    def answer(self):
+        done = len(self._answers)
+        for route, start in zip(self._routes[done:], self._starts[done:]):
+            if route is None:  # a replay takes no draws
+                states.append((start, start))
+            else:
+                states.append((rng_advance(start, -coin),
+                               rng_advance(start, route.count)))
+        return real_answer(self)
 
-    monkeypatch.setattr(QueryBatch, "provider", plan)
+    monkeypatch.setattr(QueryBatch, "answer", answer)
     real_fresh = fx.fresh_provider
     monkeypatch.setattr(fx, "fresh_provider",
                         lambda: made.append(real_fresh()) or made[-1])

@@ -130,16 +130,27 @@ def reject_third(monkeypatch):
 
 @pytest.fixture()
 def sent_log(monkeypatch):
-    """The bytes of every query a QueryBatch answers and of its answers."""
+    """The bytes of every query a QueryBatch answers and of its answers:
+    the rows each `ask` plans (a block row once per provider it is asked
+    of), paired with the probability column `answer` returns."""
     log = []
-    real_answer = QueryBatch.answer
+    real_ask, real_answer = QueryBatch.ask, QueryBatch.answer
+
+    def ask(self, X, providers, rng):
+        out = real_ask(self, X, providers, rng)
+        turns = 1 if isinstance(providers, Provider) else len(providers)
+        self.__dict__.setdefault("sent", []).extend(
+            x.tobytes() for x in np.asarray(X, dtype=np.float64)
+            for _ in range(turns))
+        return out
 
     def answer(self):
-        responses = real_answer(self)
-        log.extend((x.tobytes(), canon.vec(r.probs))
-                   for x, r in zip(self._xs, responses))
-        return responses
+        answers = real_answer(self)
+        log.extend((x, canon.vec(probs))
+                   for x, probs in zip(self.sent, answers.probs))
+        return answers
 
+    monkeypatch.setattr(QueryBatch, "ask", ask)
     monkeypatch.setattr(QueryBatch, "answer", answer)
     return log
 
