@@ -118,3 +118,25 @@ def trained_model(arch: tuple[int, ...], tcfg: TrainConfig, recipe: BlobRecipe,
                          tcfg, adversarial_epsilon=adversarial_epsilon)
 
     return _cached(key, lambda blob: load_model(blob, SOFTMAX), train, save_model)
+
+
+# shared_model's per-process copies, oldest first
+_shared_models: dict[bytes, MlpModel] = {}
+_SHARED_KEPT = 16
+
+
+def shared_model(arch: tuple[int, ...], tcfg: TrainConfig, recipe: BlobRecipe,
+                 train_per_class: int) -> MlpModel:
+    """`trained_model(arch, tcfg, recipe, train_per_class)`, loaded once per
+    process per cache key (the last 16 keys are kept). Its arrays are
+    read-only: callers share one model."""
+    key = _model_cache_key(arch, tcfg, recipe, train_per_class, 1, 0.0)
+    model = _shared_models.pop(key, None)
+    if model is None:
+        model = trained_model(arch, tcfg, recipe, train_per_class)
+        for array in model.weights + model.biases:
+            array.flags.writeable = False
+    _shared_models[key] = model
+    if len(_shared_models) > _SHARED_KEPT:
+        del _shared_models[next(iter(_shared_models))]
+    return model

@@ -205,11 +205,37 @@ def _vector_streams_match() -> bool:
 def _forward_is_batch_invariant() -> bool:
     """forward_batch rows equal one-row forward bytes at batch sizes 1, 7,
     64 and 65 and under re-chunking. This rests on numpy's tanh and exp
-    giving the same bits on every vector path it dispatches to on this CPU."""
-    from . import rng
-    from .mlp import LINEAR, SOFTMAX, forward, forward_batch, init_mlp
+    giving the same bits on every vector path it dispatches to on this CPU,
+    and on numpy adding a layer's products left to right, which a linear
+    layer checks against a Python-float sum (one row and one output too)."""
+    import numpy as np
 
+    from . import rng
+    from .mlp import (LINEAR, SOFTMAX, MlpModel, forward, forward_batch,
+                      init_mlp)
+
+    # one large product, then 32 below half its ulp: left to right they are
+    # all lost, while any other order lets some add up first and round up;
+    # a row of -0.0 sums to -0.0, and stays -0.0 under the -0.0 bias
+    tiny, _ = rng.uniform_array(41, 3 * 32)
+    X = np.hstack([1.0 + np.arange(3)[:, None] / 4,
+                   (1.0 + tiny.reshape(3, 32)) * 2.0 ** -56])
+    X = np.vstack([X, np.full(33, -0.0)])
+    W = 1.0 + (np.arange(5)[:, None] + np.arange(33) % 4) / 8
+    b = (2 - np.arange(5)) / -8
     ok = True
+    for rows, outs in ((4, 5), (1, 5), (1, 1)):
+        want = []
+        for x in X[:rows].tolist():
+            for w, bias in zip(W[:outs].tolist(), b[:outs].tolist()):
+                acc = w[0] * x[0]
+                for wi, xi in zip(w[1:], x[1:]):
+                    acc = acc + wi * xi
+                want.append(acc + bias)
+        net = MlpModel((33, outs), [W[:outs]], [b[:outs]], LINEAR)
+        got = forward_batch(net, X[:rows])
+        ok = ok and got.tobytes() == np.array(want).tobytes()
+
     for dims, kind in (((12, 16, 9), SOFTMAX), ((9, 20, 3), LINEAR)):
         model = init_mlp(dims, weight_seed=5, output_kind=kind)
         state = 29

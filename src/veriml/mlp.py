@@ -9,14 +9,15 @@ batch shapes make it deterministic.
 
 Inference (`forward`, `forward_batch`) has a stricter contract: it is
 batch-invariant, so a row's output bytes do not depend on which other rows
-share its call. Each layer multiplies weights and inputs elementwise, sums
-the products strictly left to right over fan_in (`np.add.accumulate`, no
-BLAS and no pairwise reduction), then adds the bias; hidden layers apply
-tanh. Softmax subtracts the row max, exponentiates and divides by a row sum
-that is accumulated left to right the same way. One row, a batch, any
-chunking of a batch and any memory layout of the input give the same bytes,
-which is what lets the verifiers batch their queries and still compare
-answers bit for bit.
+share its call. Each layer multiplies weights and inputs elementwise into a
+C-ordered product array with fan_in as its outer axis, and `np.add.reduce`
+over that axis adds the products strictly left to right, one elementwise
+add per input (no BLAS and no pairwise reduction); then it adds the bias,
+and hidden layers apply tanh. Softmax subtracts the row max, exponentiates
+and divides by a row sum accumulated left to right (`np.add.accumulate`).
+One row, a batch, any chunking of a batch and any memory layout of the input
+give the same bytes, which is what lets the verifiers batch their queries
+and still compare answers bit for bit.
 """
 
 from __future__ import annotations
@@ -183,23 +184,55 @@ def backward(model: MlpModel, acts, d_last: np.ndarray):
     return Grads(gw, gb), d
 
 
-# rows per evaluation block: bounds the (rows, n_out, n_in) product array;
-# batch invariance keeps it out of the output bits
-_BLOCK_ROWS = 64
+# rows per evaluation block: bounds the product array, whose outer axis is
+# fan_in and whose two inner axes are the block's rows and the layer's
+# outputs; batch invariance keeps it out of the output bits
+_BLOCK_ROWS = 256
+
+
+def _sum_inputs(P: np.ndarray) -> np.ndarray:
+    """P summed over its outer axis, strictly left to right: for a C-ordered
+    P, numpy's reduction is one elementwise add per outer index."""
+    if P.size == len(P):
+        # a single-element block: numpy would fold this reduction into its
+        # pairwise inner-loop sum, so take the running sum instead
+        return np.add.accumulate(P, 0)[-1]
+    # numpy starts an add reduction from +0.0, which turns a sum of -0.0
+    # products into +0.0; -0.0 is the exact identity
+    return np.add.reduce(P, 0, initial=-0.0)
 
 
 def _infer(model: MlpModel, a: np.ndarray) -> np.ndarray:
-    """The batch-invariant kernel on (..., n_in) input."""
+    """The batch-invariant kernel on (rows, n_in) input, or on (n_in,) input,
+    which is what a block of one row is evaluated as.
+
+    A layer's products form a C-ordered array with fan_in on its outer axis:
+    (n_in, n_out) for one row, else (n_in, n_out, rows), or (n_in, rows,
+    n_out) when the outputs outnumber the rows, so the inner loop runs over
+    the longer axis. Summing over the outer axis adds one elementwise
+    product per input, strictly left to right; IEEE multiplication commutes,
+    so the bits are those of a running sum of w * a along fan_in."""
+    block = a.ndim == 2 and len(a) == 1
+    if block:
+        a = a[0]
     for l, w in enumerate(model.weights):
         if l:
-            a = np.tanh(a)
-        a = np.add.accumulate(w * a[..., None, :], -1)[..., -1] + model.biases[l]
+            a = np.tanh(np.add(a, model.biases[l - 1], out=a), out=a)
+        if a.ndim == 1:
+            a = _sum_inputs(np.multiply(a[:, None], w.T, order="C"))
+        elif len(a) >= len(w):
+            a = _sum_inputs(np.multiply(w.T[:, :, None], a.T[:, None, :],
+                                        order="C")).T
+        else:
+            a = _sum_inputs(np.multiply(a.T[:, :, None], w.T[:, None, :],
+                                        order="C"))
+    a = np.add(a, model.biases[-1], order="C")
     if model.output_kind == SOFTMAX:
         # the row max is exact in any order; maximum.accumulate is the
         # cheaper call on one row
         e = np.exp(a - np.maximum.accumulate(a, -1)[..., -1:])
         a = e / np.add.accumulate(e, -1)[..., -1:]
-    return a
+    return a[None, :] if block else a
 
 
 def forward_batch(model: MlpModel, X) -> np.ndarray:
@@ -219,12 +252,6 @@ def forward(model: MlpModel, x) -> np.ndarray:
         raise ShapeError(f"forward takes one input of dim {model.n_in}, "
                          f"got shape {x.shape}")
     return _infer(model, x)
-
-
-def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(labels), k))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
 
 
 def gradient(model: MlpModel, x, label: int) -> Grads:
@@ -284,20 +311,27 @@ def train_sgd(model: MlpModel, data: Dataset, cfg: TrainConfig,
     out = clone_model(model)
     n = len(data)
     state = cfg.seed_config.shuffle_seed
+    rows = np.arange(min(n, cfg.batch_size))
+
+    def loss_grad(X, y):
+        # probs - onehot(y), averaged over the batch; p - 0.0 == p, so
+        # subtracting 1.0 at each label alone gives the same bits
+        probs, acts = forward_cached(out, X)
+        probs[rows[:len(y)], y] -= 1.0
+        probs /= len(y)
+        return backward(out, acts, probs)
+
     for _ in range(cfg.epochs):
         order, state = shuffled_indices(state, n)
+        order = np.array(order)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             X = data.inputs[batch]
             y = data.labels[batch]
             if adversarial_epsilon > 0.0:
-                probs, acts = forward_cached(out, X)
-                dlogits = (probs - _onehot(y, out.n_out)) / len(batch)
-                _, dx = backward(out, acts, dlogits)
+                _, dx = loss_grad(X, y)
                 X = np.clip(X + adversarial_epsilon * np.sign(dx), 0.0, 1.0)
-            probs, acts = forward_cached(out, X)
-            dlogits = (probs - _onehot(y, out.n_out)) / len(batch)
-            grads, _ = backward(out, acts, dlogits)
+            grads, _ = loss_grad(X, y)
             apply_sgd(out, grads, cfg.learning_rate)
     return out
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canon, stats
-from .cache import trained_model
+from .cache import shared_model
 from .data import BlobRecipe
 from .entities import (HONEST_PASSTHROUGH, Answers, Provider, QueryBatch,
                        Response, SeedPublication, Supplier, verify_certificate)
@@ -208,7 +208,8 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     """Retrain the reference model from the published seeds, then require the
     provider's probability vectors to match the local ones bit-for-bit on
     their canonical serialization. A single mismatch is proof of fraud; full
-    agreement certifies exactly the queried set."""
+    agreement certifies exactly the queried set. The reference is loaded
+    once per process (`cache.shared_model`)."""
     if isinstance(queries, np.ndarray):
         queries = np.asarray(queries, dtype=np.float64)
     else:
@@ -216,8 +217,8 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     if not len(queries):
         return _verdict(METHOD_DETERMINISTIC, 0, 0.0, 1.0, INCONCLUSIVE,
                         "no queries issued")
-    local = trained_model(publication.architecture, publication.train_config,
-                          data_recipe, data_recipe.n_per_class)
+    local = shared_model(publication.architecture, publication.train_config,
+                         data_recipe, data_recipe.n_per_class)
     if not (isinstance(queries, np.ndarray) and queries.shape[1:] == (local.n_in,)):
         for x in queries:
             if np.shape(x) != (local.n_in,):

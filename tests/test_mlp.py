@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veriml import mlp
@@ -113,6 +113,80 @@ def test_forward_batch_ignores_memory_layout(data, dims, n):
     assert mlp.forward_batch(model, fortran).tobytes() == want
     rows = b"".join(mlp.forward(model, x).tobytes() for x in fortran)
     assert rows == want
+
+
+def _running_sum_forward(model, a):
+    """The kernel's definition: per layer, the products summed by a running
+    sum along fan_in, then the bias, tanh on hidden layers, softmax last."""
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if l:
+            a = np.tanh(a)
+        a = np.add.accumulate(w * a[..., None, :], -1)[..., -1] + b
+    if model.output_kind == mlp.SOFTMAX:
+        e = np.exp(a - np.maximum.accumulate(a, -1)[..., -1:])
+        a = e / np.add.accumulate(e, -1)[..., -1:]
+    return a
+
+
+_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308,
+                      1e150, -1e150, 1e300])
+
+
+def _sprinkled(values, state, rate):
+    """`values` with about `rate` of its entries swapped for signed zeros,
+    subnormals and huge values."""
+    hit, state = uniform_array(state, values.size)
+    pick, state = uniform_array(state, values.size)
+    out = values.ravel().copy()
+    mask = hit < rate
+    out[mask] = _SPECIALS[(pick[mask] * len(_SPECIALS)).astype(int)]
+    return out.reshape(values.shape), state
+
+
+_WIDTH = st.one_of(st.sampled_from([1, 8, 40]), st.integers(1, 40))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_in=_WIDTH, hidden=st.lists(_WIDTH, max_size=2), n_out=_WIDTH,
+       kind=st.sampled_from([mlp.SOFTMAX, mlp.LINEAR]),
+       rows=st.sampled_from([None, 1, 2, 63, 64, 65, 200]),
+       layout=st.sampled_from(["C", "F", "reversed"]),
+       seed=st.integers(0, 2 ** 64 - 1), rate=st.sampled_from([0.0, 0.05, 0.5]))
+# one row through a one-unit layer of fan_in >= 8: the block numpy would sum
+# pairwise
+@example(n_in=9, hidden=[], n_out=1, kind=mlp.LINEAR, rows=1, layout="C",
+         seed=1, rate=0.0)
+@example(n_in=40, hidden=[1], n_out=3, kind=mlp.SOFTMAX, rows=None,
+         layout="C", seed=2, rate=0.0)
+@example(n_in=3, hidden=[17], n_out=1, kind=mlp.LINEAR, rows=1,
+         layout="F", seed=3, rate=0.05)
+# -0.0 products under a -0.0 bias: a sum that starts from +0.0 ends +0.0
+@example(n_in=1, hidden=[], n_out=1, kind=mlp.LINEAR, rows=63, layout="C",
+         seed=3, rate=0.5)
+def test_kernel_equals_the_running_sum_definition(n_in, hidden, n_out, kind,
+                                                  rows, layout, seed, rate):
+    model = mlp.init_mlp((n_in, *hidden, n_out), weight_seed=seed,
+                         output_kind=kind)
+    state = seed
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        u, state = uniform_array(state, len(b))
+        model.weights[i], state = _sprinkled(w, state, rate / 4)
+        model.biases[i], state = _sprinkled(u - 0.5, state, rate)
+    flat, state = uniform_array(state, (rows or 1) * n_in)
+    X, _ = _sprinkled(flat.reshape(-1, n_in) * 6.0 - 3.0, state, rate)
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "reversed":
+        X = np.ascontiguousarray(X[::-1, ::-1])[::-1, ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values overflow
+        want = _running_sum_forward(model, np.ascontiguousarray(X))
+        if rows is None:
+            x = X[0]
+            assert mlp.forward(model, x).tobytes() == want[0].tobytes()
+            assert mlp._infer(model, x).tobytes() == want[0].tobytes()
+        else:
+            assert mlp.forward_batch(model, X).tobytes() == want.tobytes()
+            assert mlp._infer(model, X).tobytes() == want.tobytes()
 
 
 def test_forward_rejects_wrong_width():

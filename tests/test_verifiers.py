@@ -460,6 +460,8 @@ def test_deterministic_reference_entry_with_flipped_bits_is_rebuilt(
     queries = _queries(33, 20, fx.data.recipe.dim)
 
     def verdict():
+        # as in a fresh process: the reference is not yet shared in memory
+        cache._shared_models.clear()
         return deterministic_benchmark(_honest(fx), fx.publication,
                                        fx.data.recipe, queries, rng=7)
 
@@ -479,6 +481,36 @@ def test_deterministic_reference_entry_with_flipped_bits_is_rebuilt(
     assert verdict() == first
     assert first.decision == LIKELY_HONEST
     assert path.read_bytes() == good  # the rebuilt entry replaced it
+
+
+def test_deterministic_reference_is_loaded_once_per_process(det_env,
+                                                           monkeypatch):
+    _, fx = det_env
+    cache._shared_models.clear()
+    fetched = []
+    fetch = cache._cache_fetch
+    monkeypatch.setattr(cache, "_cache_fetch",
+                        lambda key: fetched.append(key) or fetch(key))
+    queries = _queries(34, 20, fx.data.recipe.dim)
+
+    def verdict():
+        return deterministic_benchmark(_honest(fx), fx.publication,
+                                       fx.data.recipe, queries, rng=7)
+
+    first = verdict()
+    assert len(fetched) == 1
+    assert verdict() == first  # the second trial reads no cache file
+    assert len(fetched) == 1
+    assert first.decision == LIKELY_HONEST
+
+    pub, recipe = fx.publication, fx.data.recipe
+    reference = cache.shared_model(pub.architecture, pub.train_config, recipe,
+                                   recipe.n_per_class)
+    assert mlp.save_model(reference) == mlp.save_model(fx.supplier.model)
+    for array in reference.weights + reference.biases:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert len(fetched) == 1
 
 
 def test_deterministic_convicts_substitute_on_first_divergence(det_env):
