@@ -1,0 +1,46 @@
+"""Layer-level timings of the query path, kept out of the test suite
+(pytest collects only `tests/` by default):
+
+    python -m pytest bench/test_query.py -q -p no:cacheprovider --benchmark-only
+
+One `QueryBatch.ask` of a block of 1, 4, 16 or 256 rows plus its `answer()`,
+for four provider kinds over a supplier of the built-in shape (8, 24, 3)
+with jittered latency and no MAC key. A CachedReplay provider starts each
+call with an empty replay cache, so every row misses. `BENCH_*.json` files
+at the repository root record medians from this harness."""
+
+import numpy as np
+import pytest
+
+from veriml.entities import (CACHED_REPLAY, HONEST_PASSTHROUGH,
+                             NOISY_PASSTHROUGH, PARTIAL_CHEAT, LatencyModel,
+                             Provider, QueryBatch, Supplier)
+from veriml.mlp import init_mlp
+from veriml.rng import uniform_array
+
+_SUPPLIER = Supplier(init_mlp((8, 24, 3), weight_seed=7),
+                     latency=LatencyModel(2.0, 1.0, 3))
+PROVIDERS = {
+    "HonestPassthrough": Provider(HONEST_PASSTHROUGH, _SUPPLIER),
+    "PartialCheat-0.5": Provider(PARTIAL_CHEAT, _SUPPLIER,
+                                 cheap_model=init_mlp((8, 3, 3), weight_seed=8),
+                                 cheat_rate=0.5,
+                                 latency=LatencyModel(1.0, 0.5, 4)),
+    "CachedReplay": Provider(CACHED_REPLAY, _SUPPLIER),
+    "NoisyPassthrough": Provider(NOISY_PASSTHROUGH, _SUPPLIER, noise_sigma=0.05),
+}
+
+
+def _ask_and_answer(provider: Provider, X: np.ndarray):
+    provider.cache.clear()
+    batch = QueryBatch()
+    batch.ask(X, provider, 5)
+    return batch.answer()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 16, 256])
+@pytest.mark.parametrize("kind", PROVIDERS)
+def test_ask_and_answer(benchmark, kind, rows):
+    flat, _ = uniform_array(11, rows * 8)
+    answers = benchmark(_ask_and_answer, PROVIDERS[kind], flat.reshape(rows, 8))
+    assert len(answers) == rows

@@ -328,21 +328,20 @@ class Answers:
 
 class QueryBatch:
     """Many queries in two phases, stored as columns. `ask` plans a block of
-    rows X (m x n_in), each asked of one or more providers in turn: for
-    every row it records the provider's route that answers it and the rng
-    state the query's draws start from, and it returns the state after them,
-    counted but not taken (PartialCheat's coin, which picks the route, is the
-    one draw taken then), so other draws may be interleaved on the same
-    stream. Rows of providers with one route each start on one arithmetic
-    progression of the stream; PartialCheat's coins and CachedReplay's
-    replay-cache lookups (digests cut from the block's canonical bytes) take
-    one walk over the rows. `answer` answers each route's planned rows as
-    one block: their draws in one pass (with Python ints below `_CROSSOVER`
-    rows), one forward over them (batch-invariant, so the bytes equal
-    one-at-a-time answers), noise on the block, all real certificates or all
-    forged or none, and Response's latency check once; it returns the
-    answers as columns (`Answers`) in query order, and builds a Response
-    only for a row a replay cache keeps.
+    rows X (m x n_in), each asked of one or more providers in turn: for every
+    row it records the provider's route that answers it and the rng state the
+    query's draws start from, and it returns the state after them, counted but
+    not taken (PartialCheat's coin, which picks the route, is the one draw
+    taken then); random inputs are drawn on another stream. Rows of providers
+    with one route each start on one arithmetic progression of the stream;
+    PartialCheat's coins and CachedReplay's replay-cache lookups (digests cut
+    from the block's canonical bytes) take one walk over the rows. `answer`
+    answers each route's planned rows as one block: their draws in one pass
+    (with Python ints below `_CROSSOVER` rows), one forward over them
+    (batch-invariant, so the bytes equal one-at-a-time answers), noise on the
+    block, all real certificates or all forged or none, and Response's latency
+    check once; it returns the answers as columns (`Answers`) in query order,
+    and builds a Response only for a row a replay cache keeps.
 
     A CachedReplay miss enters the replay cache as this batch's pending row
     until `answer` replaces it with a Response, so an input repeated before
@@ -366,32 +365,11 @@ class QueryBatch:
 
     def ask(self, X, providers: Provider | tuple[Provider, ...], rng: int) -> int:
         """Plan every row of X, asked of `providers` (one, or several in
-        turn: row 0 of each, then row 1 of each, ...) on the stream `rng`."""
+        turn: row 0 of each, then row 1 of each, ...) on the stream `rng`,
+        and return the state after the rows' draws."""
         X = np.asarray(X, dtype=np.float64)
         if isinstance(providers, Provider):
             providers = (providers,)
-        return self._walk(providers, X, rng, 0)[0]
-
-    def ask_uniform(self, p: Provider, dim: int, n: int,
-                    rng: int) -> tuple[np.ndarray, int]:
-        """n times on one stream: draw an input of `dim` uniforms
-        (`uniform_array`), then ask it of p. Returns the inputs and the end
-        state. The inputs are taken in one ``uint64`` pass over the walk's
-        input states, except for CachedReplay, whose lookups need them: its
-        walk takes every input up front as if each row missed, and takes
-        them again from the first row a hit (no draws) has moved."""
-        X = np.empty((n, dim))
-        end, leads = self._walk((p,), X, rng, dim)
-        if leads is not None:
-            X[:] = _uniform_rows(leads, dim)
-        return X, end
-
-    def _walk(self, providers: tuple[Provider, ...], X: np.ndarray, rng: int,
-              lead: int) -> tuple[int, list[int] | None]:
-        """Plan the rows of X, each asked of every provider in turn after
-        `lead` draws of the caller's (its input, when lead > 0). Returns the
-        end state and, unless lead is 0 or a CachedReplay walk drew the
-        inputs into X itself, each row's state before its lead draws."""
         # route 2j is provider j's only or honest route, 2j + 1 its cheat one
         table, fixed, replay = [], True, False
         for p in providers:
@@ -405,7 +383,7 @@ class QueryBatch:
                                  f"model input {route.model.n_in}")
         base, m, r = len(self._routes), len(X), len(providers)
         if fixed:  # each provider's rows one arithmetic progression apart
-            only, offsets, at = table[0::2], [], lead * _GOLDEN
+            only, offsets, at = table[0::2], [], 0
             for j, route in enumerate(only):
                 offsets.append(at)
                 self._add(route, list(range(base + j, base + m * r, r)), X, None)
@@ -413,30 +391,12 @@ class QueryBatch:
             self._starts += [(rng + k * at + o) & MASK64
                              for k in range(m) for o in offsets]
             self._routes += only * m
-            leads = [(rng + k * at) & MASK64 for k in range(m)] if lead else None
-            return ((rng + m * at) & MASK64 if m else rng), leads
-        routes, starts, leads, state = self._routes, self._starts, [], rng
+            return (rng + m * at) & MASK64 if m else rng
+        routes, starts, state = self._routes, self._starts, rng
         rows_of = [[] for _ in table]
-        draw, w, guess = lead and replay, 8 * width, None
-        if draw:
-            # its guess: row k's input starts `stride` draws after row
-            # k - 1's, as when every row misses
-            stride = (lead + sum(route.count for route in table[0::2])
-                      + sum(p.kind == PARTIAL_CHEAT for p in providers)) * _GOLDEN
-        elif replay:
-            xb = canon.vec(X)
+        if replay:
+            xb, w = canon.vec(X), 8 * width
         for i in range(m):
-            if draw:
-                if state & MASK64 != guess:  # the first row or one a hit moved
-                    guess = state & MASK64
-                    X[i:] = _uniform_rows([(guess + k * stride) & MASK64
-                                           for k in range(m - i)], lead)
-                    xb = canon.vec(X)
-                guess = (guess + stride) & MASK64
-                state = (state + lead * _GOLDEN) & MASK64
-            elif lead:
-                leads.append(state & MASK64)
-                state = (state + lead * _GOLDEN) & MASK64
             for j, p in enumerate(providers):
                 code, row = 2 * j, len(routes)
                 if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
@@ -461,7 +421,7 @@ class QueryBatch:
             if rows:  # with every row of the block, X itself
                 self._add(route, rows, X, None if len(rows) == m * r == m else
                           [(row - base) // r for row in rows])
-        return state, (leads if lead and not draw else None)
+        return state
 
     def _add(self, route: _Route, rows: list[int], X: np.ndarray, picked) -> None:
         block = self._fresh.get(id(route))
@@ -571,12 +531,6 @@ def _gather(pieces: list[tuple]) -> np.ndarray:
                  else [at + i for i in picked])
         at += len(piece)
     return X[rows]
-
-
-def _uniform_rows(states: list[int], dim: int) -> np.ndarray:
-    """`uniform_array(s, dim)` for each state s, as the rows of a matrix."""
-    return uniform_of(draw_array(np.array(states, dtype=np.uint64)[:, None],
-                                 np.arange(1, dim + 1, dtype=np.uint64)))
 
 
 def _answer_block(route: _Route, starts: list[int], X: np.ndarray):

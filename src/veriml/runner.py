@@ -213,17 +213,32 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 
 # -- per-scenario trials --------------------------------------------------------
 
+# Each purpose of a trial draws on its own child of the trial seed s, and
+# random inputs are drawn on one stream and asked on another: inputs on
+# derive_seed(s, 1) (DeterministicBench's and Metaresult's queries, the
+# Robustness attack starts), their queries on derive_seed(s, 2), the
+# Robustness attacks' query streams under derive_seed(s, 3), and the latency
+# pings under derive_seed(s, 7), split as s is.
 
-def _ask_uniform(provider: Provider, dim: int, state: int,
-                 n: int) -> tuple[np.ndarray, Answers]:
-    """Draw an input, then ask it, n times on one stream."""
+
+def _uniform_block(seed: int, n: int, dim: int) -> tuple[np.ndarray, int]:
+    """n random inputs of `dim` uniforms each, drawn on derive_seed(seed, 1),
+    and the stream to ask them on, derive_seed(seed, 2)."""
+    flat, _ = uniform_array(derive_seed(seed, 1), n * dim)
+    return flat.reshape(n, dim), derive_seed(seed, 2)
+
+
+def _ask_uniform(provider: Provider, seed: int, n: int,
+                 dim: int) -> tuple[np.ndarray, Answers]:
+    """The inputs of `_uniform_block`, asked of the provider as one block."""
+    X, rng = _uniform_block(seed, n, dim)
     batch = QueryBatch()
-    xs, _ = batch.ask_uniform(provider, dim, n, state)
-    return xs, batch.answer()
+    batch.ask(X, provider, rng)
+    return X, batch.answer()
 
 
 def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
-    _, answers = _ask_uniform(provider, dim, derive_seed(seed, 7), _LATENCY_PINGS)
+    _, answers = _ask_uniform(provider, derive_seed(seed, 7), _LATENCY_PINGS, dim)
     return sum(answers.latencies) / _LATENCY_PINGS
 
 
@@ -248,11 +263,9 @@ def _trial_steg(fx, ver, seed, provider) -> tuple[Verdict, dict]:
 
 @_verdict_trial
 def _trial_deterministic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
-    n_q, dim = ver["n_queries"], fx.data.recipe.dim
-    flat, _ = uniform_array(derive_seed(seed, 1), n_q * dim)
+    X, rng = _uniform_block(seed, ver["n_queries"], fx.data.recipe.dim)
     return deterministic_benchmark(provider, fx.publication, fx.data.recipe,
-                                   flat.reshape(n_q, dim),
-                                   rng=derive_seed(seed, 2)), {}
+                                   X, rng=rng), {}
 
 
 @_verdict_trial
@@ -263,8 +276,7 @@ def _trial_probabilistic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
 
 @_verdict_trial
 def _trial_metaresult(fx, ver, seed, provider) -> tuple[Verdict, dict]:
-    xs, answers = _ask_uniform(provider, fx.data.recipe.dim,
-                               derive_seed(seed, 1), ver["k"])
+    xs, answers = _ask_uniform(provider, seed, ver["k"], fx.data.recipe.dim)
     return metaresult_verify(list(zip(xs, answers)), fx.supplier.mac_key), {}
 
 
@@ -276,12 +288,14 @@ def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
                         max_queries=ver["max_queries"])
     params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
 
-    # the supplier's published claims: its own model measured under the same
-    # attack seeds the verifier is about to use on the service
+    # the supplier's published claims: its own model measured from the same
+    # attack starts the verifier is about to use on the service, drawn on
+    # the inputs stream
+    starts = derive_seed(seed, 1)
     supplier_model = fx.supplier.model
     claimed = robustness_benchmark(
         RowScorer(lambda X, _owners: forward_batch(supplier_model, X)), dim,
-        classes, ver["trials_per_class"], acfg, params, seed)
+        classes, ver["trials_per_class"], acfg, params, starts)
 
     # attack k draws on its own stream, so the attacks are independent and
     # advance in lockstep: each scorer call plans each attack's run of rows
@@ -299,7 +313,7 @@ def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
         return batch.answer().matrix
 
     measured = robustness_benchmark(RowScorer(service), dim, classes,
-                                    ver["trials_per_class"], acfg, params, seed)
+                                    ver["trials_per_class"], acfg, params, starts)
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
     return verdict, {"claimed_scores": [s.to_dict() for s in claimed],

@@ -689,52 +689,6 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
     _same_cache(one.cache, many.cache)
 
 
-def _reference_uniform(p, dim, n, state):
-    """`runner._ask_uniform` by its per-row definition: an input from
-    uniform_array, then that input asked, n times on one stream."""
-    xs, want, starts = [], [], []
-    for _ in range(n):
-        x, state = uniform_array(state, dim)
-        resp, start, state = _reference_walk(p, x, state)
-        xs.append(x)
-        want.append(resp)
-        starts.append(start)
-    return np.array(xs).reshape(n, dim), want, starts, state
-
-
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(entities.PROVIDER_KINDS), mac=st.booleans(),
-       rate=st.sampled_from([0.0, 0.37, 1.0]), n=st.integers(1, 20),
-       seeded=st.integers(0, 19) | st.none())
-def test_ask_uniform_equals_its_definition(steg_env, kind, mac, rate, n, seeded):
-    """With `seeded`, a CachedReplay cache holds the digest of the input the
-    all-miss walk would draw at that row, so the hit skips its draws and
-    shifts every later input."""
-    _, variant = _variant(steg_env, kind, mac, False)
-
-    def provider():
-        return dataclasses.replace(variant(), cheat_rate=rate)
-    one, many = provider(), provider()
-    if kind == entities.CACHED_REPLAY and seeded is not None and seeded < n:
-        xs, want, _, _ = _reference_uniform(provider(), 16, n, 5)
-        key = canon.sha256(canon.vec(xs[seeded]))
-        one.cache[key] = many.cache[key] = want[seeded]
-    xs, want, starts, state = _reference_uniform(one, 16, n, 5)
-    batch = entities.QueryBatch()
-    got_xs, rng = batch.ask_uniform(many, 16, n, 5)
-    assert rng == state
-    assert got_xs.tobytes() == xs.tobytes()
-    assert batch._starts == starts
-    answers = batch.answer()
-    _same_answers(want, answers)
-    _same_columns(want, answers)
-    _same_cache(one.cache, many.cache)
-    if kind == entities.CACHED_REPLAY and seeded is not None and seeded < n - 1:
-        # the hit took no draws, so the next input differs from the all-miss one
-        unseeded, _, _, _ = _reference_uniform(provider(), 16, n, 5)
-        assert got_xs[seeded + 1].tobytes() != unseeded[seeded + 1].tobytes()
-
-
 # -- what the column path guarantees ----------------------------------------------
 
 

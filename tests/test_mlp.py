@@ -163,6 +163,10 @@ _WIDTH = st.one_of(st.sampled_from([1, 8, 40]), st.integers(1, 40))
 # -0.0 products under a -0.0 bias: a sum that starts from +0.0 ends +0.0
 @example(n_in=1, hidden=[], n_out=1, kind=mlp.LINEAR, rows=63, layout="C",
          seed=3, rate=0.5)
+# one row of logits with a NaN made from infinities: numpy's reduction of
+# one vector returns a NaN of its own sign, the running max keeps the row's
+@example(n_in=40, hidden=[], n_out=9, kind=mlp.SOFTMAX, rows=None, layout="C",
+         seed=21646305, rate=0.5)
 def test_kernel_equals_the_running_sum_definition(n_in, hidden, n_out, kind,
                                                   rows, layout, seed, rate):
     model = mlp.init_mlp((n_in, *hidden, n_out), weight_seed=seed,

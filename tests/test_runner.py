@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from veriml import (auditor, cache, canon, cli, data, entities, mlp, runner,
-                    verifiers)
+from veriml import (adversarial, auditor, cache, canon, cli, data, entities,
+                    mlp, runner, verifiers)
 from veriml import config as cfgmod
 from veriml.adversarial import (AttackConfig, RobustnessScore, SigmoidParams,
                                 claim_check, robustness_benchmark,
@@ -20,7 +20,7 @@ from veriml.entities import (CACHED_REPLAY, PARTIAL_CHEAT, PROVIDER_KINDS,
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
 from veriml.mlp import forward, save_model
-from veriml.rng import derive_seed, rng_advance, uniform_array
+from veriml.rng import derive_seed, mix64, rng_advance, uniform_array
 
 REPORT_KEYS = {"schema_version", "version", "scenario", "master_seed", "trials",
                "config", "trial_results", "aggregates", "wall_time_s"}
@@ -137,12 +137,14 @@ def _attack_by_definition(dim, x0, target, cfg):
 def _reference_trial_robustness(fx, raw, seed):
     """_trial_robustness by its definition: one-row forward for the claim;
     for the measured side, attack k = class_index * trials + trial starts
-    from derive_seed(seed, k) and asks one provider_classify per query on its
-    own stream derive_seed(derive_seed(seed, 3), k). The attacks go in
+    from derive_seed(derive_seed(seed, 1), k), on the trial's inputs stream,
+    and asks one provider_classify per query on its own stream
+    derive_seed(derive_seed(seed, 3), k). The attacks go in
     lockstep: every start, then per step each live attack's 2*dim probes
     (attack-major), then each live attack's moved point. Returns the trial,
     the provider and a box holding each query's attack ("owners"), each
-    attack's end state ("rngs") and the number of attack queries."""
+    attack's end state ("rngs"), the number of attack queries and the
+    number of replay-cache entries the attacks made ("attack_entries")."""
     ver = raw["verifier"]
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
@@ -151,14 +153,15 @@ def _reference_trial_robustness(fx, raw, seed):
                         max_queries=ver["max_queries"])
     params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
     claimed = robustness_benchmark(lambda x: forward(fx.supplier.model, x), dim,
-                                   classes, trials, acfg, params, seed)
+                                   classes, trials, acfg, params,
+                                   derive_seed(seed, 1))
     provider = fx.fresh_provider()
     n = len(classes) * trials
     box = {"rngs": [derive_seed(derive_seed(seed, 3), k) for k in range(n)],
            "owners": [], "queries": 0}
-    attacks = [_attack_by_definition(dim, uniform_array(derive_seed(seed, k), dim)[0],
-                                     classes[k // trials], acfg)
-               for k in range(n)]
+    attacks = [_attack_by_definition(
+        dim, uniform_array(derive_seed(derive_seed(seed, 1), k), dim)[0],
+        classes[k // trials], acfg) for k in range(n)]
     asking = {k: next(attacks[k]) for k in range(n)}
     results = [None] * n
 
@@ -196,6 +199,7 @@ def _reference_trial_robustness(fx, raw, seed):
             cls, mean_q, robustness_score(mean_q, params), trials, failures))
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
+    box["attack_entries"] = len(provider.cache)
     trial = {"seed": seed, "verdict": verdict.to_dict(),
              "latency_ms": runner._mean_latency(provider, dim, seed),
              "claimed_scores": [s.to_dict() for s in claimed],
@@ -233,18 +237,23 @@ def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
     assert made == []
 
 
+def _kind_fixtures(base, kind, mac):
+    """`base` with a provider of `kind`; with `mac`, the supplier's key gives
+    the honest path nonces and the cheat path forged tags."""
+    supplier = dataclasses.replace(base.supplier,
+                                   mac_key=bytes(range(32)) if mac else None)
+    return dataclasses.replace(base, provider=dataclasses.replace(
+        base.provider, kind=kind, backend=supplier, cheat_rate=0.5,
+        noise_sigma=0.05))
+
+
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 3])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
 def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
                                                 kind, seed, mac):
     cfg, base = robust_env
-    supplier = base.supplier
-    if mac:  # nonces for the honest path, forged tags for the cheat path
-        supplier = dataclasses.replace(supplier, mac_key=bytes(range(32)))
-    fx = dataclasses.replace(base, provider=dataclasses.replace(
-        base.provider, kind=kind, backend=supplier, cheat_rate=0.5,
-        noise_sigma=0.05))
+    fx = _kind_fixtures(base, kind, mac)
     raw = cfg.raw
     # every provider query's rng state before and after it, in order (the
     # reference's one-query calls are blocks of one), read from the columns
@@ -284,12 +293,107 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
         at[k] = after
     assert at == box["rngs"]
     if kind == CACHED_REPLAY:
-        assert 0 < len(ref_provider.cache) < box["queries"]
+        assert 0 < box["attack_entries"] < box["queries"]
     assert made[-1].cache.keys() == ref_provider.cache.keys()
     for key, resp in ref_provider.cache.items():
         assert canon.vec(made[-1].cache[key].probs) == canon.vec(resp.probs)
         assert made[-1].cache[key].certificate == resp.certificate
         assert made[-1].cache[key].latency_ms == resp.latency_ms
+
+
+def test_robustness_attack_starts_take_no_other_stream(robust_env, monkeypatch):
+    """No attack start is drawn on a stream another purpose of the trial
+    uses: the root of the attacks' query streams derive_seed(seed, 3), any
+    attack's query stream, the query stream derive_seed(seed, 2) or the
+    latency pings' streams. Eight attacks, so k reaches 3 and 7."""
+    cfg, fx = robust_env
+    raw = copy.deepcopy(cfg.raw)
+    raw["verifier"]["trials_per_class"] = 4
+    n = 4 * fx.data.recipe.n_classes
+    assert n >= 8
+    starts, real = [], adversarial.uniform_array
+
+    def recorded(state, count):
+        starts.append((state, count))
+        return real(state, count)
+
+    monkeypatch.setattr(adversarial, "uniform_array", recorded)
+    for seed in (5, 2 ** 40 + 3):
+        del starts[:]
+        runner._trial_robustness(fx, raw, seed)
+        assert len(starts) == 2 * n  # the claimed side, then the measured one
+        base, pings = derive_seed(seed, 3), derive_seed(seed, 7)
+        others = {base, pings, derive_seed(seed, 2), derive_seed(pings, 1),
+                  derive_seed(pings, 2)}
+        others.update(derive_seed(base, k) for k in range(n))
+        for state, dim in starts:
+            window = [rng_advance(state, i) for i in range(dim + 1)]
+            assert not others.intersection(window)
+            # nor is a stream's first state one of the start's draws
+            assert not others.intersection(map(mix64, window[1:]))
+
+
+def _reference_uniform_asks(provider, dim, seed, n):
+    """n inputs of `dim` uniforms from uniform_array(derive_seed(seed, 1)),
+    each asked with provider_classify, row by row, on derive_seed(seed, 2)."""
+    flat, _ = uniform_array(derive_seed(seed, 1), n * dim)
+    xs, state, responses = flat.reshape(n, dim), derive_seed(seed, 2), []
+    for x in xs:
+        resp, state = provider_classify(provider, x, state)
+        responses.append(resp)
+    return xs, responses
+
+
+@pytest.mark.parametrize("mac", [False, True])
+@pytest.mark.parametrize("seed", [5, 2 ** 40 + 3])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_trial_metaresult_equals_its_definition(meta_env, monkeypatch, kind,
+                                                seed, mac):
+    """The queries are the trial seed's uniform inputs asked on its query
+    stream, then the latency pings are derive_seed(seed, 7)'s, asked of the
+    same provider."""
+    cfg, base = meta_env
+    fx = _kind_fixtures(base, kind, mac)
+    dim, k = fx.data.recipe.dim, cfg.raw["verifier"]["k"]
+    ref = fx.fresh_provider()
+    xs, responses = _reference_uniform_asks(ref, dim, seed, k)
+    verdict = verifiers.metaresult_verify(list(zip(xs, responses)),
+                                          fx.supplier.mac_key)
+    _, pings = _reference_uniform_asks(ref, dim, derive_seed(seed, 7),
+                                       runner._LATENCY_PINGS)
+    want = {"seed": seed, "verdict": verdict.to_dict(),
+            "latency_ms": sum(r.latency_ms for r in pings) / runner._LATENCY_PINGS}
+    made, real_fresh = [], fx.fresh_provider
+    monkeypatch.setattr(fx, "fresh_provider",
+                        lambda: made.append(real_fresh()) or made[-1])
+    assert runner._trial_metaresult(fx, cfg.raw, seed) == want
+    assert made[0].cache.keys() == ref.cache.keys()
+    if kind == CACHED_REPLAY:
+        assert len(ref.cache) == k + runner._LATENCY_PINGS
+
+
+@pytest.mark.parametrize("mac", [False, True])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_latency_pings_equal_their_definition(meta_env, kind, mac):
+    """A CachedReplay provider that already holds ping 1's input replays it
+    without a draw, so the later pings start one query earlier on the query
+    stream; their inputs are drawn on a stream of their own and stay."""
+    _, base = meta_env
+    fx = _kind_fixtures(base, kind, mac)
+    dim, seed, n = fx.data.recipe.dim, 11, runner._LATENCY_PINGS
+    one, many = fx.fresh_provider(), fx.fresh_provider()
+    if kind == CACHED_REPLAY:
+        flat, _ = uniform_array(derive_seed(derive_seed(seed, 7), 1), n * dim)
+        x1 = flat.reshape(n, dim)[1]
+        held, _ = provider_classify(fx.fresh_provider(), x1, 123)
+        one.cache[canon.sha256(canon.vec(x1))] = held
+        many.cache[canon.sha256(canon.vec(x1))] = held
+    _, responses = _reference_uniform_asks(one, dim, derive_seed(seed, 7), n)
+    want = sum(r.latency_ms for r in responses) / n
+    assert runner._mean_latency(many, dim, seed) == want
+    assert many.cache.keys() == one.cache.keys()
+    if kind == CACHED_REPLAY:
+        assert responses[1] is held
 
 
 def test_cold_build_fixtures_makes_each_pool_once(tmp_path, monkeypatch):
