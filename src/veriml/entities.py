@@ -8,11 +8,15 @@ Each provider fixes its answer routes (the supplier's, the substitute's)
 when it is made. Queries are asked through a QueryBatch: planning takes a
 block of rows in one call, picking each row's route and counting its draws
 on the stream, and answering the batch answers each route's rows as one
-block and returns the answers as columns.
+block and returns the answers as columns. Certificates are issued and
+checked a block of rows at a time: one HMAC key schedule per block (RFC 2104
+section 4) and the rows' canonical bytes encoded once for the block;
+issue_certificate and verify_certificate are the blocks of one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import math
 from dataclasses import dataclass, field
@@ -193,29 +197,86 @@ class Provider:
             SUBSTITUTE_MODEL: self._cheat}.get(self.kind))
 
 
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+def _key_schedule(key: bytes) -> tuple:
+    """RFC 2104's keyed states, computed once per key (section 4): the
+    SHA-256 states after key ^ ipad and after key ^ opad, with a key longer
+    than the 64-byte block hashed first and every key padded with zeros."""
+    if len(key) > 64:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _tag(schedule: tuple, message: bytes) -> bytes:
+    """HMAC-SHA-256 of one message, from copies of the schedule's states."""
+    inner, outer = schedule
+    h = inner.copy()
+    h.update(message)
+    tag = outer.copy()
+    tag.update(h.digest())
+    return tag.digest()
+
+
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    return hmac.digest(key, message, "sha256")
+    return _tag(_key_schedule(key), message)
 
 
-def _cert_message(x: np.ndarray, probs: np.ndarray, nonce: bytes) -> bytes:
-    return canon.vec(x) + canon.vec(probs) + nonce
+def _messages(X, probs, nonces: list[bytes]) -> list[bytes]:
+    """Each row's certified bytes, canon.vec(x) || canon.vec(probs) || nonce.
+    Rows of two matrices are cut from the matrices' canonical bytes; rows
+    given as sequences (probabilities of differing widths) are encoded one
+    at a time."""
+    if not (isinstance(X, np.ndarray) and isinstance(probs, np.ndarray)
+            and X.ndim == probs.ndim == 2):
+        return [canon.vec(x) + canon.vec(p) + n for x, p, n in zip(X, probs, nonces)]
+    xb, pb = canon.vec(X), canon.vec(probs)
+    xw, pw = 8 * X.shape[1], 8 * probs.shape[1]
+    return [xb[i * xw:(i + 1) * xw] + pb[i * pw:(i + 1) * pw] + n
+            for i, n in enumerate(nonces)]
+
+
+def _sign_block(key: bytes, X, probs, nonces: list[bytes]) -> list[Certificate]:
+    """Row i's certificate: nonces[i] and HMAC-SHA-256(key, bytes(X[i]) ||
+    bytes(probs[i]) || nonces[i]), every tag from one key schedule."""
+    schedule = _key_schedule(key)
+    return [Certificate(n, _tag(schedule, m))
+            for n, m in zip(nonces, _messages(X, probs, nonces))]
 
 
 def issue_certificate(key: bytes, x, probs, nonce: bytes) -> Certificate:
     """tag = HMAC-SHA-256(key, bytes(x) || bytes(probs) || nonce)."""
-    x = np.asarray(x, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    return Certificate(nonce, hmac_sha256(key, _cert_message(x, probs, nonce)))
+    return _sign_block(key, [x], [probs], [nonce])[0]
+
+
+def first_invalid_certificate(key: bytes, X, probs, certificates) -> int | None:
+    """The first row whose certificate is missing or whose tag is not the
+    one `issue_certificate` gives for (X[i], probs[i], its nonce), or None
+    when every row's checks out. X and probs are matrices or sequences of
+    rows (probs may differ in width from row to row). The rows' messages
+    are cut from the block's canonical bytes (`_messages`), every tag comes
+    from one key schedule and is compared in constant time, and no tag is
+    computed after the first bad row."""
+    if not len(X) == len(probs) == len(certificates):
+        raise ShapeError(f"{len(X)} queries, {len(probs)} answers and "
+                         f"{len(certificates)} certificates")
+    nonces = [b"" if c is None else c.nonce for c in certificates]
+    schedule = None  # built at the first certificate held
+    for i, m in enumerate(_messages(X, probs, nonces)):
+        if certificates[i] is None:
+            return i
+        schedule = schedule or _key_schedule(key)
+        if not hmac.compare_digest(_tag(schedule, m), certificates[i].tag):
+            return i
+    return None
 
 
 def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
     """Recompute-and-compare, constant-time on the tag."""
-    if cert is None or len(cert.tag) != 32:
-        return False
-    x = np.asarray(x, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    expected = hmac_sha256(key, _cert_message(x, probs, cert.nonce))
-    return hmac.compare_digest(expected, cert.tag)
+    return first_invalid_certificate(key, [x], [probs], [cert]) is None
 
 
 #: `QueryBatch.answer` takes the draws of a route's rows with Python ints,
@@ -339,9 +400,10 @@ class QueryBatch:
     answers each route's planned rows as one block: their draws in one pass
     (with Python ints below `_CROSSOVER` rows), one forward over them
     (batch-invariant, so the bytes equal one-at-a-time answers), noise on the
-    block, all real certificates or all forged or none, and Response's latency
-    check once; it returns the answers as columns (`Answers`) in query order,
-    and builds a Response only for a row a replay cache keeps.
+    block, all real certificates (signed as one block, one key schedule) or
+    all forged or none, and Response's latency check once; it returns the
+    answers as columns (`Answers`) in query order, and builds a Response only
+    for a row a replay cache keeps.
 
     A CachedReplay miss enters the replay cache as this batch's pending row
     until `answer` replaces it with a Response, so an input repeated before
@@ -559,12 +621,7 @@ def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
     if tags is not None:
         certs = list(map(Certificate, nonces, tags))
     elif nonces is not None:
-        # _cert_message, cut from the block's canonical bytes
-        xw, pw = 8 * route.model.n_in, 8 * route.model.n_out
-        xb, pb = canon.vec(X), canon.vec(P)
-        certs = [Certificate(n, hmac_sha256(
-            route.key, xb[j * xw:(j + 1) * xw] + pb[j * pw:(j + 1) * pw] + n))
-            for j, n in enumerate(nonces)]
+        certs = _sign_block(route.key, X, P, nonces)
     else:
         certs = [None] * len(starts)
     return probs, certs, latencies

@@ -276,8 +276,8 @@ def _trial_probabilistic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
 
 @_verdict_trial
 def _trial_metaresult(fx, ver, seed, provider) -> tuple[Verdict, dict]:
-    xs, answers = _ask_uniform(provider, seed, ver["k"], fx.data.recipe.dim)
-    return metaresult_verify(list(zip(xs, answers)), fx.supplier.mac_key), {}
+    asked = _ask_uniform(provider, seed, ver["k"], fx.data.recipe.dim)
+    return metaresult_verify(asked, fx.supplier.mac_key), {}
 
 
 @_verdict_trial

@@ -18,8 +18,10 @@ against honesty, not a posterior probability of cheating.
 The verifiers ask through a QueryBatch, a block of rows per call, and read
 its answers as columns: the steg probe and the probabilistic benchmark
 compare label arrays, the deterministic benchmark compares each batch's
-probability bytes with the reference's in one pass, and no Response is
-built for a row no replay cache keeps.
+probability bytes with the reference's in one pass, metaresult_verify
+checks a batch's certificate column against its query and probability
+blocks with one key schedule, and no Response is built for a row no replay
+cache keeps.
 
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
@@ -38,7 +40,8 @@ from . import canon, stats
 from .cache import shared_model
 from .data import BlobRecipe
 from .entities import (HONEST_PASSTHROUGH, Answers, Provider, QueryBatch,
-                       Response, SeedPublication, Supplier, verify_certificate)
+                       Response, SeedPublication, Supplier,
+                       first_invalid_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
@@ -293,21 +296,32 @@ def _first_difference(answers: Answers, wants: np.ndarray) -> int | None:
     return None if same.all() else int(np.argmin(same))
 
 
-def metaresult_verify(responses: list[tuple[np.ndarray, Response]],
-                      key: bytes) -> Verdict:
+def metaresult_verify(responses: list[tuple[np.ndarray, Response]]
+                      | tuple[np.ndarray, Answers], key: bytes) -> Verdict:
     """Verify the certificate of every (query, response) pair against the
-    supplier's published key. One bad or missing tag convicts."""
-    if not responses:
+    supplier's published key. One bad or missing tag convicts. `responses`
+    is a list of pairs, or a batch's queries and answers as one `(X, Answers)`
+    pair, whose columns are read with no Response built. The rows are checked
+    as one block (`first_invalid_certificate`)."""
+    if len(responses) == 2 and isinstance(responses[1], Answers):
+        X, answers = responses
+        probs = answers.probs if answers.matrix is None else answers.matrix
+        certificates = answers.certificates
+    else:
+        X = [x for x, _ in responses]
+        probs = [r.probs for _, r in responses]
+        certificates = [r.certificate for _, r in responses]
+    n = len(certificates)
+    if not n:
         return _verdict(METHOD_METARESULT, 0, 0.0, 1.0, INCONCLUSIVE,
                         "no responses to verify")
-    for i, (x, resp) in enumerate(responses):
-        if not verify_certificate(key, x, resp.probs, resp.certificate):
-            return _verdict(
-                METHOD_METARESULT, len(responses), 1.0, 0.0, LIKELY_FRAUDULENT,
-                f"certificate {i} invalid or missing")
+    bad = first_invalid_certificate(key, X, probs, certificates)
+    if bad is not None:
+        return _verdict(METHOD_METARESULT, n, 1.0, 0.0, LIKELY_FRAUDULENT,
+                        f"certificate {bad} invalid or missing")
     return _verdict(
-        METHOD_METARESULT, len(responses), 0.0, 1.0, LIKELY_HONEST,
-        f"all {len(responses)} certificates valid; forgery probability "
+        METHOD_METARESULT, n, 0.0, 1.0, LIKELY_HONEST,
+        f"all {n} certificates valid; forgery probability "
         f"<= 2^-128 per response")
 
 

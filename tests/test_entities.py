@@ -1,10 +1,11 @@
 import collections
 import dataclasses
+import hmac
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from veriml import canon, entities, mlp
@@ -91,6 +92,95 @@ def test_certificate_field_validation():
         entities.Certificate(b"\x01" * 15, bytes(32))
     with pytest.raises(ParameterError):
         entities.Certificate(b"\x01" * 16, bytes(31))
+
+
+_TWO_MESSAGES = [b"Hi There", b"what do ya want for nothing?"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.binary(max_size=200), st.binary(max_size=200),
+       st.lists(st.binary(max_size=300), min_size=1, max_size=4))
+@example(b"", b"\x01" * 64, _TWO_MESSAGES)
+@example(b"\x0b" * 63, b"\x0b" * 64, _TWO_MESSAGES)
+@example(b"\x0b" * 64, b"\x0b" * 65, _TWO_MESSAGES)
+@example(b"\xaa" * 65, b"\xaa" * 131, _TWO_MESSAGES)
+@example(b"\xaa" * 131, b"", [b"", b"\x00" * 300])
+def test_hmac_sha256_equals_hmac_digest(key, other, messages):
+    """Every key length around the 64-byte block, long keys hashed first,
+    and two keys in turn over several messages: a key schedule that is
+    reused without a copy, or shared across keys, gives other tags."""
+    want = {k: [hmac.digest(k, m, "sha256") for m in messages]
+            for k in (key, other)}
+    schedules = {k: entities._key_schedule(k) for k in (key, other)}
+    for k in (key, other, key):
+        assert [entities._tag(schedules[k], m) for m in messages] == want[k]
+        assert [entities.hmac_sha256(k, m) for m in messages] == want[k]
+
+
+def _reference_valid(key, x, probs, cert) -> bool:
+    """A certificate check by its definition, on the standard library's HMAC."""
+    if cert is None:
+        return False
+    message = canon.vec(x) + canon.vec(probs) + cert.nonce
+    return hmac.compare_digest(hmac.digest(key, message, "sha256"), cert.tag)
+
+
+_FIELDS = ("x", "probs", "nonce", "tag", "missing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=20), st.booleans(),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=19),
+                          st.sampled_from(_FIELDS),
+                          st.integers(min_value=0, max_value=47),
+                          st.integers(min_value=0, max_value=7)), max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_block_checker_finds_the_first_bad_row(m, ragged, tampers, seed):
+    """The block checker names the same first bad row as per-row
+    verify_certificate and as the standard library's HMAC, after single-bit
+    tampers of x, probs, nonce or tag and dropped certificates, with every
+    row one width (a matrix, and as rows) or widths that differ by row."""
+    flat, state = uniform_array(seed, m * 5)
+    X = flat.reshape(m, 5)
+    widths = [2 + (i % 3 if ragged else 1) for i in range(m)]
+    probs = []
+    for w in widths:
+        p, state = uniform_array(state, w)
+        probs.append(p)
+    certs = []
+    for i in range(m):
+        nonce, state = rng_bytes(state, 16)
+        certs.append(entities.issue_certificate(KEY, X[i], probs[i], nonce))
+    for row, where, at, bit in tampers:
+        i = row % m
+        if where == "missing":
+            certs[i] = None
+        elif where == "x":
+            X[i].view(np.uint8)[at % 40] ^= 1 << bit
+        elif where == "probs":
+            probs[i].view(np.uint8)[at % (8 * widths[i])] ^= 1 << bit
+        elif certs[i] is not None:
+            blob = bytearray(certs[i].nonce + certs[i].tag)
+            blob[at % 16 + 16 * (where == "tag")] ^= 1 << bit
+            certs[i] = entities.Certificate(bytes(blob[:16]), bytes(blob[16:]))
+    rows = [i for i in range(m)
+            if not entities.verify_certificate(KEY, X[i], probs[i], certs[i])]
+    assert rows == [i for i in range(m)
+                    if not _reference_valid(KEY, X[i], probs[i], certs[i])]
+    want = rows[0] if rows else None
+    shapes = [(X, probs), (list(X), probs)]
+    if not ragged:
+        shapes.append((X, np.array(probs)))
+    for block_x, block_probs in shapes:
+        assert entities.first_invalid_certificate(KEY, block_x, block_probs,
+                                                  certs) == want
+
+
+def test_block_checker_rejects_columns_of_other_lengths():
+    x, probs = _x(3, 5), np.array([0.5, 0.5])
+    cert = entities.issue_certificate(KEY, x, probs, b"\x02" * 16)
+    with pytest.raises(ShapeError):
+        entities.first_invalid_certificate(KEY, [x, x], [probs], [cert, cert])
 
 
 # -- latency ---------------------------------------------------------------------

@@ -208,7 +208,7 @@ def _reference_trial_robustness(fx, raw, seed):
 
 
 @pytest.mark.parametrize("kind", [k for k in PROVIDER_KINDS if k != CACHED_REPLAY])
-@pytest.mark.parametrize("env", ["prob_env", "steg_env", "det_env"])
+@pytest.mark.parametrize("env", ["prob_env", "steg_env", "det_env", "meta_env"])
 def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
                                                       env, kind):
     """The verifiers and the latency pings read the answers' columns: a trial
