@@ -5,8 +5,8 @@
 
 `hmac_sha256` on a certificate-sized message; one `supplier_classify` query
 with and without a MAC key, for a supplier of the built-in shape (8, 24, 3);
-a block of 1, 4 or 100 rows signed (`entities._sign_block`, as a QueryBatch
-signs a route's rows) and checked (`first_invalid_certificate`, every row
+a block of 1, 4 or 100 rows signed (`entities._sign_block`, as `ask` signs
+a route's rows) and checked (`first_invalid_certificate`, every row
 valid, so every tag is computed); and the tags of 1, 4 or 100 messages from
 one `entities._key_schedule`, against the standard library's per-key state
 (`hmac.new` once, `.copy()` per message). The cost of one HMAC depends on

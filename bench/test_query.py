@@ -3,20 +3,22 @@
 
     python -m pytest bench/test_query.py -q -p no:cacheprovider --benchmark-only
 
-One `QueryBatch.ask` of a block of 1, 4, 16 or 256 rows plus its `answer()`,
-for four provider kinds over a supplier of the built-in shape (8, 24, 3)
-with jittered latency and no MAC key. A CachedReplay provider starts each
-call with an empty replay cache, so every row misses. `BENCH_*.json` files
-at the repository root record medians from this harness."""
+One `entities.ask` of a block of 1, 4, 16 or 256 rows on one stream, and
+one Robustness step's scorer call (6 attacks' runs of 16 probe rows or of 1
+moved point, each run on its attack's own stream, in one `ask`), for four
+provider kinds over a supplier of the built-in shape (8, 24, 3) with
+jittered latency and no MAC key. A CachedReplay provider starts each call
+with an empty replay cache, so every row misses. `BENCH_*.json` files at the
+repository root record medians from this harness."""
 
 import numpy as np
 import pytest
 
 from veriml.entities import (CACHED_REPLAY, HONEST_PASSTHROUGH,
                              NOISY_PASSTHROUGH, PARTIAL_CHEAT, LatencyModel,
-                             Provider, QueryBatch, Supplier)
+                             Provider, Supplier, ask)
 from veriml.mlp import init_mlp
-from veriml.rng import uniform_array
+from veriml.rng import derive_seed, uniform_array
 
 _SUPPLIER = Supplier(init_mlp((8, 24, 3), weight_seed=7),
                      latency=LatencyModel(2.0, 1.0, 3))
@@ -31,11 +33,18 @@ PROVIDERS = {
 }
 
 
+ATTACKS = 6
+STREAMS = [derive_seed(5, k) for k in range(ATTACKS)]
+
+
 def _ask_and_answer(provider: Provider, X: np.ndarray):
     provider.cache.clear()
-    batch = QueryBatch()
-    batch.ask(X, provider, 5)
-    return batch.answer()
+    return ask(X, provider, 5)[0]
+
+
+def _robustness_step(provider: Provider, X: np.ndarray, owners: np.ndarray):
+    provider.cache.clear()
+    return ask(X, provider, STREAMS, owners)[0]
 
 
 @pytest.mark.parametrize("rows", [1, 4, 16, 256])
@@ -44,3 +53,13 @@ def test_ask_and_answer(benchmark, kind, rows):
     flat, _ = uniform_array(11, rows * 8)
     answers = benchmark(_ask_and_answer, PROVIDERS[kind], flat.reshape(rows, 8))
     assert len(answers) == rows
+
+
+@pytest.mark.parametrize("rows", [1, 16])
+@pytest.mark.parametrize("kind", PROVIDERS)
+def test_robustness_step(benchmark, kind, rows):
+    flat, _ = uniform_array(13, ATTACKS * rows * 8)
+    owners = np.repeat(np.arange(ATTACKS), rows)
+    answers = benchmark(_robustness_step, PROVIDERS[kind],
+                        flat.reshape(ATTACKS * rows, 8), owners)
+    assert len(answers) == ATTACKS * rows

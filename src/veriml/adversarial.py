@@ -6,14 +6,13 @@ The whitebox attack reads gradients off the model; the blackbox attacks see
 only an opaque scorer and estimate gradients by central finite differences,
 paying for every evaluation. Many blackbox attacks advance in lockstep: each
 step scores every live attack's 2 * dim probes in one call, then every live
-attack's moved point in a second. The scorer comes in two kinds:
+attack's moved point in a second. A scorer is one function, ``fn(X, owners)
+-> probabilities``: it maps an (m, dim) array to (m, n_classes) rows, row i
+answering X[i] for attack ``owners[i]`` (an index into the attacks' starts;
+each attack's rows consecutive). A stateless scorer ignores the owners; a
+service that draws per attack asks each row on its owner's stream.
 
-- a plain callable ``x -> probabilities``, called once per query;
-- a ``RowScorer`` wrapping ``(X, owners) -> rows of probabilities``, called
-  once per batch and told which attack owns each row.
-
-Both see the same points in the same order, so they give the same traces.
-Query accounting is exact and part of the contract, whichever the kind:
+Query accounting is exact and part of the contract:
 
     whitebox:  queries = 1 + n_steps
     blackbox:  queries = 1 + n_steps * (2 * dim + 1)
@@ -134,31 +133,7 @@ def whitebox_attack(model: MlpModel, x0, target: int, cfg: AttackConfig) -> Atta
     return AttackTrace(x0, x, target, queries, prob, prob >= cfg.tau)
 
 
-@dataclass(frozen=True)
-class RowScorer:
-    """A blackbox scorer over many points at once: `fn(X, owners)` maps an
-    (m, dim) array to (m, n_classes) probabilities, row i answering X[i] for
-    attack `owners[i]` (an index into the attacks' starts). A stateless
-    scorer ignores the owners; a service that draws per attack plans each
-    row on its owner's stream."""
-
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-Scorer = Callable[[np.ndarray], Sequence[float]] | RowScorer
-
-
-def _rows_of(query: Scorer) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The rows form of a scorer; a plain callable is asked once per row."""
-    if isinstance(query, RowScorer):
-        return query.fn
-
-    def rows(X: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        out = [np.asarray(query(x), dtype=np.float64) for x in X]
-        if len({p.shape for p in out}) != 1:
-            raise ProtocolError("scorer must return a probability vector")
-        return np.stack(out)
-    return rows
+Scorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _checked_probs(raw, m: int, width: int | None = None) -> np.ndarray:
@@ -198,11 +173,10 @@ def blackbox_attacks(query: Scorer, dim: int, starts: Sequence,
             raise ShapeError(f"start point must have dim {dim}")
     if not starts:
         return []
-    score = _rows_of(query)
 
     n = len(starts)
     live = np.arange(n)
-    probs = _checked_probs(score(np.array(starts), live), n)
+    probs = _checked_probs(query(np.array(starts), live), n)
     width = probs.shape[1]
     for target in targets:
         if not 0 <= target < width:
@@ -222,13 +196,13 @@ def blackbox_attacks(query: Scorer, dim: int, starts: Sequence,
         probes = np.repeat(xl[:, None, :], 2 * dim, axis=1)
         probes[:, 2 * coord, coord] = np.minimum(1.0, xl + cfg.fd_epsilon)
         probes[:, 2 * coord + 1, coord] = np.maximum(0.0, xl - cfg.fd_epsilon)
-        p = _checked_probs(score(probes.reshape(m * 2 * dim, dim),
+        p = _checked_probs(query(probes.reshape(m * 2 * dim, dim),
                                  np.repeat(live, 2 * dim)), m * 2 * dim, width)
         p = p.reshape(m, 2 * dim, width)[np.arange(m), :, tgt[live]]
         g = (p[:, 0::2] - p[:, 1::2]) / (2.0 * cfg.fd_epsilon)
         xl = np.clip(xl + cfg.step_size * np.sign(g), 0.0, 1.0)
         x[live] = xl
-        moved = _checked_probs(score(xl, live), m, width)
+        moved = _checked_probs(query(xl, live), m, width)
         prob[live] = moved[np.arange(m), tgt[live]]
         steps[live] += 1
         queries += step_cost
@@ -257,7 +231,7 @@ def robustness_benchmark(service: Scorer, dim: int, classes: Sequence[int],
     and average the query counts, charging failed attacks the full budget.
     Attack k = class_index * trials_per_class + trial starts from
     derive_seed(seed, k); all attacks run in one `blackbox_attacks` call, so
-    a RowScorer's owners are these k. Deterministic given the seed."""
+    the scorer's owners are these k. Deterministic given the seed."""
     if trials_per_class < 1:
         raise ParameterError("trials_per_class must be >= 1")
     classes = list(classes)

@@ -102,14 +102,13 @@ def compute_metric(spec: ModelSpec) -> float:
     else:
         # robustness of one class under the fixed reference attack budget,
         # seeded from the spec digest so every evaluator agrees
-        from .adversarial import (AttackConfig, RowScorer, SigmoidParams,
+        from .adversarial import (AttackConfig, SigmoidParams,
                                   robustness_benchmark)
         cfg = AttackConfig(tau=0.9, step_size=0.05, max_queries=400)
         seed = int.from_bytes(spec.spec_digest[:8], "little")
-        scorer = RowScorer(lambda X, _owners: forward_batch(model, X))
-        scores = robustness_benchmark(scorer, spec.architecture[0],
-                                      [spec.metric_class], 3, cfg,
-                                      SigmoidParams.for_budget(400), seed)
+        scores = robustness_benchmark(
+            lambda X, _owners: forward_batch(model, X), spec.architecture[0],
+            [spec.metric_class], 3, cfg, SigmoidParams.for_budget(400), seed)
         value = scores[0].score
     if len(_METRIC_CACHE) >= 64:
         _METRIC_CACHE.clear()

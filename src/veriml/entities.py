@@ -5,9 +5,9 @@ certificates ("metaresults") that make supplier answers unforgeable.
 All classification and latency behavior is driven by explicit rng states
 threaded through the calls, so any interaction sequence replays exactly.
 Each provider fixes its answer routes (the supplier's, the substitute's)
-when it is made. Queries are asked through a QueryBatch: planning takes a
-block of rows in one call, picking each row's route and counting its draws
-on the stream, and answering the batch answers each route's rows as one
+when it is made. Queries are asked with `ask`, one call per block of rows:
+it plans the block, picking each row's route and counting its draws on the
+stream (or on each row's owner's stream), answers each route's rows as one
 block and returns the answers as columns. Certificates are issued and
 checked a block of rows at a time: one HMAC key schedule per block (RFC 2104
 section 4) and the rows' canonical bytes encoded once for the block;
@@ -279,9 +279,9 @@ def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
     return first_invalid_certificate(key, [x], [probs], [cert]) is None
 
 
-#: `QueryBatch.answer` takes the draws of a route's rows with Python ints,
-#: one row at a time, when fewer than this many rows of the batch take the
-#: route, and from here on in one ``uint64`` pass over them. The pass has a
+#: `ask` takes the draws of a route's rows with Python ints, one row at a
+#: time, when fewer than this many rows of the block take the route, and
+#: from here on in one ``uint64`` pass over them. The pass has a
 #: fixed numpy cost; on a 2-vCPU Xeon VM (numpy 2.4) it paid off from about
 #: 8 rows whose queries take 7 or more draws (forged tags, noise) and from
 #: about 32 rows of one-draw queries (no MAC key).
@@ -335,11 +335,8 @@ def _array_draws(route: _Route, starts: list[int]):
     return nonces, tags, latencies, noise
 
 
-_NO_ROWS = np.empty(0, dtype=np.intp)
-
-
 class Answers:
-    """A batch's answers as columns, row i answering the i-th query planned:
+    """A block's answers as columns, row i answering the i-th query planned:
     the probabilities, as `matrix` (rows x classes) when every row has one
     width (None otherwise) and as `probs`, one vector per row (views into
     the matrix); `labels`, each row's argmax as an int array (from the
@@ -387,212 +384,163 @@ class Answers:
         return map(self.__getitem__, range(len(self.latencies)))
 
 
-class QueryBatch:
-    """Many queries in two phases, stored as columns. `ask` plans a block of
-    rows X (m x n_in), each asked of one or more providers in turn: for every
-    row it records the provider's route that answers it and the rng state the
-    query's draws start from, and it returns the state after them, counted but
-    not taken (PartialCheat's coin, which picks the route, is the one draw
-    taken then); random inputs are drawn on another stream. Rows of providers
-    with one route each start on one arithmetic progression of the stream;
-    PartialCheat's coins and CachedReplay's replay-cache lookups (digests cut
-    from the block's canonical bytes) take one walk over the rows. `answer`
-    answers each route's planned rows as one block: their draws in one pass
-    (with Python ints below `_CROSSOVER` rows), one forward over them
-    (batch-invariant, so the bytes equal one-at-a-time answers), noise on the
-    block, all real certificates (signed as one block, one key schedule) or
-    all forged or none, and Response's latency check once; it returns the
-    answers as columns (`Answers`) in query order, and builds a Response only
-    for a row a replay cache keeps.
+def ask(X, providers: Provider | tuple[Provider, ...], rng: int | list[int],
+        owners=None) -> tuple[Answers, int | list[int]]:
+    """Plan and answer every row of X (m x n_in), asked of `providers` (one,
+    or several in turn: row 0 of each, then row 1 of each, ...): return the
+    answers as columns in query order and the stream's end state.
 
-    A CachedReplay miss enters the replay cache as this batch's pending row
-    until `answer` replaces it with a Response, so an input repeated before
-    then is answered once and replayed without a draw.
-    provider_classify and supplier_classify below are the block of one."""
+    With no `owners`, `rng` is one stream. With `owners` (one int per row,
+    each owner's rows consecutive), `rng` is a list of stream states indexed
+    by owner: each run of an owner's rows is planned on its owner's stream,
+    and the states come back advanced, in a new list. Planning picks each
+    row's route and the state its draws start from, and counts the draws
+    without taking them (PartialCheat's coin, which picks the route, is the
+    one draw taken then). Rows of providers with one route each start on one
+    arithmetic progression of their run's stream; PartialCheat's coins and
+    CachedReplay's replay-cache lookups (digests cut from the block's
+    canonical bytes) take one walk over each run.
 
-    def __init__(self):
-        self._routes: list[_Route | None] = []  # per row; None for a replay
-        self._starts: list[int] = []  # per row: the state its draws start from
-        # rows planned but not answered, by route: the route, the rows, and
-        # the input blocks they come from, each with the block rows taken
-        # (None for all of them)
-        self._fresh: dict[int, tuple[_Route, list[int], list[tuple]]] = {}
-        self._ascending = True  # every fresh block's rows in plan order
-        # replay rows not answered: the Response, or the (batch, row) still
-        # pending in the replay cache when planned
-        self._replays: dict[int, object] = {}
-        self._commits: dict[int, tuple[dict, bytes]] = {}
-        self._kept: dict[int, Response] = {}  # rows a replay cache holds
-        self._answers = Answers(None, [], _NO_ROWS, [], [], self._kept)
-
-    def ask(self, X, providers: Provider | tuple[Provider, ...], rng: int) -> int:
-        """Plan every row of X, asked of `providers` (one, or several in
-        turn: row 0 of each, then row 1 of each, ...) on the stream `rng`,
-        and return the state after the rows' draws."""
-        X = np.asarray(X, dtype=np.float64)
-        if isinstance(providers, Provider):
-            providers = (providers,)
-        # route 2j is provider j's only or honest route, 2j + 1 its cheat one
-        table, fixed, replay = [], True, False
-        for p in providers:
-            table += (p._fixed or p._honest,
-                      p._cheat if p.kind == PARTIAL_CHEAT else None)
-            fixed, replay = fixed and p._fixed, replay or p.kind == CACHED_REPLAY
-        width = X.shape[1] if X.ndim == 2 else None
-        for route in table:  # the shape check, once for the block
-            if route is not None and route.model.n_in != width:
-                raise ShapeError(f"query dim {X.shape[1:]} does not match "
-                                 f"model input {route.model.n_in}")
-        base, m, r = len(self._routes), len(X), len(providers)
-        if fixed:  # each provider's rows one arithmetic progression apart
-            only, offsets, at = table[0::2], [], 0
-            for j, route in enumerate(only):
-                offsets.append(at)
-                self._add(route, list(range(base + j, base + m * r, r)), X, None)
-                at += route.count * _GOLDEN
-            self._starts += [(rng + k * at + o) & MASK64
-                             for k in range(m) for o in offsets]
-            self._routes += only * m
-            return (rng + m * at) & MASK64 if m else rng
-        routes, starts, state = self._routes, self._starts, rng
-        rows_of = [[] for _ in table]
+    Each route's rows are answered as one block, in row order: their draws
+    in one pass (with Python ints below `_CROSSOVER` rows), one forward over
+    them (batch-invariant, so the bytes equal one-at-a-time answers), noise
+    on the block, all real certificates (signed as one block, one key
+    schedule) or all forged or none, and Response's latency check once. A
+    Response is built only for a row a replay cache keeps. A CachedReplay
+    input repeated within the call replays the row it was first asked in,
+    without a draw, and the misses enter the replay cache, in plan order,
+    only after every block is answered: a call that raises leaves the cache
+    as it found it."""
+    X = np.asarray(X, dtype=np.float64)
+    if isinstance(providers, Provider):
+        providers = (providers,)
+    # route 2j is provider j's only or honest route, 2j + 1 its cheat one
+    table, fixed, replay = [], True, False
+    for p in providers:
+        table += (p._fixed or p._honest,
+                  p._cheat if p.kind == PARTIAL_CHEAT else None)
+        fixed, replay = fixed and p._fixed, replay or p.kind == CACHED_REPLAY
+    width = X.shape[1] if X.ndim == 2 else None
+    for route in table:  # the shape check, once for the block
+        if route is not None and route.model.n_in != width:
+            raise ShapeError(f"query dim {X.shape[1:]} does not match "
+                             f"model input {route.model.n_in}")
+    m, r = len(X), len(providers)
+    if owners is None:  # one stream: one run of every row
+        streams, runs = [rng], [(0, m, 0)] if m else []
+    else:
+        streams, runs = list(rng), _runs(owners, m)
+    # per route: the rows it answers (row i of provider j is i * r + j) and
+    # the states their draws start from; replay rows' sources (a Response
+    # the cache held, or the row of this call it repeats); misses' entries
+    rows_of, starts_of = [[] for _ in table], [[] for _ in table]
+    replays, misses = {}, {}
+    if fixed:  # each provider's rows one arithmetic progression apart
+        offsets, at = [], 0
+        for route in table[0::2]:
+            offsets.append(at)
+            at += route.count * _GOLDEN
+        for a, b, k in runs:
+            s = streams[k]
+            for j, o in enumerate(offsets):
+                starts_of[2 * j] += [(s + i * at + o) & MASK64 for i in range(b - a)]
+            streams[k] = (s + (b - a) * at) & MASK64
+        for j in range(r):
+            rows_of[2 * j] = range(j, m * r, r)
+    else:
         if replay:
             xb, w = canon.vec(X), 8 * width
-        for i in range(m):
-            for j, p in enumerate(providers):
-                code, row = 2 * j, len(routes)
-                if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
-                    state = (state + _GOLDEN) & MASK64
-                    code += (mix64(state) >> 11) * _INV53 < p.cheat_rate
-                elif p.kind == CACHED_REPLAY:
-                    digest = canon.sha256(xb[i * w:(i + 1) * w])
-                    hit = p.cache.get(digest)
-                    if hit is not None:
-                        self._replays[row] = hit
-                        routes.append(None)
-                        starts.append(state & MASK64)
-                        continue
-                    p.cache[digest] = (self, row)
-                    self._commits[row] = (p.cache, digest)
-                route = table[code]
-                routes.append(route)
-                starts.append(state & MASK64)
-                rows_of[code].append(row)
-                state = (state + route.count * _GOLDEN) & MASK64
-        for route, rows in zip(table, rows_of):
-            if rows:  # with every row of the block, X itself
-                self._add(route, rows, X, None if len(rows) == m * r == m else
-                          [(row - base) // r for row in rows])
-        return state
+            first = {}  # (id(cache), digest): the row a miss is asked in
+        for a, b, k in runs:
+            state = streams[k]
+            for i in range(a, b):
+                for j, p in enumerate(providers):
+                    code, row = 2 * j, i * r + j
+                    if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
+                        state = (state + _GOLDEN) & MASK64
+                        code += (mix64(state) >> 11) * _INV53 < p.cheat_rate
+                    elif p.kind == CACHED_REPLAY:
+                        digest = canon.sha256(xb[i * w:(i + 1) * w])
+                        hit = p.cache.get(digest)
+                        if hit is None:
+                            hit = first.get((id(p.cache), digest))
+                        if hit is not None:
+                            replays[row] = hit
+                            continue
+                        first[id(p.cache), digest] = row
+                        misses[row] = (p.cache, digest)
+                    rows_of[code].append(row)
+                    starts_of[code].append(state & MASK64)
+                    state = (state + table[code].count * _GOLDEN) & MASK64
+            streams[k] = state
+    blocks = [(rows, _answer_block(table[c], starts_of[c], X if len(rows) == m
+                                   else X[np.asarray(rows) // r]))
+              for c, rows in enumerate(rows_of) if rows]
+    if len(blocks) == 1 and not replays:  # the usual case: one block, in order
+        M, certs, latencies = blocks[0][1]
+        probs = labels = None
+    else:
+        M, probs, labels, certs, latencies = _scatter(blocks, replays, m * r)
+    if misses and probs is None:
+        probs = list(M)  # row views, shared with the Answers
+    kept = {i: Response(probs[i], certs[i], latencies[i]) for i in misses}
+    if replays:
+        _replay_rows(replays, kept, M, probs, labels, certs, latencies)
+    for i, (cache, digest) in misses.items():
+        cache[digest] = kept[i]
+    return (Answers(M, probs, labels, certs, latencies, kept),
+            streams[0] if owners is None else streams)
 
-    def _add(self, route: _Route, rows: list[int], X: np.ndarray, picked) -> None:
-        block = self._fresh.get(id(route))
-        if block is None:
-            self._fresh[id(route)] = (route, rows, [(X, picked)])
-        else:  # two providers of one call may share a route
-            self._ascending = self._ascending and rows[0] > block[1][-1]
-            block[1].extend(rows)
-            block[2].append((X, picked))
 
-    def answer(self) -> Answers:
-        done, n = len(self._answers), len(self._routes)
-        if n == done:
-            return self._answers
-        blocks = [(rows, _answer_block(route, [self._starts[i] for i in rows],
-                                       _gather(pieces)))
-                  for route, rows, pieces in self._fresh.values()]
-        self._fresh.clear()
-        if len(blocks) == 1 and not self._replays and self._ascending:
-            M, certs, latencies = blocks[0][1]  # the usual case: one block, in order
-            probs = labels = None
-        else:
-            M, probs, labels, certs, latencies = self._scatter(blocks, done, n)
-        self._ascending = True
-        if self._commits and probs is None:
-            probs = list(M)  # row views, shared with the Answers
-        for i, (cache, digest) in self._commits.items():
-            j = i - done
-            cache[digest] = self._kept[i] = Response(probs[j], certs[j],
-                                                     latencies[j])
-        self._commits.clear()
-        if self._replays:
-            self._replay_rows(done, M, probs, labels, certs, latencies)
-        if done:
-            old = self._answers
-            if (M is not None and old.matrix is not None
-                    and M.shape[1] == old.matrix.shape[1]):
-                M, probs, labels = np.concatenate([old.matrix, M]), None, None
-            else:
-                if labels is None:
-                    labels = M.argmax(axis=1)
-                labels = np.concatenate([old.labels, labels])
-                probs, M = old.probs + (probs if M is None else list(M)), None
-            certs = old.certificates + certs
-            latencies = old.latencies + latencies
-        self._answers = Answers(M, probs, labels, certs, latencies, self._kept)
-        return self._answers
+def _runs(owners, m: int) -> list[tuple[int, int, int]]:
+    """(first row, end row, owner) of each run of equal owners in turn."""
+    owners = np.asarray(owners)
+    if owners.shape != (m,):
+        raise ShapeError(f"{owners.size} owners for {m} rows")
+    cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), m]
+    return list(zip(cuts, cuts[1:], owners[cuts[:-1]].tolist())) if m else []
 
-    def _replay_rows(self, done: int, M, probs, labels, certs, latencies) -> None:
-        """Fill the replay rows' columns from the Responses the replay cache
-        keeps, answering first a batch where one is still pending."""
-        at, hits = [], []
-        for i, hit in self._replays.items():
-            if isinstance(hit, tuple):
-                batch, pending = hit
-                if pending not in batch._kept:
-                    batch.answer()
-                hit = batch._kept[pending]
-            self._kept[i] = hit
-            at.append(i - done)
-            hits.append(hit)
-            certs[i - done], latencies[i - done] = hit.certificate, hit.latency_ms
-        self._replays.clear()
+
+def _replay_rows(replays: dict, kept: dict, M, probs, labels, certs,
+                 latencies) -> None:
+    """Fill the replay rows' columns from the Responses they replay: one the
+    replay cache held, or the one kept for the row of this call repeated."""
+    at, hits = list(replays), []
+    for i, hit in replays.items():
+        if isinstance(hit, int):
+            hit = kept[hit]
+        kept[i] = hit
+        hits.append(hit)
+        certs[i], latencies[i] = hit.certificate, hit.latency_ms
+    if M is not None:
+        M[at] = [hit.probs for hit in hits]
+    for i, hit in zip(at, hits) if M is None else ():
+        probs[i], labels[i] = hit.probs, hit.probs.argmax()
+
+
+def _scatter(blocks: list, replays: dict, n: int):
+    """The columns of n rows from their route blocks, with room for the
+    replay rows: one matrix when every row has one width (a row of this call
+    replayed has its width), else one vector and label per row."""
+    widths = {P.shape[1] for _, (P, _, _) in blocks}
+    widths.update(len(hit.probs) for hit in replays.values()
+                  if not isinstance(hit, int))
+    M = np.empty((n, widths.pop())) if len(widths) == 1 else None
+    probs, labels = ((None, None) if M is not None
+                     else ([None] * n, np.empty(n, np.intp)))
+    certs, latencies = [None] * n, np.empty(n)
+    for rows, (P, C, lat) in blocks:
+        at = np.asarray(rows)
+        latencies[at] = lat
         if M is not None:
-            M[at] = [hit.probs for hit in hits]
-        for j, hit in zip(at, hits) if M is None else ():
-            probs[j], labels[j] = hit.probs, hit.probs.argmax()
-
-    def _scatter(self, blocks: list, done: int, n: int):
-        """The columns of rows done..n from their route blocks, with room for
-        the replay rows: one matrix when every row has one width (a pending
-        replay's width is its route's), else one vector and label per row."""
-        k = n - done
-        widths = {P.shape[1] for _, (P, _, _) in blocks}
-        widths.update(hit[0]._routes[hit[1]].model.n_out if isinstance(hit, tuple)
-                      else len(hit.probs) for hit in self._replays.values())
-        M = np.empty((k, widths.pop())) if len(widths) == 1 else None
-        probs, labels = ((None, None) if M is not None
-                         else ([None] * k, np.empty(k, np.intp)))
-        certs, latencies = [None] * k, np.empty(k)
-        for rows, (P, C, lat) in blocks:
-            at = np.array(rows) - done
-            latencies[at] = lat
-            if M is not None:
-                M[at] = P
-            else:
-                labels[at] = P.argmax(axis=1)
-                for j, pr in zip(at.tolist(), P):
-                    probs[j] = pr
-            for j, cert in zip(at.tolist(), C) if C[0] is not None else ():
-                certs[j] = cert
-        return M, probs, labels, certs, latencies.tolist()
-
-
-def _gather(pieces: list[tuple]) -> np.ndarray:
-    """A route's rows from the input blocks they come from, in order: each
-    piece is a block and the block rows taken (None for all of them)."""
-    if len(pieces) == 1:
-        X, picked = pieces[0]
-        return X if picked is None else X[picked]
-    X = np.concatenate([X for X, _ in pieces])
-    if all(picked is None for _, picked in pieces):
-        return X
-    at, rows = 0, []
-    for piece, picked in pieces:
-        rows += (range(at, at + len(piece)) if picked is None
-                 else [at + i for i in picked])
-        at += len(piece)
-    return X[rows]
+            M[at] = P
+        else:
+            labels[at] = P.argmax(axis=1)
+            for j, pr in zip(rows, P):
+                probs[j] = pr
+        for j, cert in zip(rows, C) if C[0] is not None else ():
+            certs[j] = cert
+    return M, probs, labels, certs, latencies.tolist()
 
 
 def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
@@ -637,6 +585,5 @@ def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
 
 def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
     """One query against the provider: the block of one row."""
-    batch = QueryBatch()
-    rng = batch.ask(np.asarray(x, dtype=np.float64)[None], p, rng)
-    return batch.answer()[0], rng
+    answers, rng = ask(np.asarray(x, dtype=np.float64)[None], p, rng)
+    return answers[0], rng

@@ -16,15 +16,15 @@ import numpy as np
 from . import canon
 from . import config as cfgmod
 from ._version import __version__
-from .adversarial import (AttackConfig, RowScorer, SigmoidParams,
-                          claim_check, robustness_benchmark)
+from .adversarial import (AttackConfig, SigmoidParams, claim_check,
+                          robustness_benchmark)
 from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       compute_metric, identity, make_model_spec,
                       run_audit_round)
 from .cache import _cached, _cached_f64s, _model_cache_key, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (Answers, LatencyModel, Provider, QueryBatch,
-                       SeedPublication, Supplier)
+from .entities import (Answers, LatencyModel, Provider, SeedPublication,
+                       Supplier, ask)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
 from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward_batch
@@ -232,9 +232,7 @@ def _ask_uniform(provider: Provider, seed: int, n: int,
                  dim: int) -> tuple[np.ndarray, Answers]:
     """The inputs of `_uniform_block`, asked of the provider as one block."""
     X, rng = _uniform_block(seed, n, dim)
-    batch = QueryBatch()
-    batch.ask(X, provider, rng)
-    return X, batch.answer()
+    return X, ask(X, provider, rng)[0]
 
 
 def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
@@ -294,25 +292,22 @@ def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
     starts = derive_seed(seed, 1)
     supplier_model = fx.supplier.model
     claimed = robustness_benchmark(
-        RowScorer(lambda X, _owners: forward_batch(supplier_model, X)), dim,
-        classes, ver["trials_per_class"], acfg, params, starts)
+        lambda X, _owners: forward_batch(supplier_model, X), dim, classes,
+        ver["trials_per_class"], acfg, params, starts)
 
     # attack k draws on its own stream, so the attacks are independent and
-    # advance in lockstep: each scorer call plans each attack's run of rows
-    # as one block on its stream, in row order, then answers them as one
-    # batch
+    # advance in lockstep: each scorer call is one ask, which plans each
+    # attack's run of rows on its stream and answers them as one block
     base = derive_seed(seed, 3)
     streams = [derive_seed(base, k)
                for k in range(len(classes) * ver["trials_per_class"])]
 
     def service(X, owners):
-        batch = QueryBatch()
-        cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), len(owners)]
-        for a, b, k in zip(cuts, cuts[1:], owners[cuts[:-1]].tolist()):
-            streams[k] = batch.ask(X[a:b], provider, streams[k])
-        return batch.answer().matrix
+        nonlocal streams
+        answers, streams = ask(X, provider, streams, owners)
+        return answers.matrix
 
-    measured = robustness_benchmark(RowScorer(service), dim, classes,
+    measured = robustness_benchmark(service, dim, classes,
                                     ver["trials_per_class"], acfg, params, starts)
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])

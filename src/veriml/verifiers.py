@@ -15,11 +15,11 @@ Four methods:
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
-The verifiers ask through a QueryBatch, a block of rows per call, and read
+The verifiers ask with entities.ask, one call per block of rows, and read
 its answers as columns: the steg probe and the probabilistic benchmark
-compare label arrays, the deterministic benchmark compares each batch's
+compare label arrays, the deterministic benchmark compares each block's
 probability bytes with the reference's in one pass, metaresult_verify
-checks a batch's certificate column against its query and probability
+checks a block's certificate column against its query and probability
 blocks with one key schedule, and no Response is built for a row no replay
 cache keeps.
 
@@ -39,8 +39,8 @@ import numpy as np
 from . import canon, stats
 from .cache import shared_model
 from .data import BlobRecipe
-from .entities import (HONEST_PASSTHROUGH, Answers, Provider, QueryBatch,
-                       Response, SeedPublication, Supplier,
+from .entities import (HONEST_PASSTHROUGH, Answers, Provider, Response,
+                       SeedPublication, Supplier, ask,
                        first_invalid_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
@@ -146,9 +146,8 @@ def _probe_counts(provider: Provider, steg: StegModel,
                                        derive_seed(seed, 1))
     rows = rows.copy()
     rows[is_steg] = containers
-    batch = QueryBatch()
-    batch.ask(rows, provider, state)
-    flagged = batch.answer().labels == reveal.message_class
+    answers, _ = ask(rows, provider, state)
+    flagged = answers.labels == reveal.message_class
     return int(flagged[is_steg].sum()), int((~flagged[~is_steg]).sum())
 
 
@@ -228,14 +227,12 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
                 raise ShapeError(f"query shape {np.shape(x)} does not match "
                                  f"published input width {local.n_in}")
         queries = np.array(queries)
-    # queries go out in batches of 1, 4, 16, ..., each checked against one
+    # queries go out in blocks of 1, 4, 16, ..., each checked against one
     # forward_batch of the reference, so a cheat caught early costs little
     state, start, size = rng, 0, 1
     while start < len(queries):
         chunk = queries[start:start + size]
-        batch = QueryBatch()
-        state = batch.ask(chunk, provider, state)
-        answers = batch.answer()
+        answers, state = ask(chunk, provider, state)
         wants = forward_batch(local, chunk)
         bad = _first_difference(answers, wants)
         if bad is not None:
@@ -268,10 +265,9 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
-    batch = QueryBatch()
-    batch.ask(labeled.inputs[idx],
-              (provider, Provider(HONEST_PASSTHROUGH, supplier)), state)
-    said, y = batch.answer().labels, labeled.labels[idx]
+    answers, _ = ask(labeled.inputs[idx],
+                     (provider, Provider(HONEST_PASSTHROUGH, supplier)), state)
+    said, y = answers.labels, labeled.labels[idx]
     correct_p = int((said[0::2] == y).sum())
     correct_s = int((said[1::2] == y).sum())
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)
@@ -300,7 +296,7 @@ def metaresult_verify(responses: list[tuple[np.ndarray, Response]]
                       | tuple[np.ndarray, Answers], key: bytes) -> Verdict:
     """Verify the certificate of every (query, response) pair against the
     supplier's published key. One bad or missing tag convicts. `responses`
-    is a list of pairs, or a batch's queries and answers as one `(X, Answers)`
+    is a list of pairs, or a block's queries and answers as one `(X, Answers)`
     pair, whose columns are read with no Response built. The rows are checked
     as one block (`first_invalid_certificate`)."""
     if len(responses) == 2 and isinstance(responses[1], Answers):

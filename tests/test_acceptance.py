@@ -506,9 +506,9 @@ def test_c7_robustness_accounting_attacks_and_scores(capsys, robust_env):
     for t in range(N_ACCOUNTING_TRACES):
         seen = {"n": 0}
 
-        def scorer(q, _seen=seen):
-            _seen["n"] += 1
-            return mlp.forward(plain, q)
+        def scorer(X, _owners, _seen=seen):
+            _seen["n"] += len(X)
+            return mlp.forward_batch(plain, X)
 
         budget, state = rng_below(state, 500)
         budget += 30
@@ -550,10 +550,10 @@ def test_c7_robustness_accounting_attacks_and_scores(capsys, robust_env):
     sig = adv.SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
     classes = list(range(n_classes))
     seed = derive_seed(0xC7, 99)
-    hard = adv.robustness_benchmark(lambda q: mlp.forward(hardened, q), dim,
-                                    classes, 10, acfg, sig, seed)
-    soft = adv.robustness_benchmark(lambda q: mlp.forward(plain, q), dim,
-                                    classes, 10, acfg, sig, seed)
+    hard = adv.robustness_benchmark(lambda X, _: mlp.forward_batch(hardened, X),
+                                    dim, classes, 10, acfg, sig, seed)
+    soft = adv.robustness_benchmark(lambda X, _: mlp.forward_batch(plain, X),
+                                    dim, classes, 10, acfg, sig, seed)
     hardening_ok = all(h.score >= s.score for h, s in zip(hard, soft))
 
     # (e) discriminator error at its hand-computable points.

@@ -28,6 +28,16 @@ def _wb(tau=0.75, step=0.1, max_queries=200):
     return adv.AttackConfig(tau, step, max_queries, mode=adv.WHITEBOX)
 
 
+def _scorer(model):
+    """The model's rows, in one forward_batch per call."""
+    return lambda X, _owners: mlp.forward_batch(model, X)
+
+
+def _row_by_row(one):
+    """A scorer asking `one(x)` once per row, in row order."""
+    return lambda X, _owners: np.array([one(x) for x in X])
+
+
 # -- config / parameter validation -------------------------------------------------
 
 
@@ -46,7 +56,7 @@ def test_mode_mismatch_rejected(victim):
     with pytest.raises(ParameterError):
         adv.whitebox_attack(victim, x0, 0, _bb())
     with pytest.raises(ParameterError):
-        adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM, x0, 0, _wb())
+        adv.blackbox_attack(_scorer(victim), DIM, x0, 0, _wb())
 
 
 def test_tau_below_chance_rejected(victim):
@@ -54,8 +64,7 @@ def test_tau_below_chance_rejected(victim):
     with pytest.raises(ParameterError):
         adv.whitebox_attack(victim, x0, 0, _wb(tau=1.0 / 3))
     with pytest.raises(ParameterError):
-        adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM, x0, 0,
-                            _bb(tau=0.2))
+        adv.blackbox_attack(_scorer(victim), DIM, x0, 0, _bb(tau=0.2))
 
 
 def test_target_and_shape_validation(victim):
@@ -64,8 +73,8 @@ def test_target_and_shape_validation(victim):
     with pytest.raises(ShapeError):
         adv.whitebox_attack(victim, np.full(DIM + 1, 0.5), 0, _wb())
     with pytest.raises(ShapeError):
-        adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM,
-                            np.full(DIM - 1, 0.5), 0, _bb())
+        adv.blackbox_attack(_scorer(victim), DIM, np.full(DIM - 1, 0.5), 0,
+                            _bb())
 
 
 # -- whitebox ----------------------------------------------------------------------
@@ -105,9 +114,9 @@ def test_whitebox_failure_exhausts_exact_budget():
 def test_blackbox_external_count_matches_reported(victim):
     calls = [0]
 
-    def scorer(x):
-        calls[0] += 1
-        return mlp.forward(victim, x)
+    def scorer(X, owners):
+        calls[0] += len(X)
+        return mlp.forward_batch(victim, X)
 
     for seed, target in [(101, 0), (102, 1), (103, 2), (104, 0)]:
         calls[0] = 0
@@ -120,7 +129,7 @@ def test_blackbox_external_count_matches_reported(victim):
 def test_blackbox_step_only_begun_when_it_fits(victim):
     model = mlp.init_mlp((DIM, 3), weight_seed=9)
     model.biases[-1][1] = 10.0  # target 0 never reaches tau
-    scorer = lambda x: mlp.forward(model, x)
+    scorer = _scorer(model)
     step_cost = 2 * DIM + 1
     x0 = np.full(DIM, 0.5)
     # budget admits exactly one step
@@ -136,7 +145,7 @@ def test_blackbox_step_only_begun_when_it_fits(victim):
 
 def test_blackbox_reaches_target_on_trained_model(victim):
     x0, _ = uniform_array(105, DIM)
-    trace = adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM, x0, 1,
+    trace = adv.blackbox_attack(_scorer(victim), DIM, x0, 1,
                                 _bb(tau=0.9, max_queries=600))
     assert trace.success
     assert trace.final_prob >= 0.9
@@ -153,7 +162,7 @@ def test_blackbox_rejects_malformed_scorers():
     ]
     for scorer in cases:
         with pytest.raises(ProtocolError):
-            adv.blackbox_attack(scorer, 3, x0, 0, _bb(tau=0.6))
+            adv.blackbox_attack(_row_by_row(scorer), 3, x0, 0, _bb(tau=0.6))
 
 
 def _reference_blackbox(query, dim, x0, target, cfg):
@@ -177,8 +186,8 @@ def _reference_blackbox(query, dim, x0, target, cfg):
 
 def test_row_scorer_attack_equals_one_row_attack(victim):
     """One scorer call per step for the 2*dim probes and one for the moved
-    point, with the one-row attack's trace to the bit, and both the trace of
-    the attack's definition."""
+    point, with the trace to the bit of the attack asking one-row forwards
+    row by row, and both the trace of the attack's definition."""
     calls, rows = [0], [0]
 
     def batch(X, owners):
@@ -191,9 +200,9 @@ def test_row_scorer_attack_equals_one_row_attack(victim):
         calls[0] = rows[0] = 0
         x0, _ = uniform_array(seed, DIM)
         cfg = _bb(tau=0.95, step=0.01, max_queries=150)
-        want = adv.blackbox_attack(lambda x: mlp.forward(victim, x), DIM, x0,
-                                   target, cfg)
-        got = adv.blackbox_attack(adv.RowScorer(batch), DIM, x0, target, cfg)
+        want = adv.blackbox_attack(
+            _row_by_row(lambda x: mlp.forward(victim, x)), DIM, x0, target, cfg)
+        got = adv.blackbox_attack(batch, DIM, x0, target, cfg)
         x, queries, prob = _reference_blackbox(lambda x: mlp.forward(victim, x),
                                                DIM, x0, target, cfg)
         assert (want.final.tobytes(), want.queries_used, want.final_prob) \
@@ -223,9 +232,9 @@ def test_row_scorer_sees_the_one_row_points_in_order(victim):
 
     x0 = np.array([0.0, 1.0, 0.9995, 0.5, 0.0005, 1.0])  # probes clamp
     cfg = _bb(tau=0.95, max_queries=1 + 3 * (2 * DIM + 1))
-    adv.blackbox_attack(adv.RowScorer(batch), DIM, x0, 2, cfg)
+    adv.blackbox_attack(batch, DIM, x0, 2, cfg)
     assert len(seen_rows) == 1 + 3 * (2 * DIM + 1)
-    adv.blackbox_attack(one, DIM, x0, 2, cfg)
+    adv.blackbox_attack(_row_by_row(one), DIM, x0, 2, cfg)
     assert seen_one == seen_rows
     seen_one.clear()
     _reference_blackbox(one, DIM, x0, 2, cfg)
@@ -243,7 +252,7 @@ def test_row_scorer_sees_the_one_row_points_in_order(victim):
 ], ids=["rank", "extra-row", "short", "one-class", "sum", "negative", "nan"])
 def test_blackbox_rejects_malformed_row_scorers(fn):
     with pytest.raises(ProtocolError):
-        adv.blackbox_attack(adv.RowScorer(fn), 3, np.full(3, 0.5), 0, _bb(tau=0.6))
+        adv.blackbox_attack(fn, 3, np.full(3, 0.5), 0, _bb(tau=0.6))
 
 
 def test_blackbox_rejects_a_bad_row_in_a_probe_batch(victim):
@@ -255,16 +264,7 @@ def test_blackbox_rejects_a_bad_row_in_a_probe_batch(victim):
         return probs
 
     with pytest.raises(ProtocolError, match="do not sum to 1"):
-        adv.blackbox_attack(adv.RowScorer(fn), DIM, np.full(DIM, 0.5), 0,
-                            _bb(tau=0.99))
-
-
-def test_blackbox_rejects_one_row_scorers_of_mixed_width():
-    def scorer(x):
-        return np.array([0.5, 0.5]) if x[0] == 0.5 else np.array([0.2, 0.3, 0.5])
-
-    with pytest.raises(ProtocolError):
-        adv.blackbox_attack(scorer, 3, np.full(3, 0.5), 0, _bb(tau=0.6))
+        adv.blackbox_attack(fn, DIM, np.full(DIM, 0.5), 0, _bb(tau=0.99))
 
 
 # (seed of the start, target): an immediate success, successes after 3 to 9
@@ -278,8 +278,9 @@ def _lockstep_cfg():
 
 
 def test_lockstep_attacks_equal_one_at_a_time(victim):
-    """Every trace equals its attack run alone, bit for bit, with a RowScorer
-    and with a plain callable; each step makes one probe call of live*2*dim
+    """Every trace equals its attack run alone, bit for bit, with a scorer of
+    one forward_batch and with one asking row by row; each step makes one
+    probe call of live*2*dim
     rows and one moved-point call of live rows, attack-major, and every row
     carries its attack's index and the point that attack asks alone."""
     cfg = _lockstep_cfg()
@@ -294,8 +295,7 @@ def test_lockstep_attacks_equal_one_at_a_time(victim):
             _rows.extend(x.tobytes() for x in X)
             return mlp.forward_batch(victim, X)
 
-        alone.append(adv.blackbox_attack(adv.RowScorer(one_attack), DIM, x0,
-                                         target, cfg))
+        alone.append(adv.blackbox_attack(one_attack, DIM, x0, target, cfg))
         alone_rows.append(rows)
     steps = [(t.queries_used - 1) // (2 * DIM + 1) for t in alone]
     assert steps == [0, 6, 3, 11, 9, 11, 7, 11]
@@ -312,7 +312,7 @@ def test_lockstep_attacks_equal_one_at_a_time(victim):
         calls.append(None)
         return mlp.forward(victim, x)
 
-    for scorer in (adv.RowScorer(lockstep), plain):
+    for scorer in (lockstep, _row_by_row(plain)):
         got = adv.blackbox_attacks(scorer, DIM, starts, targets, cfg)
         assert len(got) == len(alone)
         for g, w in zip(got, alone):
@@ -353,13 +353,12 @@ def test_lockstep_rejects_a_bad_row_in_one_attacks_block(victim):
         return probs
 
     with pytest.raises(ProtocolError, match="do not sum to 1"):
-        adv.blackbox_attacks(adv.RowScorer(fn), DIM, starts, targets,
-                             _lockstep_cfg())
+        adv.blackbox_attacks(fn, DIM, starts, targets, _lockstep_cfg())
     assert probe_calls[0] == 2
 
 
 def test_lockstep_validation(victim):
-    scorer = lambda x: mlp.forward(victim, x)
+    scorer = _scorer(victim)
     starts = [np.full(DIM, 0.5), np.full(DIM, 0.25)]
     assert adv.blackbox_attacks(scorer, DIM, [], [], _bb()) == []
     with pytest.raises(ParameterError):
@@ -375,8 +374,7 @@ def test_lockstep_validation(victim):
         return probs if len(X) == 2 else np.hstack([probs, np.zeros((len(X), 1))])
 
     with pytest.raises(ProtocolError):
-        adv.blackbox_attacks(adv.RowScorer(widening), DIM, starts, [0, 1],
-                             _bb(tau=0.99))
+        adv.blackbox_attacks(widening, DIM, starts, [0, 1], _bb(tau=0.99))
 
 
 # -- scoring -----------------------------------------------------------------------
@@ -406,7 +404,7 @@ def test_sigmoid_budget_defaults():
 
 
 def test_benchmark_deterministic_and_failure_charging(victim):
-    scorer = lambda x: mlp.forward(victim, x)
+    scorer = _scorer(victim)
     cfg = _bb(tau=0.9, max_queries=400)
     params = adv.SigmoidParams.for_budget(400)
     a = adv.robustness_benchmark(scorer, DIM, [0, 1, 2], 2, cfg, params, seed=9)
@@ -420,15 +418,14 @@ def test_benchmark_deterministic_and_failure_charging(victim):
     hopeless = mlp.init_mlp((DIM, 3), weight_seed=9)
     hopeless.biases[-1][1] = 10.0
     tiny = _bb(tau=0.99, step=1e-9, max_queries=5)
-    scores = adv.robustness_benchmark(lambda x: mlp.forward(hopeless, x), DIM,
-                                      [0], 3, tiny, adv.SigmoidParams.for_budget(5),
-                                      seed=10)
+    scores = adv.robustness_benchmark(_scorer(hopeless), DIM, [0], 3, tiny,
+                                      adv.SigmoidParams.for_budget(5), seed=10)
     assert scores[0].n_failures == 3
     assert scores[0].mean_queries == 5.0
 
 
 def test_benchmark_validation(victim):
-    scorer = lambda x: mlp.forward(victim, x)
+    scorer = _scorer(victim)
     with pytest.raises(ParameterError):
         adv.robustness_benchmark(scorer, DIM, [0], 0, _bb(),
                                  adv.SigmoidParams.for_budget(400), seed=1)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,7 +99,8 @@ def test_robustness_metric_equals_one_query_benchmark(metric_class):
     got = auditor.compute_metric(spec)
     model = cache.trained_model(spec.architecture, tc, recipe, recipe.n_per_class)
     want = adv.robustness_benchmark(
-        lambda x: mlp.forward(model, x), 2, [metric_class], 3,
+        lambda X, _owners: np.array([mlp.forward(model, x) for x in X]), 2,
+        [metric_class], 3,
         adv.AttackConfig(tau=0.9, step_size=0.05, max_queries=400),
         adv.SigmoidParams.for_budget(400),
         int.from_bytes(spec.spec_digest[:8], "little"))

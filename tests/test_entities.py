@@ -1,7 +1,7 @@
-import collections
 import dataclasses
 import hmac
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -366,11 +366,11 @@ def test_unknown_provider_kind_rejected(supplier_pair):
         entities.Provider(kind="Sneaky", backend=supplier)
 
 
-# -- two-phase queries: a QueryBatch answers like one call at a time -----------
+# -- block queries: one ask answers like one query at a time -------------------
 
 
 def _query_rows():
-    """Distinct rows with repeats, so CachedReplay replays within a batch."""
+    """Distinct rows with repeats, so CachedReplay replays within a block."""
     rows = [_x(2000 + i) for i in range(10)]
     return rows + [rows[2], rows[5], rows[2], _x(2010), rows[9]]
 
@@ -428,12 +428,11 @@ def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
         resp, rng = entities.provider_classify(one, x, rng)
         seq.append(resp)
 
-    # two batches: the second replays entries the first committed
+    # two calls: the second replays entries the first committed
     many, rng_b, got = provider(), 99, []
     for part in (rows[:7], rows[7:]):
-        batch = entities.QueryBatch()
-        rng_b = batch.ask(np.array(part), many, rng_b)
-        got += batch.answer()
+        answers, rng_b = entities.ask(np.array(part), many, rng_b)
+        got += answers
     assert rng_b == rng
     _same_answers(seq, got)
     _same_cache(one.cache, many.cache)
@@ -453,10 +452,10 @@ def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
         seq += [rp, rs]
     # the supplier side is asked as an honest pass-through provider
     honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
-    many, rng_b, batch = provider(), 7, entities.QueryBatch()
-    rng_b = batch.ask(np.array(rows), (many, honest), rng_b)
+    many = provider()
+    answers, rng_b = entities.ask(np.array(rows), (many, honest), 7)
     assert rng_b == rng
-    _same_answers(seq, batch.answer())
+    _same_answers(seq, answers)
     _same_cache(one.cache, many.cache)
 
 
@@ -578,20 +577,25 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
         passes.append(len(starts))
         return array_draws(route, starts)
 
+    blocks = []
+    answer_block = entities._answer_block
+
+    def block(route, starts, X):
+        blocks.append(len(starts))
+        return answer_block(route, starts, X)
+
     monkeypatch.setattr(entities, "_array_draws", counted)
+    monkeypatch.setattr(entities, "_answer_block", block)
     many, rng_b, got, ends = provider(), 99, [], []
     for part in (first, second):
-        batch = entities.QueryBatch()
-        rng_b = batch.ask(np.array(part), many, rng_b)
-        # the rows that draw, counted per route: one uint64 pass for each
-        # route with at least _CROSSOVER of them, and none for the others
-        drawn = collections.Counter(
-            id(route) for route in batch._routes if route is not None)
-        begin = len(passes)
-        got += batch.answer()
+        begin, at = len(passes), len(blocks)
+        answers, rng_b = entities.ask(np.array(part), many, rng_b)
+        got += answers
         ends.append(len(passes))
+        # the rows that draw, one block per route: one uint64 pass for each
+        # block of at least _CROSSOVER rows, and none for the others
         assert sorted(passes[begin:]) == sorted(
-            k for k in drawn.values() if k >= entities._CROSSOVER)
+            k for k in blocks[at:] if k >= entities._CROSSOVER)
     assert rng_b == rng
     _same_answers(seq, got)
     _same_cache(one.cache, many.cache)
@@ -617,39 +621,19 @@ def test_columnar_batch_takes_any_int_state(steg_env, kind, state):
     for x in rows:
         resp, rng = entities.provider_classify(one, x, rng)
         seq.append(resp)
-    many, rng_b, batch = provider(), state, entities.QueryBatch()
-    rng_b = batch.ask(np.array(rows), many, rng_b)
+    answers, rng_b = entities.ask(np.array(rows), provider(), state)
     assert rng_b == rng
-    _same_answers(seq, batch.answer())
-
-
-def test_replay_pending_in_another_batch_is_answered_once(supplier_pair):
-    supplier, _ = supplier_pair
-    p = entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier)
-    x, y = _x(31), _x(32)
-    first, second = entities.QueryBatch(), entities.QueryBatch()
-    rng = first.ask(x[None], p, 3)
-    rng = second.ask(np.array([x, y]), p, rng)  # x pending in `first`: no draw
-    rng = first.ask(y[None], p, rng)    # pending in `second`
-    got = second.answer()
-    assert got[0] is first.answer()[0] is p.cache[canon.sha256(canon.vec(x))]
-    assert first.answer()[1] is got[1]
-    ref, rng_r = {}, 3
-    for z in (x, x, y, y):
-        _, rng_r = entities.provider_classify(
-            entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier,
-                              cache=ref), z, rng_r)
-    assert rng == rng_r
-    _same_cache(ref, p.cache)
+    _same_answers(seq, answers)
 
 
 def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
     supplier, _ = supplier_pair
-    batch = entities.QueryBatch()
+    p = entities.Provider(entities.CACHED_REPLAY, supplier)
     with pytest.raises(ShapeError):
-        batch.ask(np.zeros((1, 5)),
-                  entities.Provider(entities.HONEST_PASSTHROUGH, supplier), 1)
-    assert len(batch.answer()) == 0
+        entities.ask(np.zeros((1, 5)), p, 1)
+    with pytest.raises(ShapeError, match="3 owners for 2 rows"):
+        entities.ask(np.zeros((2, 16)), p, [1], [0, 0, 0])
+    assert p.cache == {}
 
 
 def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch):
@@ -671,10 +655,9 @@ def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch
             calls.append((name, len(starts)))
             return draws(route, starts)
         monkeypatch.setattr(entities, name, counted)
-    many, rng_b, batch = provider(), 11, entities.QueryBatch()
-    rng_b = batch.ask(np.array(rows), many, rng_b)
+    answers, rng_b = entities.ask(np.array(rows), provider(), 11)
     assert rng_b == rng
-    _same_answers(seq, batch.answer())
+    _same_answers(seq, answers)
     rows_of = dict(calls)
     assert len(calls) == 2 and sum(rows_of.values()) == len(rows)
     assert rows_of["_scalar_draws"] < entities._CROSSOVER <= rows_of["_array_draws"]
@@ -726,24 +709,27 @@ _POOL = [_x(9000 + i) for i in range(6)]
        data=st.data())
 def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate,
                                                turns, picks, data):
-    """Random splits of a query sequence into blocks, each planned in order
-    on one stream in one of two batches; the first batch may be answered
-    part way (before block `early`), and the second batch is answered first
-    at the end, so a CachedReplay input it repeats from the first batch
-    replays a row still pending there. Every row is asked of the provider
-    alone, of the provider and then the honest supplier (ProbabilisticBench's
-    pattern), or of the provider twice in turn."""
+    """The first `early` rows asked in one call on one stream, then the rest
+    split into runs of random lengths, each run owned by another owner, in
+    one call on the owners' streams: every answer, draw start, end state and
+    replay-cache entry equals each run asked alone on its owner's stream,
+    one query at a time, in order. CachedReplay inputs repeat within a run,
+    across runs and from the earlier call. Every row is asked of the
+    provider alone, of the provider and then the honest supplier
+    (ProbabilisticBench's pattern), or of the provider twice in turn."""
     supplier, variant = _variant(steg_env, kind, mac, reveal)
 
     def provider():
         return dataclasses.replace(variant(), cheat_rate=rate)
     rows = np.array([_POOL[i] for i in picks])
-    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1)), "cuts")
-                  if len(rows) > 1 else set())
-    blocks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
-    sides = data.draw(st.lists(st.booleans(), min_size=len(blocks),
-                               max_size=len(blocks)), "sides")
-    early = data.draw(st.integers(0, len(blocks)), "early")
+    early = data.draw(st.integers(0, len(rows) - 1), "early")
+    later = rows[early:]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(later) - 1)), "cuts")
+                  if len(later) > 1 else set())
+    runs = list(zip([0, *cuts], [*cuts, len(later)]))
+    order = data.draw(st.permutations(range(len(runs))), "owners")
+    owners = np.repeat(order, [b - a for a, b in runs])
+    streams = [rng_advance(99, 1000 * k + 1) for k in range(len(runs))]
 
     one, many = provider(), provider()
     honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
@@ -751,31 +737,39 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
     askers, ref_askers = {"alone": ((many,), (one,)),
                           "honest": ((many, honest), (one, ref_honest)),
                           "twice": ((many, many), (one, one))}[turns]
-    state, want, want_starts = 99, [], []
-    for x in rows:
-        for p in ref_askers:
-            resp, start, state = _reference_walk(p, x, state)
-            want.append(resp)
-            want_starts.append(start)
+    want, want_starts = [], []
 
-    batches, rng, spans = (entities.QueryBatch(), entities.QueryBatch()), 99, []
-    for b, (block, side) in enumerate(zip(blocks, sides)):
-        if b == early:  # rows planned after an answer join the next one
-            batches[0].answer()
-        batch = batches[side]
-        spans.append((side, len(batch._starts), len(block) * len(askers)))
-        rng = batch.ask(block, many if turns == "alone" else askers, rng)
-    assert rng == state
-    assert [start for side, at, k in spans
-            for start in batches[side]._starts[at:at + k]] == want_starts
-    late = batches[1].answer()  # may answer batch 0 first
-    answered = (batches[0].answer(), late)
-    got = [answered[side][i] for side, at, k in spans for i in range(at, at + k)]
-    _same_answers(want, got)
-    side_of = [side for side, _, k in spans for _ in range(k)]
-    for side in (0, 1):
-        _same_columns([w for w, s in zip(want, side_of) if s == side],
-                      answered[side])
+    def walk(xs, state):
+        for x in xs:
+            for p in ref_askers:
+                resp, start, end = _reference_walk(p, x, state)
+                want.append(resp)
+                if end != start:  # a replay takes no draws
+                    want_starts.append(start)
+                state = end
+        return state
+
+    ref_end, ref_streams = walk(rows[:early], 99), list(streams)
+    for (a, b), k in zip(runs, order):
+        ref_streams[k] = walk(later[a:b], ref_streams[k])
+
+    starts, answer_block = [], entities._answer_block
+
+    def block(route, route_starts, X):
+        starts.extend(route_starts)
+        return answer_block(route, route_starts, X)
+
+    asked = many if turns == "alone" else askers
+    with mock.patch.object(entities, "_answer_block", block):
+        first, end = entities.ask(rows[:early], asked, 99)
+        second, ends = entities.ask(later, asked, streams, owners)
+    assert end == ref_end
+    assert ends == ref_streams and ends is not streams
+    assert sorted(starts) == sorted(want_starts)
+    _same_answers(want, [*first, *second])
+    cut = early * len(ref_askers)
+    _same_columns(want[:cut], first)
+    _same_columns(want[cut:], second)
     _same_cache(one.cache, many.cache)
 
 
@@ -790,15 +784,32 @@ def test_overflowing_latency_is_rejected_from_a_block_and_one_query(supplier_pai
     supplier, _ = supplier_pair
     huge = dataclasses.replace(supplier, latency=entities.LatencyModel(1e308, 1e308))
     p = entities.Provider(entities.HONEST_PASSTHROUGH, huge)
-    batch = entities.QueryBatch()
-    batch.ask(np.array([_x(8000 + i) for i in range(40)]), p, 3)
     with pytest.raises(ParameterError, match="latency_ms must be finite"):
-        batch.answer()
+        entities.ask(np.array([_x(8000 + i) for i in range(40)]), p, 3)
     # a start state whose latency draw (after the nonce) overflows
     state = next(s for s in range(64) if not math.isfinite(
         huge.latency.sample(rng_advance(s, p._honest.latency_at))[0]))
     with pytest.raises(ParameterError, match="latency_ms must be finite"):
         entities.provider_classify(p, _x(8100), state)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_failed_call_leaves_the_replay_cache_as_it_found_it(supplier_pair):
+    # a 40-row CachedReplay block whose latency overflows raises; none of its
+    # misses enters the cache, so a later query of the same input, from a
+    # provider with finite latency sharing the cache, is a plain miss
+    supplier, _ = supplier_pair
+    huge = dataclasses.replace(supplier, latency=entities.LatencyModel(1e308, 1e308))
+    p = entities.Provider(entities.CACHED_REPLAY, huge)
+    rows = np.array([_x(8200 + i) for i in range(40)])
+    with pytest.raises(ParameterError, match="latency_ms must be finite"):
+        entities.ask(rows, p, 3)
+    assert p.cache == {}
+    sane = entities.Provider(entities.CACHED_REPLAY, supplier, cache=p.cache)
+    resp, _ = entities.provider_classify(sane, rows[0], 3)
+    assert list(p.cache.values()) == [resp]
+    _same_response(resp, _reference_classify(
+        entities.Provider(entities.CACHED_REPLAY, supplier), rows[0], 3)[0])
 
 
 def test_actors_are_frozen(supplier_pair):

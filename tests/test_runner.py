@@ -15,8 +15,8 @@ from veriml import config as cfgmod
 from veriml.adversarial import (AttackConfig, RobustnessScore, SigmoidParams,
                                 claim_check, robustness_benchmark,
                                 robustness_score)
-from veriml.entities import (CACHED_REPLAY, PARTIAL_CHEAT, PROVIDER_KINDS,
-                             QueryBatch, provider_classify)
+from veriml.entities import (CACHED_REPLAY, PROVIDER_KINDS,
+                             provider_classify)
 from veriml._version import __version__
 from veriml.errors import ConfigValidationError, ParameterError
 from veriml.mlp import forward, save_model
@@ -152,9 +152,9 @@ def _reference_trial_robustness(fx, raw, seed):
     acfg = AttackConfig(tau=ver["tau"], step_size=ver["step_size"],
                         max_queries=ver["max_queries"])
     params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
-    claimed = robustness_benchmark(lambda x: forward(fx.supplier.model, x), dim,
-                                   classes, trials, acfg, params,
-                                   derive_seed(seed, 1))
+    claimed = robustness_benchmark(
+        lambda X, _owners: np.array([forward(fx.supplier.model, x) for x in X]),
+        dim, classes, trials, acfg, params, derive_seed(seed, 1))
     provider = fx.fresh_provider()
     n = len(classes) * trials
     box = {"rngs": [derive_seed(derive_seed(seed, 3), k) for k in range(n)],
@@ -223,15 +223,16 @@ def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
             made.append(self)
             super().__post_init__()
 
-    real_answer = QueryBatch.answer
+    real_ask = entities.ask
 
-    def answer(self):
-        answers = real_answer(self)
+    def ask(*args):
+        answers, rng = real_ask(*args)
         rows.append(len(answers))
-        return answers
+        return answers, rng
 
     monkeypatch.setattr(entities, "Response", Counted)
-    monkeypatch.setattr(QueryBatch, "answer", answer)
+    for module in (entities, verifiers, runner):
+        monkeypatch.setattr(module, "ask", ask)
     runner._TRIAL_FNS[cfg.scenario](fx, cfg.raw, 17)
     assert sum(rows) > runner._LATENCY_PINGS
     assert made == []
@@ -255,43 +256,61 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
     cfg, base = robust_env
     fx = _kind_fixtures(base, kind, mac)
     raw = cfg.raw
-    # every provider query's rng state before and after it, in order (the
-    # reference's one-query calls are blocks of one), read from the columns
-    # of the rows each batch answers, and the providers the trials make
-    states, made = [], []
-    real_answer = QueryBatch.answer
-    coin = 1 if kind == PARTIAL_CHEAT else 0  # the one draw before a start
+    # every ask: its rows, owners and stream states before and after it (the
+    # reference's one-query calls are blocks of one); the rows of each
+    # scorer call, per robustness_benchmark call; the providers the trials
+    # make
+    asks, scored, made = [], [], []
+    real_ask, real_benchmark = entities.ask, runner.robustness_benchmark
 
-    def answer(self):
-        done = len(self._answers)
-        for route, start in zip(self._routes[done:], self._starts[done:]):
-            if route is None:  # a replay takes no draws
-                states.append((start, start))
-            else:
-                states.append((rng_advance(start, -coin),
-                               rng_advance(start, route.count)))
-        return real_answer(self)
+    def ask(X, providers, rng, owners=None):
+        before = rng if owners is None else list(rng)
+        answers, after = real_ask(X, providers, rng, owners)
+        asks.append((len(X), owners, before, after))
+        return answers, after
 
-    monkeypatch.setattr(QueryBatch, "answer", answer)
+    def benchmark(service, *args):
+        scored.append([])
+
+        def counted(X, owners):
+            scored[-1].append(len(X))
+            return service(X, owners)
+        return real_benchmark(counted, *args)
+
+    for module in (entities, runner):
+        monkeypatch.setattr(module, "ask", ask)
+    monkeypatch.setattr(runner, "robustness_benchmark", benchmark)
     real_fresh = fx.fresh_provider
     monkeypatch.setattr(fx, "fresh_provider",
                         lambda: made.append(real_fresh()) or made[-1])
 
     want, ref_provider, box = _reference_trial_robustness(fx, raw, seed)
-    want_states = list(states)
-    del states[:]
+    # the reference asks one query at a time, then the latency pings
+    assert [n for n, *_ in asks] == [1] * box["queries"] + [runner._LATENCY_PINGS]
+    chains = [[derive_seed(derive_seed(seed, 3), k)] for k in range(len(box["rngs"]))]
+    for (_, _, before, after), k in zip(asks, box["owners"]):
+        assert before == chains[k][-1]
+        chains[k].append(after)
+    assert [chain[-1] for chain in chains] == box["rngs"]
+    pings = asks[-1]
+    del asks[:], scored[:]
     got = runner._trial_robustness(fx, raw, seed)
     assert got == want
-    assert states == want_states
-    # each attack's queries chain its own stream from derive_seed(base, k)
-    # to the reference's end state; the latency pings come after them
-    attack_states = states[:-runner._LATENCY_PINGS]
-    assert len(attack_states) == len(box["owners"]) == box["queries"]
-    at = [derive_seed(derive_seed(seed, 3), k) for k in range(len(box["rngs"]))]
-    for (before, after), k in zip(attack_states, box["owners"]):
-        assert before == at[k]
-        at[k] = after
-    assert at == box["rngs"]
+    # one ask per scorer call of the measured side, then the latency pings
+    assert asks[-1] == pings
+    assert [n for n, *_ in asks[:-1]] == scored[1]
+    # each attack's runs of rows chain its own stream along the reference's
+    # states, from derive_seed(derive_seed(seed, 3), k) to its end state
+    at = [0] * len(chains)
+    for n, owners, before, after in asks[:-1]:
+        assert len(owners) == n
+        cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), n]
+        for a, b in zip(cuts, cuts[1:]):
+            k = int(owners[a])
+            assert before[k] == chains[k][at[k]]
+            at[k] += b - a
+            assert after[k] == chains[k][at[k]]
+    assert at == [len(chain) - 1 for chain in chains]
     if kind == CACHED_REPLAY:
         assert 0 < box["attack_entries"] < box["queries"]
     assert made[-1].cache.keys() == ref_provider.cache.keys()

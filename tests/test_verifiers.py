@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from veriml import cache, canon, mlp, runner, stats, steg, verifiers
+from veriml import cache, canon, entities, mlp, runner, stats, steg, verifiers
 from veriml.entities import (CACHED_REPLAY, HONEST_PASSTHROUGH, PROVIDER_KINDS,
                              SUBSTITUTE_MODEL, LatencyModel, Provider,
-                             QueryBatch, provider_classify, supplier_classify)
+                             provider_classify, supplier_classify)
 from veriml.errors import (FixtureError, GenerationFailureError,
                            ParameterError, ProbeSetupError, ShapeError)
 from veriml.rng import derive_seed, sample_indices, uniform_array
@@ -130,28 +130,22 @@ def reject_third(monkeypatch):
 
 @pytest.fixture()
 def sent_log(monkeypatch):
-    """The bytes of every query a QueryBatch answers and of its answers:
-    the rows each `ask` plans (a block row once per provider it is asked
-    of), paired with the probability column `answer` returns."""
+    """The bytes of every query `ask` answers and of its answers: the rows of
+    each call (a row once per provider it is asked of), paired with the
+    probability column the call returns."""
     log = []
-    real_ask, real_answer = QueryBatch.ask, QueryBatch.answer
+    real_ask = entities.ask
 
-    def ask(self, X, providers, rng):
-        out = real_ask(self, X, providers, rng)
+    def ask(X, providers, rng, owners=None):
+        answers, rng = real_ask(X, providers, rng, owners)
         turns = 1 if isinstance(providers, Provider) else len(providers)
-        self.__dict__.setdefault("sent", []).extend(
-            x.tobytes() for x in np.asarray(X, dtype=np.float64)
-            for _ in range(turns))
-        return out
+        log.extend((x.tobytes(), canon.vec(probs)) for x, probs in zip(
+            np.repeat(np.asarray(X, dtype=np.float64), turns, axis=0),
+            answers.probs))
+        return answers, rng
 
-    def answer(self):
-        answers = real_answer(self)
-        log.extend((x, canon.vec(probs))
-                   for x, probs in zip(self.sent, answers.probs))
-        return answers
-
-    monkeypatch.setattr(QueryBatch, "ask", ask)
-    monkeypatch.setattr(QueryBatch, "answer", answer)
+    for module in (entities, verifiers):
+        monkeypatch.setattr(module, "ask", ask)
     return log
 
 
@@ -325,7 +319,7 @@ def test_steg_probe_equals_its_definition(steg_env, reject_third, sent_log,
     ref_cache, cache = dict(stored), dict(stored)
     want, want_sent = _plain_steg_probe(_kind_provider(fx, kind, mac, ref_cache),
                                         fx.suite, fx.probe_covers, plan)
-    del sent_log[:]  # the one-query reference calls are batches of one
+    del sent_log[:]  # the one-query reference calls are blocks of one
     got = steg_probe(_kind_provider(fx, kind, mac, cache), fx.suite,
                      fx.probe_covers, plan)
     assert got == want
@@ -394,7 +388,7 @@ def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac
     detect = sum(np.argmax(np.frombuffer(p, "<f8")) == mc for _, p in want_sent[0::2])
     clean = sum(np.argmax(np.frombuffer(p, "<f8")) != mc for _, p in want_sent[1::2])
     n = len(covers)
-    del sent_log[:]  # the one-query reference calls are batches of one
+    del sent_log[:]  # the one-query reference calls are blocks of one
     got = verifiers.measure_roundtrip(supplier, suite.steg, suite.reveal,
                                       suite.checker, covers, 700)
     assert got == ((detect + 1) / (n + 2), (clean + 1) / (n + 2))
