@@ -5,7 +5,8 @@ shuffling, and SGD all draw from explicit splitmix64 streams in a fixed
 iteration order, so identical (architecture, data, config) reproduce
 bit-identical parameter arrays on a given platform. Training is
 single-threaded by contract and runs on BLAS matrix products, whose fixed
-batch shapes make it deterministic.
+batch shapes make it deterministic; a net under training keeps its
+parameters and its gradients in one flat buffer each (`Trainable`).
 
 Inference (`forward`, `forward_batch`) has a stricter contract: it is
 batch-invariant, so a row's output bytes do not depend on which other rows
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -120,13 +122,6 @@ def init_mlp(layer_dims, weight_seed: int, output_kind: str = SOFTMAX) -> MlpMod
     return MlpModel(dims, weights, biases, output_kind)
 
 
-def clone_model(model: MlpModel) -> MlpModel:
-    return MlpModel(model.layer_dims,
-                    [w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                    model.output_kind)
-
-
 def _as_batch(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -137,51 +132,81 @@ def _as_batch(model: MlpModel, X) -> np.ndarray:
     return X
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward_cached(model: MlpModel, X: np.ndarray):
-    """Batch forward pass keeping per-layer activations for backprop.
+    """Batch forward pass keeping per-layer activations for backprop, on a
+    checked (rows, n_in) float64 batch; bias, tanh and softmax work in place.
 
     Returns (out, activations); ``out`` is class probabilities for softmax
     models and the raw last-layer output for linear ones. activations[0] is
     the input batch, activations[l] the l-th hidden tanh output.
     """
-    X = _as_batch(model, X)
     acts = [X]
     a = X
     last = len(model.weights) - 1
     for l in range(last):
-        a = np.tanh(a @ model.weights[l].T + model.biases[l])
-        acts.append(a)
-    out = a @ model.weights[last].T + model.biases[last]
+        a = a @ model.weights[l].T
+        a += model.biases[l]
+        acts.append(np.tanh(a, out=a))
+    out = a @ model.weights[last].T
+    out += model.biases[last]
     if model.output_kind == SOFTMAX:
-        out = _softmax_rows(out)
+        out -= out.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
     return out, acts
 
 
-def backward(model: MlpModel, acts, d_last: np.ndarray):
+def backward(model: MlpModel, acts, d_last: np.ndarray,
+             grads: Grads | None = None, input_grad: bool = False):
     """Backpropagate through cached activations.
 
     ``d_last`` is the gradient at the last layer's pre-activation: for
     softmax models that is logit space (softmax+loss gradients are the
     caller's job, e.g. probs - onehot for cross-entropy); for linear models
-    it is simply the gradient of the output. Returns (Grads, d_input).
+    it is simply the gradient of the output. Writes the parameter gradients
+    into ``grads`` unless it is None; returns the input's gradient if
+    ``input_grad``, else None.
     """
-    gw = [None] * len(model.weights)
-    gb = [None] * len(model.biases)
     d = d_last
     for l in range(len(model.weights) - 1, -1, -1):
-        gw[l] = d.T @ acts[l]
-        gb[l] = d.sum(axis=0)
-        if l > 0:
-            d = (d @ model.weights[l]) * (1.0 - acts[l] ** 2)
-        else:
+        if grads is not None:
+            np.dot(d.T, acts[l], out=grads.weights[l])
+            np.add.reduce(d, 0, out=grads.biases[l])
+        if l:
             d = d @ model.weights[l]
-    return Grads(gw, gb), d
+            d *= 1.0 - np.square(acts[l])
+        elif input_grad:
+            return d @ model.weights[0]
+    return None
+
+
+def flat_buffer(model: MlpModel) -> tuple[np.ndarray, Grads]:
+    """An uninitialised float64 buffer of the model's size, and views into
+    it shaped like its weights, then its biases."""
+    arrays = model.weights + model.biases
+    ends = list(accumulate(a.size for a in arrays))
+    buf = np.empty(ends[-1])
+    views = [buf[e - a.size:e].reshape(a.shape) for a, e in zip(arrays, ends)]
+    return buf, Grads(views[:len(model.weights)], views[len(model.weights):])
+
+
+class Trainable:
+    """A copy of a net under training. Its weights and biases are views into
+    one flat buffer, ``params``; ``grads`` are views into ``grad``, a buffer
+    with the same layout, which `backward` fills."""
+
+    def __init__(self, model: MlpModel):
+        self.params, p = flat_buffer(model)
+        for view, a in zip(p.weights + p.biases, model.weights + model.biases):
+            view[...] = a
+        self.model = replace(model, weights=p.weights, biases=p.biases)
+        self.grad, self.grads = flat_buffer(model)
+
+    def step(self, lr: float) -> None:
+        """Plain SGD, two ufuncs over the buffers. IEEE multiplication
+        commutes, so each parameter gets the bits of w -= lr * g."""
+        self.grad *= lr
+        self.params -= self.grad
 
 
 # rows per evaluation block: bounds the product array, whose outer axis is
@@ -260,10 +285,10 @@ def gradient(model: MlpModel, x, label: int) -> Grads:
         raise ParameterError("cross-entropy gradient needs a softmax model")
     if not 0 <= label < model.n_out:
         raise ParameterError(f"label {label} out of range for {model.n_out} classes")
-    probs, acts = forward_cached(model, x)
-    dlogits = probs.copy()
+    dlogits, acts = forward_cached(model, _as_batch(model, x))
     dlogits[0, label] -= 1.0
-    grads, _ = backward(model, acts, dlogits)
+    _, grads = flat_buffer(model)
+    backward(model, acts, dlogits, grads)
     return grads
 
 
@@ -273,19 +298,10 @@ def input_gradient(model: MlpModel, x, target: int) -> np.ndarray:
         raise ParameterError("input gradient is defined on softmax models")
     if not 0 <= target < model.n_out:
         raise ParameterError(f"target {target} out of range for {model.n_out} classes")
-    probs, acts = forward_cached(model, x)
-    dlogits = -probs.copy()
+    probs, acts = forward_cached(model, _as_batch(model, x))
+    dlogits = np.negative(probs, out=probs)
     dlogits[0, target] += 1.0
-    _, dx = backward(model, acts, dlogits)
-    return dx[0]
-
-
-def apply_sgd(model: MlpModel, grads: Grads, lr: float) -> None:
-    """In-place plain SGD step."""
-    for w, gw in zip(model.weights, grads.weights):
-        w -= lr * gw
-    for b, gb in zip(model.biases, grads.biases):
-        b -= lr * gb
+    return backward(model, acts, dlogits, input_grad=True)[0]
 
 
 def train_sgd(model: MlpModel, data: Dataset, cfg: TrainConfig,
@@ -293,7 +309,9 @@ def train_sgd(model: MlpModel, data: Dataset, cfg: TrainConfig,
     """Mini-batch SGD on mean cross-entropy; returns a new trained model.
 
     The shuffle order comes from cfg.seed_config.shuffle_seed and batches are
-    consumed in that order, so the result is bit-reproducible. With
+    consumed in that order, so the result is bit-reproducible. Each epoch
+    gathers its shuffled rows once; each step fills the net's one gradient
+    buffer and updates its one parameter buffer (`Trainable`). With
     adversarial_epsilon > 0 each batch is replaced by its FGSM perturbation
     (x + eps * sign(d loss/d x), clamped to [0,1]) before the update, which
     hardens the model against the gradient-sign attacks in the robustness
@@ -308,32 +326,31 @@ def train_sgd(model: MlpModel, data: Dataset, cfg: TrainConfig,
     if len(data) == 0:
         raise ParameterError("empty dataset")
 
-    out = clone_model(model)
+    net = Trainable(model)
     n = len(data)
+    bs = cfg.batch_size
     state = cfg.seed_config.shuffle_seed
-    rows = np.arange(min(n, cfg.batch_size))
+    rows = np.arange(min(n, bs))
 
-    def loss_grad(X, y):
+    def loss_grad(X, y, grads, input_grad):
         # probs - onehot(y), averaged over the batch; p - 0.0 == p, so
         # subtracting 1.0 at each label alone gives the same bits
-        probs, acts = forward_cached(out, X)
+        probs, acts = forward_cached(net.model, X)
         probs[rows[:len(y)], y] -= 1.0
         probs /= len(y)
-        return backward(out, acts, probs)
+        return backward(net.model, acts, probs, grads, input_grad)
 
     for _ in range(cfg.epochs):
         order, state = shuffled_indices(state, n)
-        order = np.array(order)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            X = data.inputs[batch]
-            y = data.labels[batch]
+        inputs, labels = data.inputs[order], data.labels[order]
+        for start in range(0, n, bs):
+            X, y = inputs[start:start + bs], labels[start:start + bs]
             if adversarial_epsilon > 0.0:
-                _, dx = loss_grad(X, y)
+                dx = loss_grad(X, y, None, True)
                 X = np.clip(X + adversarial_epsilon * np.sign(dx), 0.0, 1.0)
-            grads, _ = loss_grad(X, y)
-            apply_sgd(out, grads, cfg.learning_rate)
-    return out
+            loss_grad(X, y, net.grads, False)
+            net.step(cfg.learning_rate)
+    return net.model
 
 
 def accuracy(model: MlpModel, data: Dataset) -> float:

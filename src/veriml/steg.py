@@ -2,9 +2,10 @@
 instance so that a cooperating reveal classifier flags the container as the
 reserved message class while ordinary classifiers still see the cover class.
 
-Prep/hide/reveal networks are optimized jointly so containers stay close to
-their covers (L2), carry a recoverable secret, and are flagged by the reveal
-net but not by object-class models.
+Prep/hide/reveal networks are optimized jointly, by SGD on one parameter
+buffer per net, so containers stay close to their covers (L2), carry a
+recoverable secret, and are flagged by the reveal net but not by
+object-class models.
 
 Containers are made by one generator, `generate_message_batch`, a pure
 function of (cover, secret) per row: building a container alone or in a
@@ -26,8 +27,8 @@ from . import canon
 from .data import Dataset
 from .errors import (GenerationFailureError, ParameterError, ShapeError,
                      TrainingFailureError)
-from .mlp import (LINEAR, SOFTMAX, Grads, MlpModel, TrainConfig, apply_sgd,
-                  backward, forward, forward_batch, forward_cached, init_mlp,
+from .mlp import (LINEAR, SOFTMAX, MlpModel, TrainConfig, Trainable, backward,
+                  forward, forward_batch, forward_cached, flat_buffer, init_mlp,
                   load_model, save_model)
 from .rng import derive_seed, shuffled_indices, uniform_array
 
@@ -134,14 +135,12 @@ def embed(steg: StegModel, cover, secret: SecretMessage) -> np.ndarray:
 
 
 def _norm_grad(diff: np.ndarray, scale: float) -> np.ndarray:
-    """Row-wise gradient of mean ||diff_i||_2, guarded near zero."""
-    norms = np.linalg.norm(diff, axis=1, keepdims=True)
-    return scale * diff / np.maximum(norms, 1e-12)
-
-
-def _add_grads(a: Grads, b: Grads) -> Grads:
-    return Grads([x + y for x, y in zip(a.weights, b.weights)],
-                 [x + y for x, y in zip(a.biases, b.biases)])
+    """Row-wise gradient of mean ||diff_i||_2, guarded near zero, written
+    over diff. The row norm is np.linalg.norm's expression for real input."""
+    norms = np.sqrt(np.add.reduce(diff * diff, 1, keepdims=True))
+    diff *= scale
+    diff /= np.maximum(norms, 1e-12, out=norms)
+    return diff
 
 
 def train_steg_joint(object_data: Dataset, secret_dim: int, beta: float,
@@ -153,17 +152,20 @@ def train_steg_joint(object_data: Dataset, secret_dim: int, beta: float,
         + CE(reveal(c') -> message class)  +  CE(reveal(c) -> true label)
 
     where c' is the raw hide-net output and s' the decoder's reconstruction
-    of the secret from c'. Secrets are drawn fresh every step from the
-    data_seed uniform stream, so the whole run is a pure function of
-    (object_data, secret_dim, beta, cfg).
+    of the secret from c'. Secrets are drawn fresh for every row from the
+    data_seed uniform stream, one draw per epoch in batch order, so the whole
+    run is a pure function of (object_data, secret_dim, beta, cfg). Each net
+    is a `Trainable`; reveal's two gradient halves are one buffer add.
 
     After the final epoch the detection/false-detection/distortion metrics
     are measured with the real clamped embed on the training covers; if any
-    misses its threshold a training-failure error carrying those metrics is
-    raised instead of returning weak artifacts.
+    misses its threshold, or is NaN, a training-failure error carrying those
+    metrics is raised instead of returning weak artifacts.
     """
     if object_data.n_classes < 2:
         raise ParameterError("need at least two object classes")
+    if len(object_data) == 0:
+        raise ParameterError("empty dataset")
     if secret_dim < 1:
         raise ParameterError("secret_dim must be >= 1")
     if beta <= 0:
@@ -176,61 +178,62 @@ def train_steg_joint(object_data: Dataset, secret_dim: int, beta: float,
     hide = init_mlp((dim + _ENC_DIM, _HIDDEN, dim), derive_seed(ws, 1), LINEAR)
     reveal = init_mlp((dim, _HIDDEN, n + 1), derive_seed(ws, 2), SOFTMAX)
     decoder = init_mlp((dim, _HIDDEN, secret_dim), derive_seed(ws, 3), LINEAR)
+    nets = [Trainable(m) for m in (prep, hide, reveal, decoder)]
+    prep, hide, reveal, decoder = nets
+    cover_grad, cover_grads = flat_buffer(reveal.model)
 
     count = len(object_data)
-    lr = cfg.learning_rate
+    bs = cfg.batch_size
     shuffle_state = cfg.seed_config.shuffle_seed
     secret_state = cfg.seed_config.data_seed
 
     for _ in range(cfg.epochs):
         order, shuffle_state = shuffled_indices(shuffle_state, count)
-        for start in range(0, count, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            X = object_data.inputs[batch]
-            y = object_data.labels[batch]
-            b = len(batch)
-            flat, secret_state = uniform_array(secret_state, b * secret_dim)
-            S = flat.reshape(b, secret_dim)
+        inputs, labels = object_data.inputs[order], object_data.labels[order]
+        # counter-based: the same values and end state as a draw per batch
+        flat, secret_state = uniform_array(secret_state, count * secret_dim)
+        secrets = flat.reshape(count, secret_dim)
+        for start in range(0, count, bs):
+            X, y = inputs[start:start + bs], labels[start:start + bs]
+            S = secrets[start:start + bs]
+            b = len(X)
 
-            enc, acts_p = forward_cached(prep, S)
-            Z, acts_h = forward_cached(hide, np.concatenate([X, enc], axis=1))
-            S_hat, acts_d = forward_cached(decoder, Z)
-            Pz, acts_rz = forward_cached(reveal, Z)
-            Px, acts_rx = forward_cached(reveal, X)
+            enc, acts_p = forward_cached(prep.model, S)
+            Z, acts_h = forward_cached(hide.model,
+                                       np.concatenate([X, enc], axis=1))
+            S_hat, acts_d = forward_cached(decoder.model, Z)
+            dlog_z, acts_rz = forward_cached(reveal.model, Z)
+            dlog_x, acts_rx = forward_cached(reveal.model, X)
 
             # reveal: containers -> message class n, covers -> true label
-            dlog_z = Pz.copy()
             dlog_z[:, n] -= 1.0
             dlog_z /= b
-            g_rev, dZ_rev = backward(reveal, acts_rz, dlog_z)
-            dlog_x = Px.copy()
+            dZ_rev = backward(reveal.model, acts_rz, dlog_z, reveal.grads, True)
             dlog_x[np.arange(b), y] -= 1.0
             dlog_x /= b
-            g_rev_x, _ = backward(reveal, acts_rx, dlog_x)
-            g_rev = _add_grads(g_rev, g_rev_x)
+            backward(reveal.model, acts_rx, dlog_x, cover_grads)
+            reveal.grad += cover_grad
 
             # decoder: beta-weighted secret reconstruction
-            g_dec, dZ_dec = backward(decoder, acts_d,
-                                     _norm_grad(S_hat - S, beta / b))
+            dZ_dec = backward(decoder.model, acts_d, _norm_grad(S_hat - S, beta / b),
+                              decoder.grads, True)
 
             # hide: reconstruction pull plus everything flowing back into Z
             dZ = _norm_grad(Z - X, 1.0 / b) + dZ_rev + dZ_dec
-            g_hide, dXE = backward(hide, acts_h, dZ)
-            g_prep, _ = backward(prep, acts_p, dXE[:, dim:])
+            dXE = backward(hide.model, acts_h, dZ, hide.grads, True)
+            backward(prep.model, acts_p, dXE[:, dim:], prep.grads)
 
-            apply_sgd(prep, g_prep, lr)
-            apply_sgd(hide, g_hide, lr)
-            apply_sgd(reveal, g_rev, lr)
-            apply_sgd(decoder, g_dec, lr)
+            for net in nets:
+                net.step(cfg.learning_rate)
 
-    steg = StegModel(prep, hide, beta)
-    reveal_clf = RevealClassifier(reveal, message_class=n)
+    steg = StegModel(prep.model, hide.model, beta)
+    reveal_clf = RevealClassifier(reveal.model, message_class=n)
 
     flat, secret_state = uniform_array(secret_state, count * secret_dim)
     S = flat.reshape(count, secret_dim)
     containers = embed_batch(steg, object_data.inputs, S)
-    pred_z = np.argmax(forward_batch(reveal, containers), axis=1)
-    pred_x = np.argmax(forward_batch(reveal, object_data.inputs), axis=1)
+    pred_z = np.argmax(forward_batch(reveal.model, containers), axis=1)
+    pred_x = np.argmax(forward_batch(reveal.model, object_data.inputs), axis=1)
     metrics = {
         "detect_rate": float(np.mean(pred_z == n)),
         "false_detect_rate": float(np.mean(pred_x == n)),
@@ -238,9 +241,9 @@ def train_steg_joint(object_data: Dataset, secret_dim: int, beta: float,
             np.linalg.norm(containers - object_data.inputs, axis=1))),
     }
     limit = DISTORTION_FACTOR * math.sqrt(dim)
-    if (metrics["detect_rate"] < DETECT_THRESHOLD
-            or metrics["false_detect_rate"] > FALSE_DETECT_THRESHOLD
-            or metrics["mean_distortion"] > limit):
+    if not (metrics["detect_rate"] >= DETECT_THRESHOLD
+            and metrics["false_detect_rate"] <= FALSE_DETECT_THRESHOLD
+            and metrics["mean_distortion"] <= limit):
         raise TrainingFailureError(
             f"joint training missed thresholds (detect >= {DETECT_THRESHOLD}, "
             f"false <= {FALSE_DETECT_THRESHOLD}, distortion <= {limit:.3f})",

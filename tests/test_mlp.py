@@ -217,7 +217,7 @@ def test_linear_output_kind_is_raw():
 def test_train_is_deterministic_and_functional():
     data = make_blobs(2, 30, 4, 0.1, seed=6)
     init = mlp.init_mlp((4, 6, 2), weight_seed=8)
-    before = mlp.clone_model(init)
+    before = mlp.load_model(mlp.save_model(init))
     m1 = mlp.train_sgd(init, data, tiny_cfg())
     m2 = mlp.train_sgd(init, data, tiny_cfg())
     assert _same(m1, m2)
@@ -270,7 +270,7 @@ def test_gradient_matches_finite_differences():
         w = m.weights[li]
         for r in range(w.shape[0]):
             for c in range(w.shape[1]):
-                up, dn = mlp.clone_model(m), mlp.clone_model(m)
+                up, dn = (mlp.load_model(mlp.save_model(m)) for _ in "ud")
                 up.weights[li][r, c] += h
                 dn.weights[li][r, c] -= h
                 fd = (loss(up) - loss(dn)) / (2 * h)

@@ -77,6 +77,32 @@ def test_training_failure_carries_metrics():
     assert {"detect_rate", "false_detect_rate", "mean_distortion"} <= set(metrics)
 
 
+def test_empty_dataset_is_rejected():
+    empty = make_blobs(3, 40, 6, 0.06, seed=21).subset([])
+    cfg = mlp.TrainConfig(0.05, 2, 8, mlp.SeedConfig(31, 32, 33))
+    with pytest.raises(ParameterError):
+        steg.train_steg_joint(empty, 3, 1.0, cfg)
+
+
+def test_nan_metric_fails_the_thresholds(monkeypatch):
+    """A NaN distortion fails, though every comparison with NaN is False."""
+    embed = steg.embed_batch
+
+    def nan_embed(model, X, S):
+        Z = embed(model, X, S)
+        Z[0, 0] = np.nan
+        return Z
+
+    monkeypatch.setattr(steg, "embed_batch", nan_embed)
+    monkeypatch.setattr(steg, "DETECT_THRESHOLD", 0.0)
+    monkeypatch.setattr(steg, "FALSE_DETECT_THRESHOLD", 1.0)
+    data = make_blobs(3, 10, 6, 0.06, seed=21)
+    cfg = mlp.TrainConfig(0.05, 2, 8, mlp.SeedConfig(31, 32, 33))
+    with pytest.raises(TrainingFailureError) as exc:
+        steg.train_steg_joint(data, 3, 1.0, cfg)
+    assert np.isnan(exc.value.metrics["mean_distortion"])
+
+
 def test_generate_rejects_blind_reveal(trained):
     # a reveal head pinned to class 0 never flags any container, so every
     # generation attempt (and the resampling wrapper) must fail
