@@ -52,12 +52,12 @@ class AttackConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ParameterError("tau must be in (0,1)")
-        if self.step_size <= 0:
-            raise ParameterError("step_size must be > 0")
+        if not 0 < self.step_size < math.inf:
+            raise ParameterError("step_size must be finite and > 0")
         if self.max_queries < 1:
             raise ParameterError("max_queries must be >= 1")
-        if self.fd_epsilon <= 0:
-            raise ParameterError("fd_epsilon must be > 0")
+        if not 0 < self.fd_epsilon < math.inf:
+            raise ParameterError("fd_epsilon must be finite and > 0")
         if self.mode not in (WHITEBOX, BLACKBOX):
             raise ParameterError(f"unknown mode {self.mode!r}")
 
@@ -78,8 +78,8 @@ class SigmoidParams:
     s_scale: float
 
     def __post_init__(self):
-        if self.q0 <= 0 or self.s_scale <= 0:
-            raise ParameterError("sigmoid parameters must be positive")
+        if not (0 < self.q0 < math.inf and 0 < self.s_scale < math.inf):
+            raise ParameterError("sigmoid parameters must be finite and positive")
 
     @classmethod
     def for_budget(cls, max_queries: int) -> "SigmoidParams":
@@ -274,10 +274,13 @@ def claim_check(measured: Sequence[RobustnessScore],
     """Compare measured per-class robustness against published claims:
     fraudulent when any class measures more than `tolerance` below its
     claim."""
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ParameterError("tolerance must be >= 0")
     got = {m.class_id: m.score for m in measured}
     want = dict(claimed)
+    if not all(map(math.isfinite, [*got.values(), *want.values()])):
+        raise ParameterError("measured and claimed scores must be finite: "
+                             f"measured {got}, claimed {want}")
     if len(got) != len(measured) or len(want) != len(claimed):
         raise ParameterError("duplicate class ids: measured "
                              f"{[m.class_id for m in measured]}, claimed "

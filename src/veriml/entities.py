@@ -5,13 +5,13 @@ certificates ("metaresults") that make supplier answers unforgeable.
 All classification and latency behavior is driven by explicit rng states
 threaded through the calls, so any interaction sequence replays exactly.
 Each provider fixes its answer routes (the supplier's, the substitute's)
-when it is made. Queries are asked with `ask`, one call per block of rows:
-it plans the block, picking each row's route and counting its draws on the
-stream (or on each row's owner's stream), answers each route's rows as one
-block and returns the answers as columns. Certificates are issued and
-checked a block of rows at a time: one HMAC key schedule per block (RFC 2104
-section 4) and the rows' canonical bytes encoded once for the block;
-issue_certificate and verify_certificate are the blocks of one.
+when it is made. Queries are asked with `ask`, one call per provider and
+block of rows: it plans the block, picking each row's route and counting its
+draws on the stream (or on each row's owner's stream), answers each route's
+rows as one block and returns the answers as columns. Certificates are
+issued and checked a block of rows at a time: one HMAC key schedule per
+block (RFC 2104 section 4) and the rows' canonical bytes encoded once for
+the block; issue_certificate and verify_certificate are the blocks of one.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 from . import canon
 from .errors import ParameterError, ShapeError
 from .mlp import MlpModel, SeedConfig, TrainConfig, forward_batch
-from .rng import (_GOLDEN, _INV53, MASK64, draw_array, gauss_of, mix64, mix64_array,
-                  rng_bytes, rng_gauss, rng_next, uniform_of)
+from .rng import (_CROSSOVER, _GOLDEN, _INV53, MASK64, draw_array, gauss_of, mix64,
+                  mix64_array, rng_bytes, rng_gauss, rng_next, uniform_of)
 from .steg import RevealClassifier
 
 HONEST_PASSTHROUGH = "HonestPassthrough"
@@ -182,8 +182,8 @@ class Provider:
         # ends stay legal so sweeps over the full range need no special cases
         if self.kind == PARTIAL_CHEAT and not 0.0 <= self.cheat_rate <= 1.0:
             raise ParameterError("PartialCheat requires cheat_rate in [0, 1]")
-        if self.kind == NOISY_PASSTHROUGH and self.noise_sigma <= 0.0:
-            raise ParameterError("NoisyPassthrough requires noise_sigma > 0")
+        if self.kind == NOISY_PASSTHROUGH and not 0.0 < self.noise_sigma < math.inf:
+            raise ParameterError("NoisyPassthrough requires a finite noise_sigma > 0")
         s = self.backend
         sigma = self.noise_sigma if self.kind == NOISY_PASSTHROUGH else 0.0
         object.__setattr__(self, "_honest", _route(
@@ -277,15 +277,6 @@ def first_invalid_certificate(key: bytes, X, probs, certificates) -> int | None:
 def verify_certificate(key: bytes, x, probs, cert: Certificate | None) -> bool:
     """Recompute-and-compare, constant-time on the tag."""
     return first_invalid_certificate(key, [x], [probs], [cert]) is None
-
-
-#: `ask` takes the draws of a route's rows with Python ints, one row at a
-#: time, when fewer than this many rows of the block take the route, and
-#: from here on in one ``uint64`` pass over them. The pass has a
-#: fixed numpy cost; on a 2-vCPU Xeon VM (numpy 2.4) it paid off from about
-#: 8 rows whose queries take 7 or more draws (forged tags, noise) and from
-#: about 32 rows of one-draw queries (no MAC key).
-_CROSSOVER = 24
 
 
 def _scalar_draws(route: _Route, starts: list[int]):
@@ -384,11 +375,10 @@ class Answers:
         return map(self.__getitem__, range(len(self.latencies)))
 
 
-def ask(X, providers: Provider | tuple[Provider, ...], rng: int | list[int],
+def ask(X, provider: Provider, rng: int | list[int],
         owners=None) -> tuple[Answers, int | list[int]]:
-    """Plan and answer every row of X (m x n_in), asked of `providers` (one,
-    or several in turn: row 0 of each, then row 1 of each, ...): return the
-    answers as columns in query order and the stream's end state.
+    """Plan and answer every row of X (m x n_in), asked of `provider`:
+    return the answers as columns in row order and the stream's end state.
 
     With no `owners`, `rng` is one stream. With `owners` (one int per row,
     each owner's rows consecutive), `rng` is a list of stream states indexed
@@ -396,15 +386,15 @@ def ask(X, providers: Provider | tuple[Provider, ...], rng: int | list[int],
     and the states come back advanced, in a new list. Planning picks each
     row's route and the state its draws start from, and counts the draws
     without taking them (PartialCheat's coin, which picks the route, is the
-    one draw taken then). Rows of providers with one route each start on one
+    one draw taken then). The rows of a provider with one route start on one
     arithmetic progression of their run's stream; PartialCheat's coins and
     CachedReplay's replay-cache lookups (digests cut from the block's
     canonical bytes) take one walk over each run.
 
     Each route's rows are answered as one block, in row order: their draws
-    in one pass (with Python ints below `_CROSSOVER` rows), one forward over
-    them (batch-invariant, so the bytes equal one-at-a-time answers), noise
-    on the block, all real certificates (signed as one block, one key
+    in one pass (with Python ints below `rng._CROSSOVER` draws), one forward
+    over them (batch-invariant, so the bytes equal one-at-a-time answers),
+    noise on the block, all real certificates (signed as one block, one key
     schedule) or all forged or none, and Response's latency check once. A
     Response is built only for a row a replay cache keeps. A CachedReplay
     input repeated within the call replays the row it was first asked in,
@@ -412,82 +402,67 @@ def ask(X, providers: Provider | tuple[Provider, ...], rng: int | list[int],
     only after every block is answered: a call that raises leaves the cache
     as it found it."""
     X = np.asarray(X, dtype=np.float64)
-    if isinstance(providers, Provider):
-        providers = (providers,)
-    # route 2j is provider j's only or honest route, 2j + 1 its cheat one
-    table, fixed, replay = [], True, False
-    for p in providers:
-        table += (p._fixed or p._honest,
-                  p._cheat if p.kind == PARTIAL_CHEAT else None)
-        fixed, replay = fixed and p._fixed, replay or p.kind == CACHED_REPLAY
+    p = provider
+    # route 0 is the provider's only or honest route, route 1 its cheat one
+    table = (p._fixed or p._honest, p._cheat if p.kind == PARTIAL_CHEAT else None)
     width = X.shape[1] if X.ndim == 2 else None
     for route in table:  # the shape check, once for the block
         if route is not None and route.model.n_in != width:
             raise ShapeError(f"query dim {X.shape[1:]} does not match "
                              f"model input {route.model.n_in}")
-    m, r = len(X), len(providers)
+    m = len(X)
     if owners is None:  # one stream: one run of every row
         streams, runs = [rng], [(0, m, 0)] if m else []
     else:
         streams, runs = list(rng), _runs(owners, m)
-    # per route: the rows it answers (row i of provider j is i * r + j) and
-    # the states their draws start from; replay rows' sources (a Response
-    # the cache held, or the row of this call it repeats); misses' entries
-    rows_of, starts_of = [[] for _ in table], [[] for _ in table]
-    replays, misses = {}, {}
-    if fixed:  # each provider's rows one arithmetic progression apart
-        offsets, at = [], 0
-        for route in table[0::2]:
-            offsets.append(at)
-            at += route.count * _GOLDEN
+    # per route: the rows it answers and the states their draws start from;
+    # replay rows' sources (a Response the cache held, or the row of this
+    # call it repeats); misses' digests
+    rows_of, starts_of, replays, misses = [[], []], [[], []], {}, {}
+    if p._fixed:  # every row its route's draw count after the one before
+        step = table[0].count * _GOLDEN
         for a, b, k in runs:
             s = streams[k]
-            for j, o in enumerate(offsets):
-                starts_of[2 * j] += [(s + i * at + o) & MASK64 for i in range(b - a)]
-            streams[k] = (s + (b - a) * at) & MASK64
-        for j in range(r):
-            rows_of[2 * j] = range(j, m * r, r)
+            starts_of[0] += [(s + i * step) & MASK64 for i in range(b - a)]
+            streams[k] = (s + (b - a) * step) & MASK64
+        rows_of[0] = range(m)
     else:
-        if replay:
+        if p.kind == CACHED_REPLAY:
             xb, w = canon.vec(X), 8 * width
-            first = {}  # (id(cache), digest): the row a miss is asked in
+            first = {}  # digest: the row a miss is asked in
         for a, b, k in runs:
             state = streams[k]
             for i in range(a, b):
-                for j, p in enumerate(providers):
-                    code, row = 2 * j, i * r + j
-                    if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
-                        state = (state + _GOLDEN) & MASK64
-                        code += (mix64(state) >> 11) * _INV53 < p.cheat_rate
-                    elif p.kind == CACHED_REPLAY:
-                        digest = canon.sha256(xb[i * w:(i + 1) * w])
-                        hit = p.cache.get(digest)
-                        if hit is None:
-                            hit = first.get((id(p.cache), digest))
-                        if hit is not None:
-                            replays[row] = hit
-                            continue
-                        first[id(p.cache), digest] = row
-                        misses[row] = (p.cache, digest)
-                    rows_of[code].append(row)
-                    starts_of[code].append(state & MASK64)
-                    state = (state + table[code].count * _GOLDEN) & MASK64
+                code = 0
+                if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
+                    state = (state + _GOLDEN) & MASK64
+                    code = (mix64(state) >> 11) * _INV53 < p.cheat_rate
+                else:
+                    digest = canon.sha256(xb[i * w:(i + 1) * w])
+                    hit = p.cache.get(digest) or first.get(digest)
+                    if hit is not None:
+                        replays[i] = hit
+                        continue
+                    first[digest], misses[i] = i, digest
+                rows_of[code].append(i)
+                starts_of[code].append(state & MASK64)
+                state = (state + table[code].count * _GOLDEN) & MASK64
             streams[k] = state
-    blocks = [(rows, _answer_block(table[c], starts_of[c], X if len(rows) == m
-                                   else X[np.asarray(rows) // r]))
+    blocks = [(rows, _answer_block(table[c], starts_of[c],
+                                   X if len(rows) == m else X[rows]))
               for c, rows in enumerate(rows_of) if rows]
     if len(blocks) == 1 and not replays:  # the usual case: one block, in order
         M, certs, latencies = blocks[0][1]
         probs = labels = None
     else:
-        M, probs, labels, certs, latencies = _scatter(blocks, replays, m * r)
+        M, probs, labels, certs, latencies = _scatter(blocks, replays, m)
     if misses and probs is None:
         probs = list(M)  # row views, shared with the Answers
     kept = {i: Response(probs[i], certs[i], latencies[i]) for i in misses}
     if replays:
         _replay_rows(replays, kept, M, probs, labels, certs, latencies)
-    for i, (cache, digest) in misses.items():
-        cache[digest] = kept[i]
+    for i, digest in misses.items():
+        p.cache[digest] = kept[i]
     return (Answers(M, probs, labels, certs, latencies, kept),
             streams[0] if owners is None else streams)
 
@@ -546,7 +521,8 @@ def _scatter(blocks: list, replays: dict, n: int):
 def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
     """One route's rows answered as one block: their probabilities (noised
     when the route adds noise), certificates and latencies."""
-    draws = _scalar_draws if len(starts) < _CROSSOVER else _array_draws
+    draws = (_scalar_draws if len(starts) * route.count < _CROSSOVER
+             else _array_draws)
     nonces, tags, latencies, noise = draws(route, starts)
     # Response's latency check, once for the block
     if not all(map(math.isfinite, latencies)):

@@ -26,10 +26,11 @@ _MIX2 = 0x94D049BB133111EB
 #: 2**-53, converts the top 53 bits of a draw to a float in [0, 1).
 _INV53 = 1.0 / (1 << 53)
 
-#: `uniform_array` walks counts below this with Python ints: a dozen numpy
-#: ``uint64`` operations cost about 12 µs whatever the count, the scalar walk
-#: about 0.65 µs a value, and the two meet at 16-18 values (2-vCPU Xeon VM,
-#: numpy 2.4).
+#: Fewer draws than this are taken with Python ints, more in one ``uint64``
+#: pass: by `uniform_array`, and by `entities.ask` for a route's rows (rows
+#: times the route's draws per row). A dozen numpy ``uint64`` operations cost
+#: about 12 µs whatever the count, the scalar walk about 0.65 µs a value, and
+#: the two meet at 16-18 values (2-vCPU Xeon VM, numpy 2.4).
 _CROSSOVER = 17
 
 

@@ -8,20 +8,21 @@ Four methods:
   count which containers come back flagged as the reserved message class;
 * deterministic_benchmark — retrain the supplier's model from its published
   seeds and demand bit-identical answers;
-* probabilistic_benchmark — same queries to provider and supplier, compare
-  accuracies with a two-proportion z-test;
+* probabilistic_benchmark — same queries to provider and supplier, each
+  asked on its own copy of one stream, compare accuracies with a
+  two-proportion z-test;
 * metaresult_verify — check the MAC certificate on every response.
 
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
-The verifiers ask with entities.ask, one call per block of rows, and read
-its answers as columns: the steg probe and the probabilistic benchmark
-compare label arrays, the deterministic benchmark compares each block's
-probability bytes with the reference's in one pass, metaresult_verify
-checks a block's certificate column against its query and probability
-blocks with one key schedule, and no Response is built for a row no replay
-cache keeps.
+The verifiers ask with entities.ask, one call per provider and block of
+rows, and read its answers as columns: the steg probe and the probabilistic
+benchmark compare label arrays, the deterministic benchmark compares each
+block's probability bytes with the reference's in one pass,
+metaresult_verify checks a block's certificate column against its query and
+probability blocks with one key schedule, and no Response is built for a
+row no replay cache keeps.
 
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
@@ -257,7 +258,9 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
                             labeled, k: int, alpha: float, rng: int) -> Verdict:
     """Send k seeded labeled inputs to both provider and supplier, compare
     accuracies with the pooled two-proportion z-test (null: provider at least
-    as accurate as supplier)."""
+    as accurate as supplier). The inputs are picked on `rng`, and the
+    provider and the supplier (an honest pass-through provider) are each
+    asked them in one call on the stream's continuation after the pick."""
     if k < 1:
         raise ParameterError("k must be >= 1")
     if k > len(labeled):
@@ -265,11 +268,10 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
-    answers, _ = ask(labeled.inputs[idx],
-                     (provider, Provider(HONEST_PASSTHROUGH, supplier)), state)
-    said, y = answers.labels, labeled.labels[idx]
-    correct_p = int((said[0::2] == y).sum())
-    correct_s = int((said[1::2] == y).sum())
+    X, y = labeled.inputs[idx], labeled.labels[idx]
+    said_p = ask(X, provider, state)[0].labels
+    said_s = ask(X, Provider(HONEST_PASSTHROUGH, supplier), state)[0].labels
+    correct_p, correct_s = int((said_p == y).sum()), int((said_s == y).sum())
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)
     gap = (correct_s - correct_p) / k
     decision = LIKELY_FRAUDULENT if p_value < alpha else LIKELY_HONEST

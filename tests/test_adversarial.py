@@ -51,6 +51,17 @@ def test_attack_config_validation():
             adv.AttackConfig(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [dict(step_size=math.nan), dict(step_size=math.inf),
+                                 dict(fd_epsilon=math.nan), dict(fd_epsilon=math.inf)],
+                         ids=["step-nan", "step-inf", "eps-nan", "eps-inf"])
+def test_attack_config_rejects_non_finite_steps(bad):
+    # NaN compares false with every bound, so a `<= 0` check lets it through
+    kwargs = {**dict(tau=0.5, step_size=0.1, max_queries=10, fd_epsilon=1e-3,
+                     mode=adv.BLACKBOX), **bad}
+    with pytest.raises(ParameterError, match="finite"):
+        adv.AttackConfig(**kwargs)
+
+
 def test_mode_mismatch_rejected(victim):
     x0 = np.full(DIM, 0.5)
     with pytest.raises(ParameterError):
@@ -457,6 +468,13 @@ def test_discriminator_rejects_empty():
         adv.discriminator_error(lambda x: 0.5, [np.array([1.0])], [])
 
 
+@pytest.mark.parametrize("q0,s_scale", [(math.nan, 25.0), (100.0, math.inf),
+                                        (math.inf, 25.0), (100.0, math.nan)])
+def test_sigmoid_rejects_non_finite_parameters(q0, s_scale):
+    with pytest.raises(ParameterError, match="finite"):
+        adv.SigmoidParams(q0, s_scale)
+
+
 # -- claim check -------------------------------------------------------------------
 
 
@@ -489,6 +507,16 @@ def test_claim_check_validation():
         adv.claim_check([_score(0, 0.8)], [(1, 0.8)], tolerance=0.01)
     with pytest.raises(ParameterError):
         adv.claim_check([_score(0, 0.8)], [(0, 0.8)], tolerance=-0.1)
+
+
+@pytest.mark.parametrize("measured,claimed,tolerance", [
+    (math.nan, 0.8, 0.01), (0.8, math.nan, 0.01), (math.inf, 0.8, 0.01),
+    (0.8, 0.8, math.nan)], ids=["measured-nan", "claimed-nan", "measured-inf",
+                                "tolerance-nan"])
+def test_claim_check_rejects_non_finite_scores(measured, claimed, tolerance):
+    # a NaN delta compares false with -tolerance, so it would read as honest
+    with pytest.raises(ParameterError):
+        adv.claim_check([_score(0, measured)], [(0, claimed)], tolerance=tolerance)
 
 
 @pytest.mark.parametrize("measured", [[0.1, 0.99], [0.99, 0.1]])

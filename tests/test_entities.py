@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from veriml import canon, entities, mlp
 from veriml.errors import ParameterError, ShapeError
-from veriml.rng import (MASK64, rng_advance, rng_bytes, rng_gauss, rng_uniform,
-                        uniform_array)
+from veriml.rng import (_CROSSOVER, MASK64, rng_advance, rng_bytes, rng_gauss,
+                        rng_uniform, uniform_array)
 from veriml.steg import RevealClassifier
 
 KEY = bytes(range(32))
@@ -360,6 +360,15 @@ def test_noisy_requires_positive_sigma(supplier_pair):
         entities.Provider(kind=entities.NOISY_PASSTHROUGH, backend=supplier)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noisy_requires_finite_sigma(supplier_pair, sigma):
+    # a NaN sigma would pass a `<= 0` check and answer NaN probabilities
+    supplier, _ = supplier_pair
+    with pytest.raises(ParameterError, match="finite"):
+        entities.Provider(kind=entities.NOISY_PASSTHROUGH, backend=supplier,
+                          noise_sigma=sigma)
+
+
 def test_unknown_provider_kind_rejected(supplier_pair):
     supplier, _ = supplier_pair
     with pytest.raises(ParameterError):
@@ -440,25 +449,6 @@ def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
         assert len(many.cache) == 11
 
 
-@pytest.mark.parametrize("kind", entities.PROVIDER_KINDS)
-def test_query_batch_interleaves_provider_and_supplier(steg_env, kind):
-    # ProbabilisticBench's pattern: provider, then supplier, on one stream
-    supplier, provider = _variant(steg_env, kind, True, False)
-    rows = _query_rows()
-    one, rng, seq = provider(), 7, []
-    for x in rows:
-        rp, rng = entities.provider_classify(one, x, rng)
-        rs, rng = entities.supplier_classify(supplier, x, rng)
-        seq += [rp, rs]
-    # the supplier side is asked as an honest pass-through provider
-    honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
-    many = provider()
-    answers, rng_b = entities.ask(np.array(rows), (many, honest), 7)
-    assert rng_b == rng
-    _same_answers(seq, answers)
-    _same_cache(one.cache, many.cache)
-
-
 # -- columnar batches: one uint64 pass equals one query at a time ---------------
 
 
@@ -536,7 +526,12 @@ def _two_batches(n):
     return rows[:n], [rows[0], rows[n]] + rows[n + 1:2 * n - 2] + [rows[n]]
 
 
-_COLUMNAR_SIZES = [1, entities._CROSSOVER - 1, entities._CROSSOVER, 200]
+# a route's rows take their draws in one uint64 pass from _CROSSOVER draws
+# on: 3 rows are below it on a 3-draw route (a nonce) and above it on a
+# route of 7 or more (a forged tag, noise); 16 and 17 rows straddle it on a
+# 1-draw route; PartialCheat's coin splits 23 or 24 rows about evenly, and
+# its halves take Python ints at one draw a row and the pass at three or more
+_COLUMNAR_SIZES = [1, 3, _CROSSOVER - 1, _CROSSOVER, 23, 24, 200]
 
 _GRID = pytest.mark.parametrize("kind,mac,reveal", [
     (kind, mac, reveal) for kind in entities.PROVIDER_KINDS
@@ -581,7 +576,7 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
     answer_block = entities._answer_block
 
     def block(route, starts, X):
-        blocks.append(len(starts))
+        blocks.append((len(starts), route.count))
         return answer_block(route, starts, X)
 
     monkeypatch.setattr(entities, "_array_draws", counted)
@@ -593,16 +588,18 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
         got += answers
         ends.append(len(passes))
         # the rows that draw, one block per route: one uint64 pass for each
-        # block of at least _CROSSOVER rows, and none for the others
+        # block of at least _CROSSOVER draws, and none for the others
         assert sorted(passes[begin:]) == sorted(
-            k for k in blocks[at:] if k >= entities._CROSSOVER)
+            k for k, count in blocks[at:] if k * count >= _CROSSOVER)
     assert rng_b == rng
     _same_answers(seq, got)
     _same_cache(one.cache, many.cache)
     # the first batch's n rows all draw (a cheat row is the cheap model's)
     cheats = sum(np.array_equal(r.probs, mlp.forward(many.cheap_model, x))
                  for r, x in zip(got[:n], first))
-    big = sorted(k for k in (cheats, n - cheats) if k >= entities._CROSSOVER)
+    big = sorted(k for k, route in ((cheats, many._cheat),
+                                    (n - cheats, many._honest))
+                 if k * route.count >= _CROSSOVER)
     assert sorted(passes[:ends[0]]) == big
     if kind == entities.PARTIAL_CHEAT and n == 200:
         assert len(big) == 2 and sum(big) == n
@@ -614,9 +611,11 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
 @pytest.mark.parametrize("state", [2 ** 64 + 99, -99])
 @pytest.mark.parametrize("kind", entities.PROVIDER_KINDS)
 def test_columnar_batch_takes_any_int_state(steg_env, kind, state):
-    # rng_next reduces any int mod 2**64; the uint64 pass must do the same
+    # rng_next reduces any int mod 2**64; the uint64 pass must do the same.
+    # With a MAC key every route takes 3 or more draws a row, so a route
+    # with 6 or more of the rows takes the pass
     provider = _wide_variant(steg_env, kind, True, True)
-    rows, _ = _two_batches(entities._CROSSOVER)
+    rows, _ = _two_batches(_CROSSOVER)
     one, rng, seq = provider(), state, []
     for x in rows:
         resp, rng = entities.provider_classify(one, x, rng)
@@ -637,9 +636,10 @@ def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
 
 
 def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch):
-    # one route below the crossover takes Python ints, the other one uint64
-    # pass, in the same batch
-    wide = _wide_variant(steg_env, entities.PARTIAL_CHEAT, True, True)
+    # one route below the crossover of draws takes Python ints, the other
+    # one uint64 pass, in the same batch: with no MAC key each route takes
+    # one draw a row, and a fifth of 40 rows cheat
+    wide = _wide_variant(steg_env, entities.PARTIAL_CHEAT, False, True)
 
     def provider():
         return dataclasses.replace(wide(), cheat_rate=0.2)
@@ -652,15 +652,15 @@ def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch
     calls = []
     for name in ("_scalar_draws", "_array_draws"):
         def counted(route, starts, name=name, draws=getattr(entities, name)):
-            calls.append((name, len(starts)))
+            calls.append((name, len(starts) * route.count))
             return draws(route, starts)
         monkeypatch.setattr(entities, name, counted)
     answers, rng_b = entities.ask(np.array(rows), provider(), 11)
     assert rng_b == rng
     _same_answers(seq, answers)
-    rows_of = dict(calls)
-    assert len(calls) == 2 and sum(rows_of.values()) == len(rows)
-    assert rows_of["_scalar_draws"] < entities._CROSSOVER <= rows_of["_array_draws"]
+    draws_of = dict(calls)
+    assert len(calls) == 2 and sum(draws_of.values()) == len(rows)
+    assert draws_of["_scalar_draws"] < _CROSSOVER <= draws_of["_array_draws"]
 
 
 # -- block plans: a block of rows equals asking one query at a time -------------
@@ -704,20 +704,17 @@ _POOL = [_x(9000 + i) for i in range(6)]
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(entities.PROVIDER_KINDS), mac=st.booleans(),
        reveal=st.booleans(), rate=st.sampled_from([0.0, 0.37, 1.0]),
-       turns=st.sampled_from(["alone", "honest", "twice"]),
        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=24),
        data=st.data())
 def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate,
-                                               turns, picks, data):
+                                               picks, data):
     """The first `early` rows asked in one call on one stream, then the rest
     split into runs of random lengths, each run owned by another owner, in
     one call on the owners' streams: every answer, draw start, end state and
     replay-cache entry equals each run asked alone on its owner's stream,
     one query at a time, in order. CachedReplay inputs repeat within a run,
-    across runs and from the earlier call. Every row is asked of the
-    provider alone, of the provider and then the honest supplier
-    (ProbabilisticBench's pattern), or of the provider twice in turn."""
-    supplier, variant = _variant(steg_env, kind, mac, reveal)
+    across runs and from the earlier call."""
+    _, variant = _variant(steg_env, kind, mac, reveal)
 
     def provider():
         return dataclasses.replace(variant(), cheat_rate=rate)
@@ -732,21 +729,15 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
     streams = [rng_advance(99, 1000 * k + 1) for k in range(len(runs))]
 
     one, many = provider(), provider()
-    honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
-    ref_honest = entities.Provider(entities.HONEST_PASSTHROUGH, supplier)
-    askers, ref_askers = {"alone": ((many,), (one,)),
-                          "honest": ((many, honest), (one, ref_honest)),
-                          "twice": ((many, many), (one, one))}[turns]
     want, want_starts = [], []
 
     def walk(xs, state):
         for x in xs:
-            for p in ref_askers:
-                resp, start, end = _reference_walk(p, x, state)
-                want.append(resp)
-                if end != start:  # a replay takes no draws
-                    want_starts.append(start)
-                state = end
+            resp, start, end = _reference_walk(one, x, state)
+            want.append(resp)
+            if end != start:  # a replay takes no draws
+                want_starts.append(start)
+            state = end
         return state
 
     ref_end, ref_streams = walk(rows[:early], 99), list(streams)
@@ -759,17 +750,15 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
         starts.extend(route_starts)
         return answer_block(route, route_starts, X)
 
-    asked = many if turns == "alone" else askers
     with mock.patch.object(entities, "_answer_block", block):
-        first, end = entities.ask(rows[:early], asked, 99)
-        second, ends = entities.ask(later, asked, streams, owners)
+        first, end = entities.ask(rows[:early], many, 99)
+        second, ends = entities.ask(later, many, streams, owners)
     assert end == ref_end
     assert ends == ref_streams and ends is not streams
     assert sorted(starts) == sorted(want_starts)
     _same_answers(want, [*first, *second])
-    cut = early * len(ref_askers)
-    _same_columns(want[:cut], first)
-    _same_columns(want[cut:], second)
+    _same_columns(want[:early], first)
+    _same_columns(want[early:], second)
     _same_cache(one.cache, many.cache)
 
 

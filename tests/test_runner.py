@@ -263,9 +263,9 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
     asks, scored, made = [], [], []
     real_ask, real_benchmark = entities.ask, runner.robustness_benchmark
 
-    def ask(X, providers, rng, owners=None):
+    def ask(X, provider, rng, owners=None):
         before = rng if owners is None else list(rng)
-        answers, after = real_ask(X, providers, rng, owners)
+        answers, after = real_ask(X, provider, rng, owners)
         asks.append((len(X), owners, before, after))
         return answers, after
 

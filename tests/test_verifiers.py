@@ -131,17 +131,14 @@ def reject_third(monkeypatch):
 @pytest.fixture()
 def sent_log(monkeypatch):
     """The bytes of every query `ask` answers and of its answers: the rows of
-    each call (a row once per provider it is asked of), paired with the
-    probability column the call returns."""
+    each call, paired with the probability column the call returns."""
     log = []
     real_ask = entities.ask
 
-    def ask(X, providers, rng, owners=None):
-        answers, rng = real_ask(X, providers, rng, owners)
-        turns = 1 if isinstance(providers, Provider) else len(providers)
+    def ask(X, provider, rng, owners=None):
+        answers, rng = real_ask(X, provider, rng, owners)
         log.extend((x.tobytes(), canon.vec(probs)) for x, probs in zip(
-            np.repeat(np.asarray(X, dtype=np.float64), turns, axis=0),
-            answers.probs))
+            np.asarray(X, dtype=np.float64), answers.probs))
         return answers, rng
 
     for module in (entities, verifiers):
@@ -556,6 +553,59 @@ def test_probabilistic_catches_weak_substitute(prob_env):
     assert verdict.decision == LIKELY_FRAUDULENT
     assert verdict.statistic > 0.0
     assert verdict.p_value < 0.05
+
+
+def _rows(responses):
+    return [(canon.vec(r.probs), r.certificate and r.certificate.hex(),
+             r.latency_ms) for r in responses]
+
+
+@pytest.mark.parametrize("mac", [False, True])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_probabilistic_benchmark_equals_its_definition(prob_env, monkeypatch,
+                                                       kind, mac):
+    """The k inputs are picked on the seed's stream; the provider and then
+    the supplier are each asked them in one call, both from the stream's
+    state after the pick. Row by row their answers are provider_classify's
+    and supplier_classify's from that state, and the verdict is the z-test
+    on those answers' labels."""
+    _, fx = prob_env
+    held, k, seed, alpha = fx.data.held, 60, 23, 0.05
+    provider, ref = _kind_provider(fx, kind, mac), _kind_provider(fx, kind, mac)
+    supplier = provider.backend
+    idx, state = sample_indices(seed, len(held), k)
+    want_p, want_s, end_p, end_s = [], [], state, state
+    for x in held.inputs[idx]:
+        resp, end_p = provider_classify(ref, x, end_p)
+        want_p.append(resp)
+        resp, end_s = supplier_classify(supplier, x, end_s)
+        want_s.append(resp)
+
+    calls, real_ask = [], entities.ask
+
+    def ask(X, asked, rng, owners=None):
+        answers, end = real_ask(X, asked, rng, owners)
+        calls.append((asked, rng, end, answers))
+        return answers, end
+
+    monkeypatch.setattr(verifiers, "ask", ask)
+    got = probabilistic_benchmark(provider, supplier, held, k, alpha, seed)
+    assert [(a.kind, a.backend, rng, end) for a, rng, end, _ in calls] == [
+        (kind, supplier, state, end_p), (HONEST_PASSTHROUGH, supplier, state, end_s)]
+    assert calls[0][0] is provider
+    assert _rows(calls[0][3]) == _rows(want_p)
+    assert _rows(calls[1][3]) == _rows(want_s)
+    assert provider.cache.keys() == ref.cache.keys()
+
+    y = held.labels[idx].tolist()
+    correct_p = sum(int(r.probs.argmax()) == c for r, c in zip(want_p, y))
+    correct_s = sum(int(r.probs.argmax()) == c for r, c in zip(want_s, y))
+    z, p_value = stats.two_proportion_z(correct_s, k, correct_p, k)
+    assert got == verifiers._verdict(
+        verifiers.METHOD_PROBABILISTIC, k, (correct_s - correct_p) / k, p_value,
+        LIKELY_FRAUDULENT if p_value < alpha else LIKELY_HONEST,
+        f"k={k} pairs: supplier {correct_s}/{k}, provider {correct_p}/{k}, "
+        f"z={z:.4f}")
 
 
 def test_probabilistic_validation(prob_env):
