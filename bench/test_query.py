@@ -8,10 +8,13 @@ one Robustness step's scorer call (6 attacks' runs of 16 probe rows or of 1
 moved point, each run on its attack's own stream, in one `ask`), for four
 provider kinds over a supplier of the built-in shape (8, 24, 3) with
 jittered latency and no MAC key; and one `verifiers.probabilistic_benchmark`
-of the built-in k = 200 labeled rows for each of the five kinds. A
-CachedReplay provider starts each call with an empty replay cache, so every
-row misses. `BENCH_*.json` files at the
-repository root record medians from this harness."""
+of the built-in k = 200 labeled rows for each of the five kinds, over that
+supplier and over the same supplier with a MAC key. A CachedReplay provider
+starts each call with an empty replay cache, so every row misses.
+`BENCH_*.json` files at the repository root record medians from this
+harness."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -72,14 +75,21 @@ def test_robustness_step(benchmark, kind, rows):
 HELD = make_blobs(3, 100, 8, 0.15, seed=9)
 KINDS = {**PROVIDERS, "SubstituteModel": Provider(SUBSTITUTE_MODEL, _SUPPLIER,
                                                   cheap_model=_CHEAP)}
+_MAC_SUPPLIER = dataclasses.replace(_SUPPLIER, mac_key=bytes(range(32)))
+BACKENDS = {
+    "no-mac": KINDS,
+    "mac": {kind: dataclasses.replace(p, backend=_MAC_SUPPLIER, cache={})
+            for kind, p in KINDS.items()},
+}
 
 
 def _probabilistic_benchmark(provider: Provider):
     provider.cache.clear()
-    return probabilistic_benchmark(provider, _SUPPLIER, HELD, 200, 0.05, 17)
+    return probabilistic_benchmark(provider, provider.backend, HELD, 200, 0.05, 17)
 
 
+@pytest.mark.parametrize("mac", BACKENDS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_probabilistic_benchmark(benchmark, kind):
-    verdict = benchmark(_probabilistic_benchmark, KINDS[kind])
+def test_probabilistic_benchmark(benchmark, kind, mac):
+    verdict = benchmark(_probabilistic_benchmark, BACKENDS[mac][kind])
     assert verdict.n_probes == 200

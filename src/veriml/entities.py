@@ -124,6 +124,12 @@ class Supplier:
         if self.mac_key is not None and len(self.mac_key) != 32:
             raise ParameterError("mac_key must be 32 bytes")
 
+    @property
+    def answering_model(self) -> MlpModel:
+        """The net that answers for the supplier: the reveal head when there
+        is one (n+1 classes), the plain model otherwise."""
+        return self.model if self.reveal is None else self.reveal.model
+
 
 class _Route(NamedTuple):
     """One answer path: its model, the MAC key of a real certificate or
@@ -154,8 +160,8 @@ class Provider:
     of the cheating strategies; everything else is per-kind configuration.
 
     Its answer paths are fixed when it is made. The honest one is the
-    supplier's: reveal head when present, a real certificate when the
-    supplier holds a MAC key, its latency, and NoisyPassthrough's noise. The
+    supplier's: its answering model, a real certificate when the supplier
+    holds a MAC key, its latency, and NoisyPassthrough's noise. The
     cheat one (with a cheap model) is the substitute's: the cheap model, a
     forged certificate whenever the honest path carries a real one, and the
     provider's own latency."""
@@ -187,8 +193,7 @@ class Provider:
         s = self.backend
         sigma = self.noise_sigma if self.kind == NOISY_PASSTHROUGH else 0.0
         object.__setattr__(self, "_honest", _route(
-            s.model if s.reveal is None else s.reveal.model, s.mac_key, False,
-            s.latency, sigma))
+            s.answering_model, s.mac_key, False, s.latency, sigma))
         object.__setattr__(self, "_cheat", None if self.cheap_model is None else
                            _route(self.cheap_model, None, s.mac_key is not None,
                                   self.latency))
@@ -371,9 +376,6 @@ class Answers:
             return kept
         return Response(self.probs[i], self.certificates[i], self.latencies[i])
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.latencies)))
-
 
 def ask(X, provider: Provider, rng: int | list[int],
         owners=None) -> tuple[Answers, int | list[int]]:
@@ -552,10 +554,9 @@ def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
 
 
 def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
-    """Answer one query: reveal head when present (n+1 classes), the plain
-    model otherwise; certificate attached when the supplier holds a MAC key.
-    An honest pass-through takes exactly the supplier's draws, so it is the
-    supplier's one query path."""
+    """Answer one query with the supplier's answering model, certificate
+    attached when the supplier holds a MAC key. An honest pass-through takes
+    exactly the supplier's draws, so it is the supplier's one query path."""
     return provider_classify(Provider(HONEST_PASSTHROUGH, s), x, rng)
 
 

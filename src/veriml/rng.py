@@ -126,11 +126,11 @@ def rng_bytes(state: int, n: int) -> tuple[bytes, int]:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Seed-splitting: an independent child seed for stream ``index``.
-
-    Defined as the splitmix64 output at state offset ``master + index``, so
-    children of adjacent indices are decorrelated by the mix function.
-    """
+    """Seed-splitting: the child seed for stream ``index`` of ``master``,
+    the splitmix64 output at state offset ``master + index``. The mix
+    decorrelates adjacent offsets, but the value depends only on the sum:
+    ``derive_seed(42, 1) == derive_seed(43, 0)``, so children of nearby
+    masters coincide and are not independent (ROADMAP item 2)."""
     return mix64((master + index + _GOLDEN) & MASK64)
 
 

@@ -87,8 +87,9 @@ def _steg_cache_key(block: dict, data: _DataBundle) -> bytes:
 def _calib_cache_key(steg_key: bytes, model_key: bytes, count: int,
                      seed: int) -> bytes:
     # the supplier model key fixes the recipe and training split, so the
-    # held-out covers; the calibration asks through an honest provider, so
-    # the MAC key, latency and provider fields change no rate it reads
+    # held-out covers; the calibration labels them with the supplier's
+    # answering model and asks nothing, so the MAC key, latency and provider
+    # fields change no rate it reads
     return canon.sha256(b"calib.v1" + steg_key + model_key + canon.u64(count)
                         + canon.u64(seed))
 

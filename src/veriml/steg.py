@@ -115,13 +115,10 @@ def reveal_detect(reveal: RevealClassifier, x) -> bool:
     return int(np.argmax(probs)) == reveal.message_class
 
 
-def _embed_raw(steg: StegModel, X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    enc = forward_batch(steg.prep_net, S)
-    return forward_batch(steg.hide_net, np.concatenate([X, enc], axis=1))
-
-
 def embed_batch(steg: StegModel, X: np.ndarray, S: np.ndarray) -> np.ndarray:
-    return np.clip(_embed_raw(steg, X, S), 0.0, 1.0)
+    enc = forward_batch(steg.prep_net, S)
+    return np.clip(forward_batch(steg.hide_net, np.concatenate([X, enc], axis=1)),
+                   0.0, 1.0)
 
 
 def embed(steg: StegModel, cover, secret: SecretMessage) -> np.ndarray:
@@ -298,21 +295,20 @@ MAX_SECRET_RESAMPLES = 16
 
 
 def draw_containers(steg: StegModel, reveal: RevealClassifier,
-                    cheap: MlpModel, X, state: int,
-                    max_resamples: int = MAX_SECRET_RESAMPLES
+                    cheap: MlpModel, X, state: int
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """One valid container per cover row of X, drawn in rounds from `state`:
     each round draws a candidate secret for every row still without a
     container, in row order, and checks them all with one
     generate_message_batch. Returns (containers, secrets, state). After
-    1 + max_resamples rounds it raises a generation failure naming the last
-    reason, that of the first row still failing."""
+    1 + MAX_SECRET_RESAMPLES rounds it raises a generation failure naming
+    the last reason, that of the first row still failing."""
     X = np.asarray(X, dtype=np.float64)
     dim = steg.secret_dim
     Z = np.empty_like(X)
     S = np.empty((len(X), dim))
     pending = np.arange(len(X))
-    for _ in range(1 + max_resamples):
+    for _ in range(1 + MAX_SECRET_RESAMPLES):
         flat, state = uniform_array(state, len(pending) * dim)
         secrets = flat.reshape(len(pending), dim)
         Zr, flagged, kept = generate_message_batch(steg, reveal, cheap,
@@ -324,18 +320,16 @@ def draw_containers(steg: StegModel, reveal: RevealClassifier,
         last = _failure(flagged[np.flatnonzero(~ok)[0]])
         pending = pending[~ok]
     raise GenerationFailureError(
-        f"no valid container in {1 + max_resamples} attempts: {last}")
+        f"no valid container in {1 + MAX_SECRET_RESAMPLES} attempts: {last}")
 
 
 def draw_message_instance(steg: StegModel, reveal: RevealClassifier,
-                          cheap: MlpModel, x, state: int,
-                          max_resamples: int = MAX_SECRET_RESAMPLES
+                          cheap: MlpModel, x, state: int
                           ) -> tuple[np.ndarray, SecretMessage, int]:
     """draw_containers on one cover: draws secrets from `state` until the
-    dual property holds, at most 1 + max_resamples attempts."""
+    dual property holds, at most 1 + MAX_SECRET_RESAMPLES attempts."""
     x = np.asarray(x, dtype=np.float64)
-    Z, S, state = draw_containers(steg, reveal, cheap, x[None, :], state,
-                                  max_resamples)
+    Z, S, state = draw_containers(steg, reveal, cheap, x[None, :], state)
     return Z[0], SecretMessage(S[0]), state
 
 

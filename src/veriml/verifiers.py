@@ -8,16 +8,17 @@ Four methods:
   count which containers come back flagged as the reserved message class;
 * deterministic_benchmark — retrain the supplier's model from its published
   seeds and demand bit-identical answers;
-* probabilistic_benchmark — same queries to provider and supplier, each
-  asked on its own copy of one stream, compare accuracies with a
+* probabilistic_benchmark — ask the provider the picked queries, label
+  them with the supplier's answering model, compare accuracies with a
   two-proportion z-test;
 * metaresult_verify — check the MAC certificate on every response.
 
 cheat_probability is presented as 1 - p_value (clamped): an evidence score
 against honesty, not a posterior probability of cheating.
 
-The verifiers ask with entities.ask, one call per provider and block of
-rows, and read its answers as columns: the steg probe and the probabilistic
+The verifiers ask only the provider under test, with entities.ask, one call
+per block of rows, and read its answers as columns; they read the supplier,
+their own model, with forward_batch. The steg probe and the probabilistic
 benchmark compare label arrays, the deterministic benchmark compares each
 block's probability bytes with the reference's in one pass,
 metaresult_verify checks a block's certificate column against its query and
@@ -26,9 +27,9 @@ row no replay cache keeps.
 
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
-on a stream of their own (derive_seed(seed, 1)), then plans every query as
-one block on the caller's stream. The calibration asks the supplier as an
-honest pass-through provider, which takes exactly the supplier's draws.
+on a stream of their own (derive_seed(seed, 1)), then labels every row as
+one block: steg_probe by asking the provider on the caller's stream, the
+calibration with the supplier's answering model.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import numpy as np
 from . import canon, stats
 from .cache import shared_model
 from .data import BlobRecipe
-from .entities import (HONEST_PASSTHROUGH, Answers, Provider, Response,
-                       SeedPublication, Supplier, ask,
-                       first_invalid_certificate)
+from .entities import (Answers, Provider, Response, SeedPublication, Supplier,
+                       ask, first_invalid_certificate)
 from .errors import (GenerationFailureError, ParameterError, ProbeSetupError,
                      ShapeError)
 from .mlp import MlpModel, forward_batch
@@ -136,19 +136,18 @@ class StegSuite:
                 raise ParameterError(f"{name} must be in (0,1)")
 
 
-def _probe_counts(provider: Provider, steg: StegModel,
-                  reveal: RevealClassifier, checker: MlpModel,
-                  rows: np.ndarray, is_steg: np.ndarray, seed: int,
-                  state: int) -> tuple[int, int]:
+def _probe_counts(label, steg: StegModel, reveal: RevealClassifier,
+                  checker: MlpModel, rows: np.ndarray, is_steg: np.ndarray,
+                  seed: int) -> tuple[int, int]:
     """The probe core: turn the `is_steg` rows into containers on
-    derive_seed(seed, 1), ask every row in order on the stream `state`, and
-    return (containers flagged as message class, clean rows not flagged)."""
+    derive_seed(seed, 1), label every row in order with one `label(rows)`
+    call, and return (containers flagged as message class, clean rows not
+    flagged)."""
     containers, _, _ = draw_containers(steg, reveal, checker, rows[is_steg],
                                        derive_seed(seed, 1))
     rows = rows.copy()
     rows[is_steg] = containers
-    answers, _ = ask(rows, provider, state)
-    flagged = answers.labels == reveal.message_class
+    flagged = label(rows) == reveal.message_class
     return int(flagged[is_steg].sum()), int((~flagged[~is_steg]).sum())
 
 
@@ -158,14 +157,16 @@ def measure_roundtrip(supplier: Supplier, steg: StegModel,
     """Empirical honest-path rates on held-out covers, Laplace-smoothed so
     neither rate is ever exactly 0 or 1: the fraction of generated containers
     the supplier flags as message class, and the fraction of raw covers it
-    does not. Each cover is asked twice in a row, as a container and raw."""
+    does not. Each cover is labeled twice in a row, as a container and raw,
+    with the supplier's answering model; nothing is asked."""
     n = len(covers)
     if n < 1:
         raise ParameterError("need at least one held-out cover")
     is_steg = np.arange(2 * n) % 2 == 0
-    detect, clean = _probe_counts(Provider(HONEST_PASSTHROUGH, supplier), steg,
-                                  reveal, checker, np.repeat(covers, 2, axis=0),
-                                  is_steg, seed, seed)
+    model = supplier.answering_model
+    detect, clean = _probe_counts(
+        lambda rows: forward_batch(model, rows).argmax(axis=1), steg, reveal,
+        checker, np.repeat(covers, 2, axis=0), is_steg, seed)
     return (detect + 1) / (n + 2), (clean + 1) / (n + 2)
 
 
@@ -185,9 +186,9 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     is_steg = np.zeros(plan.k, dtype=bool)
     is_steg[steg_pos] = True
     try:
-        hits, clean_ok = _probe_counts(provider, suite.steg, suite.reveal,
-                                       suite.checker, covers[cover_idx],
-                                       is_steg, plan.seed, state)
+        hits, clean_ok = _probe_counts(
+            lambda rows: ask(rows, provider, state)[0].labels, suite.steg,
+            suite.reveal, suite.checker, covers[cover_idx], is_steg, plan.seed)
     except GenerationFailureError as exc:
         raise ProbeSetupError(f"container generation failed: {exc}") from exc
 
@@ -256,11 +257,11 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
 
 def probabilistic_benchmark(provider: Provider, supplier: Supplier,
                             labeled, k: int, alpha: float, rng: int) -> Verdict:
-    """Send k seeded labeled inputs to both provider and supplier, compare
-    accuracies with the pooled two-proportion z-test (null: provider at least
-    as accurate as supplier). The inputs are picked on `rng`, and the
-    provider and the supplier (an honest pass-through provider) are each
-    asked them in one call on the stream's continuation after the pick."""
+    """Send k seeded labeled inputs to the provider, label them with the
+    supplier's answering model, and compare accuracies with the pooled
+    two-proportion z-test (null: provider at least as accurate as supplier).
+    The inputs are picked on `rng`, and the provider is asked them in one
+    call on the stream's continuation after the pick."""
     if k < 1:
         raise ParameterError("k must be >= 1")
     if k > len(labeled):
@@ -270,7 +271,7 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
     idx, state = sample_indices(rng, len(labeled), k)
     X, y = labeled.inputs[idx], labeled.labels[idx]
     said_p = ask(X, provider, state)[0].labels
-    said_s = ask(X, Provider(HONEST_PASSTHROUGH, supplier), state)[0].labels
+    said_s = forward_batch(supplier.answering_model, X).argmax(axis=1)
     correct_p, correct_s = int((said_p == y).sum()), int((said_s == y).sum())
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)
     gap = (correct_s - correct_p) / k

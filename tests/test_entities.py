@@ -242,6 +242,18 @@ def test_supplier_without_reveal_uses_base_model(steg_env):
     assert resp.certificate is None
 
 
+def test_answering_model_is_the_honest_route_model(supplier_pair, steg_env):
+    # the reveal head when there is one, the plain model otherwise; it is the
+    # model of every honest pass-through's route
+    supplier, _ = supplier_pair
+    bare = entities.Supplier(model=steg_env[1].supplier.model)
+    assert supplier.answering_model is supplier.reveal.model
+    assert bare.answering_model is bare.model
+    for s in (supplier, bare):
+        p = entities.Provider(entities.HONEST_PASSTHROUGH, s)
+        assert p._honest.model is s.answering_model
+
+
 def test_supplier_reveal_head_mismatch_rejected(steg_env):
     _, fx = steg_env
     wrong = mlp.init_mlp((16, 4, 5), weight_seed=1)

@@ -115,8 +115,7 @@ def test_generate_rejects_blind_reveal(trained):
     with pytest.raises(GenerationFailureError):
         steg.generate_message_instance(model, blind, checker, covers[0], secret)
     with pytest.raises(GenerationFailureError):
-        steg.draw_message_instance(model, blind, checker, covers[0], 55,
-                                   max_resamples=3)
+        steg.draw_message_instance(model, blind, checker, covers[0], 55)
 
 
 def test_generate_rejects_argmax_change(trained):

@@ -112,7 +112,8 @@ def test_steg_probe_deterministic_in_seed(steg_env):
 # draw_containers is checked against a round-by-round loop, draw_message_instance
 # against the one-at-a-time loop, and steg_probe and measure_roundtrip against
 # their definitions: containers drawn from derive_seed(seed, 1), then one
-# provider_classify or supplier_classify per query on the seed's stream.
+# provider_classify per query on the seed's stream (steg_probe) or each row
+# labeled as supplier_classify labels it (measure_roundtrip).
 
 
 @pytest.fixture()
@@ -146,6 +147,23 @@ def sent_log(monkeypatch):
     return log
 
 
+@pytest.fixture()
+def labeled_log(monkeypatch):
+    """Every forward_batch the verifiers make: (model, rows' bytes, each
+    row's argmax)."""
+    log = []
+    real_forward = verifiers.forward_batch
+
+    def forward_batch(model, X):
+        out = real_forward(model, X)
+        log.append((model, np.asarray(X, dtype=np.float64).tobytes(),
+                    out.argmax(axis=1).tolist()))
+        return out
+
+    monkeypatch.setattr(verifiers, "forward_batch", forward_batch)
+    return log
+
+
 def _jumpy(checker):
     # so sensitive that some containers change its argmax
     net = mlp.init_mlp(checker.layer_dims, weight_seed=7)
@@ -155,12 +173,12 @@ def _jumpy(checker):
 
 
 def _rounds_reference(steg_model, reveal, cheap, X, state,
-                      max_resamples=steg.MAX_SECRET_RESAMPLES):
+                      resamples=steg.MAX_SECRET_RESAMPLES):
     """Round by round, one row at a time: each round draws a secret for every
     cover still without a container, in row order."""
     out = [None] * len(X)
     secrets = [None] * len(X)
-    for rounds in range(1, 2 + max_resamples):
+    for rounds in range(1, 2 + resamples):
         last = None
         for i, x in enumerate(X):
             if out[i] is not None:
@@ -175,13 +193,13 @@ def _rounds_reference(steg_model, reveal, cheap, X, state,
         if last is None:
             return np.stack(out), np.stack(secrets), state, rounds
     raise GenerationFailureError(
-        f"no valid container in {1 + max_resamples} attempts: {last}")
+        f"no valid container in {1 + resamples} attempts: {last}")
 
 
 def _one_at_a_time(steg_model, reveal, cheap, x, state,
-                   max_resamples=steg.MAX_SECRET_RESAMPLES):
+                   resamples=steg.MAX_SECRET_RESAMPLES):
     last = None
-    for _ in range(1 + max_resamples):
+    for _ in range(1 + resamples):
         secret, state = steg.random_secret(state, steg_model.secret_dim)
         try:
             return (steg.generate_message_instance(steg_model, reveal, cheap, x,
@@ -189,10 +207,10 @@ def _one_at_a_time(steg_model, reveal, cheap, x, state,
         except GenerationFailureError as exc:
             last = exc
     raise GenerationFailureError(
-        f"no valid container in {1 + max_resamples} attempts: {last}")
+        f"no valid container in {1 + resamples} attempts: {last}")
 
 
-def test_draw_containers_equals_rounds(steg_env, reject_third):
+def test_draw_containers_equals_rounds(steg_env, reject_third, monkeypatch):
     _, fx = steg_env
     suite = fx.suite
     X = fx.probe_covers[:40]
@@ -210,39 +228,43 @@ def test_draw_containers_equals_rounds(steg_env, reject_third):
     # that of the first row still failing (at state 0 the first fails the
     # argmax check and later ones the reveal check)
     reasons = set()
-    for state, max_resamples in ((0, 0), (5, 1)):
+    for state, resamples in ((0, 0), (5, 1)):
         with pytest.raises(GenerationFailureError) as want:
             _rounds_reference(suite.steg, suite.reveal, _jumpy(suite.checker),
-                              X, state, max_resamples)
+                              X, state, resamples)
+        monkeypatch.setattr(steg, "MAX_SECRET_RESAMPLES", resamples)
         with pytest.raises(GenerationFailureError) as got:
             steg.draw_containers(suite.steg, suite.reveal,
-                                 _jumpy(suite.checker), X, state, max_resamples)
+                                 _jumpy(suite.checker), X, state)
         assert str(got.value) == str(want.value)
         reasons.add(str(got.value).split(": ")[1])
     assert len(reasons) == 2
 
 
-def test_draw_message_instance_equals_one_at_a_time(steg_env, reject_third):
+def test_draw_message_instance_equals_one_at_a_time(steg_env, reject_third,
+                                                    monkeypatch):
     _, fx = steg_env
     suite = fx.suite
     jumpy = _jumpy(suite.checker)
     resampled = failed = 0
+    counts = (0, 2, steg.MAX_SECRET_RESAMPLES)
     for cheap in (suite.checker, jumpy):
         for i, state in enumerate((0, 1, 1234, 2 ** 63, 2 ** 64 - 1)):
             x = fx.probe_covers[i]
-            for max_resamples in (0, 2, steg.MAX_SECRET_RESAMPLES):
+            for resamples in counts:
+                monkeypatch.setattr(steg, "MAX_SECRET_RESAMPLES", resamples)
                 try:
                     zw, sw, end = _one_at_a_time(suite.steg, suite.reveal, cheap,
-                                                 x, state, max_resamples)
+                                                 x, state, resamples)
                 except GenerationFailureError as exc:
                     failed += 1
                     with pytest.raises(GenerationFailureError) as got:
                         steg.draw_message_instance(suite.steg, suite.reveal,
-                                                   cheap, x, state, max_resamples)
+                                                   cheap, x, state)
                     assert str(got.value) == str(exc)
                     continue
                 z, s, got_end = steg.draw_message_instance(
-                    suite.steg, suite.reveal, cheap, x, state, max_resamples)
+                    suite.steg, suite.reveal, cheap, x, state)
                 assert z.tobytes() == zw.tobytes()
                 assert s.values.tobytes() == sw.values.tobytes()
                 assert got_end == end
@@ -366,7 +388,11 @@ def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
 
 
 @pytest.mark.parametrize("mac", [False, True])
-def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac):
+def test_calibration_equals_its_definition(steg_env, reject_third, sent_log,
+                                           labeled_log, mac):
+    """Each cover, as its container and then raw, is labeled as
+    supplier_classify labels it, row by row, in one forward_batch of the
+    supplier's answering model (its reveal head); nothing is asked."""
     _, fx = steg_env
     supplier = fx.supplier
     if mac:
@@ -376,20 +402,26 @@ def test_calibration_equals_its_definition(steg_env, reject_third, sent_log, mac
     containers, _, _, rounds = _rounds_reference(
         suite.steg, suite.reveal, suite.checker, covers, derive_seed(700, 1))
     assert rounds >= 3
-    state, want_sent = 700, []
+    state, rows, want_labels = 700, [], []
     for z, x in zip(containers, covers):
         for query in (z, x):
             resp, state = supplier_classify(supplier, query, state)
-            want_sent.append((query.tobytes(), canon.vec(resp.probs)))
+            rows.append(query)
+            want_labels.append(int(resp.probs.argmax()))
     mc = suite.reveal.message_class
-    detect = sum(np.argmax(np.frombuffer(p, "<f8")) == mc for _, p in want_sent[0::2])
-    clean = sum(np.argmax(np.frombuffer(p, "<f8")) != mc for _, p in want_sent[1::2])
+    detect = sum(label == mc for label in want_labels[0::2])
+    clean = sum(label != mc for label in want_labels[1::2])
     n = len(covers)
-    del sent_log[:]  # the one-query reference calls are blocks of one
+    del sent_log[:], labeled_log[:]
     got = verifiers.measure_roundtrip(supplier, suite.steg, suite.reveal,
                                       suite.checker, covers, 700)
     assert got == ((detect + 1) / (n + 2), (clean + 1) / (n + 2))
-    assert sent_log == want_sent
+    assert sent_log == []
+    assert len(labeled_log) == 1
+    model, sent, labels = labeled_log[0]
+    assert model is supplier.answering_model is suite.reveal.model
+    assert sent == np.array(rows).tobytes()
+    assert labels == want_labels
 
 
 def _blind_reveal(reveal):
@@ -563,12 +595,13 @@ def _rows(responses):
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
 def test_probabilistic_benchmark_equals_its_definition(prob_env, monkeypatch,
-                                                       kind, mac):
-    """The k inputs are picked on the seed's stream; the provider and then
-    the supplier are each asked them in one call, both from the stream's
-    state after the pick. Row by row their answers are provider_classify's
-    and supplier_classify's from that state, and the verdict is the z-test
-    on those answers' labels."""
+                                                       labeled_log, kind, mac):
+    """The k inputs are picked on the seed's stream, and the provider, and
+    only the provider, is asked them in one call from the stream's state
+    after the pick; row by row its answers are provider_classify's from that
+    state. The supplier's labels are supplier_classify's, row by row, read
+    from one forward_batch of its answering model. The verdict is the z-test
+    on the two label columns."""
     _, fx = prob_env
     held, k, seed, alpha = fx.data.held, 60, 23, 0.05
     provider, ref = _kind_provider(fx, kind, mac), _kind_provider(fx, kind, mac)
@@ -579,7 +612,7 @@ def test_probabilistic_benchmark_equals_its_definition(prob_env, monkeypatch,
         resp, end_p = provider_classify(ref, x, end_p)
         want_p.append(resp)
         resp, end_s = supplier_classify(supplier, x, end_s)
-        want_s.append(resp)
+        want_s.append(int(resp.probs.argmax()))
 
     calls, real_ask = [], entities.ask
 
@@ -589,17 +622,21 @@ def test_probabilistic_benchmark_equals_its_definition(prob_env, monkeypatch,
         return answers, end
 
     monkeypatch.setattr(verifiers, "ask", ask)
+    del labeled_log[:]
     got = probabilistic_benchmark(provider, supplier, held, k, alpha, seed)
-    assert [(a.kind, a.backend, rng, end) for a, rng, end, _ in calls] == [
-        (kind, supplier, state, end_p), (HONEST_PASSTHROUGH, supplier, state, end_s)]
+    assert [(rng, end) for _, rng, end, _ in calls] == [(state, end_p)]
     assert calls[0][0] is provider
     assert _rows(calls[0][3]) == _rows(want_p)
-    assert _rows(calls[1][3]) == _rows(want_s)
     assert provider.cache.keys() == ref.cache.keys()
+    assert len(labeled_log) == 1
+    model, sent, labels = labeled_log[0]
+    assert model is supplier.answering_model
+    assert sent == held.inputs[idx].tobytes()
+    assert labels == want_s
 
     y = held.labels[idx].tolist()
     correct_p = sum(int(r.probs.argmax()) == c for r, c in zip(want_p, y))
-    correct_s = sum(int(r.probs.argmax()) == c for r, c in zip(want_s, y))
+    correct_s = sum(label == c for label, c in zip(want_s, y))
     z, p_value = stats.two_proportion_z(correct_s, k, correct_p, k)
     assert got == verifiers._verdict(
         verifiers.METHOD_PROBABILISTIC, k, (correct_s - correct_p) / k, p_value,
