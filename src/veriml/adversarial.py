@@ -10,7 +10,10 @@ attack's moved point in a second. A scorer is one function, ``fn(X, owners)
 -> probabilities``: it maps an (m, dim) array to (m, n_classes) rows, row i
 answering X[i] for attack ``owners[i]`` (an index into the attacks' starts;
 each attack's rows consecutive). A stateless scorer ignores the owners; a
-service that draws per attack asks each row on its owner's stream.
+service that draws per attack asks each row on its owner's stream. A
+robustness benchmark of several seeds runs all their attacks in one such
+call: with n attacks per seed, attack k of seed t is owner t * n + k, so a
+scorer can tell the seeds' rows apart by owner // n.
 
 Query accounting is exact and part of the contract:
 
@@ -224,37 +227,52 @@ def robustness_score(mean_queries: float, params: SigmoidParams) -> float:
     return 1.0 / (1.0 + math.exp(-(mean_queries - params.q0) / params.s_scale))
 
 
-def robustness_benchmark(service: Scorer, dim: int, classes: Sequence[int],
-                         trials_per_class: int, cfg: AttackConfig,
-                         params: SigmoidParams, seed: int) -> list[RobustnessScore]:
-    """Per class: attack from `trials_per_class` uniform starts in [0,1]^dim
-    and average the query counts, charging failed attacks the full budget.
-    Attack k = class_index * trials_per_class + trial starts from
-    derive_seed(seed, k); all attacks run in one `blackbox_attacks` call, so
-    the scorer's owners are these k. Deterministic given the seed."""
+def robustness_benchmarks(service: Scorer, dim: int, classes: Sequence[int],
+                          trials_per_class: int, cfg: AttackConfig,
+                          params: SigmoidParams,
+                          seeds: Sequence[int]) -> list[list[RobustnessScore]]:
+    """Per seed, per class: attack from `trials_per_class` uniform starts in
+    [0,1]^dim and average the query counts, charging failed attacks the full
+    budget. With n = len(classes) * trials_per_class, attack t*n + k (k =
+    class_index * trials_per_class + trial) starts from
+    derive_seed(seeds[t], k); all attacks of all seeds run in one
+    `blackbox_attacks` call, so the scorer's owners are these t*n + k, and
+    the scores come back per seed. Deterministic given the seeds."""
     if trials_per_class < 1:
         raise ParameterError("trials_per_class must be >= 1")
     classes = list(classes)
     if len(set(classes)) != len(classes):
         raise ParameterError(f"duplicate classes in {classes}")
+    n = len(classes) * trials_per_class
     starts = [uniform_array(derive_seed(seed, k), dim)[0]
-              for k in range(len(classes) * trials_per_class)]
-    targets = [cls for cls in classes for _ in range(trials_per_class)]
+              for seed in seeds for k in range(n)]
+    targets = [cls for cls in classes for _ in range(trials_per_class)] * len(seeds)
     traces = blackbox_attacks(service, dim, starts, targets, cfg)
     out = []
-    for ci, cls in enumerate(classes):
+    for first in range(0, len(traces), trials_per_class):
         total = 0.0
         failures = 0
-        for trace in traces[ci * trials_per_class:(ci + 1) * trials_per_class]:
+        for trace in traces[first:first + trials_per_class]:
             if trace.success:
                 total += trace.queries_used
             else:
                 failures += 1
                 total += cfg.max_queries
         mean_q = total / trials_per_class
-        out.append(RobustnessScore(cls, mean_q, robustness_score(mean_q, params),
+        out.append(RobustnessScore(targets[first], mean_q,
+                                   robustness_score(mean_q, params),
                                    trials_per_class, failures))
-    return out
+    c = len(classes)
+    return [out[t * c:(t + 1) * c] for t in range(len(seeds))]
+
+
+def robustness_benchmark(service: Scorer, dim: int, classes: Sequence[int],
+                         trials_per_class: int, cfg: AttackConfig,
+                         params: SigmoidParams, seed: int) -> list[RobustnessScore]:
+    """The one-seed case of `robustness_benchmarks`: attack k starts from
+    derive_seed(seed, k) and the scorer's owners are these k."""
+    return robustness_benchmarks(service, dim, classes, trials_per_class, cfg,
+                                 params, [seed])[0]
 
 
 def discriminator_error(d: Callable[[np.ndarray], float],

@@ -77,6 +77,8 @@ def _parse_values(text: str) -> list:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigValidationError([f"values: {v!r} is not a number"])
+    if not values:
+        raise ConfigValidationError([f"values: {text!r} holds no number"])
     return values
 
 

@@ -1,8 +1,13 @@
 """Scenario execution: build the supplier/provider fixtures a config
 describes (training once per content digest, cached on disk, and so are the
 supplier's training accuracy and the steg calibration rates measured on those
-fixtures), run seeded verification trials one after another, and aggregate
-into a machine-readable report that is byte-reproducible apart from wall time.
+fixtures), run a campaign's seeded verification trials, and aggregate into a
+machine-readable report that is byte-reproducible apart from wall time.
+
+Each scenario has one campaign function, (fixtures, config, trial seeds) ->
+trials. Robustness runs every trial's attacks at once, in lockstep, so each
+step of the attacks is one ask for the whole campaign; the other scenarios
+run their trials one after another.
 """
 
 from __future__ import annotations
@@ -17,14 +22,14 @@ from . import canon
 from . import config as cfgmod
 from ._version import __version__
 from .adversarial import (AttackConfig, SigmoidParams, claim_check,
-                          robustness_benchmark)
+                          robustness_benchmarks)
 from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       compute_metric, identity, make_model_spec,
                       run_audit_round)
 from .cache import _cached, _cached_f64s, _model_cache_key, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (Answers, LatencyModel, Provider, SeedPublication,
-                       Supplier, ask)
+from .entities import (CACHED_REPLAY, Answers, LatencyModel, Provider,
+                       SeedPublication, Supplier, ask)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
 from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward_batch
@@ -219,7 +224,10 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 # derive_seed(s, 1) (DeterministicBench's and Metaresult's queries, the
 # Robustness attack starts), their queries on derive_seed(s, 2), the
 # Robustness attacks' query streams under derive_seed(s, 3), and the latency
-# pings under derive_seed(s, 7), split as s is.
+# pings under derive_seed(s, 7), split as s is. A Robustness campaign asks
+# all its trials' attacks together, attack k of trial t as owner t * n + k
+# (n attacks per trial), each on its own trial's streams, so a trial draws
+# the same values alone or in a campaign.
 
 
 def _uniform_block(seed: int, n: int, dim: int) -> tuple[np.ndarray, int]:
@@ -242,9 +250,9 @@ def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
 
 
 def _verdict_trial(run):
-    """The trial skeleton of the five verdict scenarios: a fresh provider,
-    `run(fx, verifier block, seed, provider)` giving (verdict, extra trial
-    fields), then the latency pings on that provider."""
+    """The trial skeleton of the per-trial verdict scenarios: a fresh
+    provider, `run(fx, verifier block, seed, provider)` giving (verdict,
+    extra trial fields), then the latency pings on that provider."""
     def trial(fx: _Fixtures, raw: dict, seed: int) -> dict:
         provider = fx.fresh_provider()
         verdict, extra = run(fx, raw["verifier"], seed, provider)
@@ -279,41 +287,66 @@ def _trial_metaresult(fx, ver, seed, provider) -> tuple[Verdict, dict]:
     return metaresult_verify(asked, fx.supplier.mac_key), {}
 
 
-@_verdict_trial
-def _trial_robustness(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+def _campaign_robustness(fx: _Fixtures, raw: dict, seeds: list[int]) -> list[dict]:
+    """Every trial's attacks at once: the claimed side in one
+    `blackbox_attacks` call over the supplier's model, the measured side in
+    one over the service, whose owners are t * n + k (attack k of trial t),
+    then each trial's claim check and latency pings."""
+    ver = raw["verifier"]
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
+    per_class = ver["trials_per_class"]
     acfg = AttackConfig(tau=ver["tau"], step_size=ver["step_size"],
                         max_queries=ver["max_queries"])
     params = SigmoidParams(ver["sigmoid"]["q0"], ver["sigmoid"]["s_scale"])
 
     # the supplier's published claims: its own model measured from the same
     # attack starts the verifier is about to use on the service, drawn on
-    # the inputs stream
-    starts = derive_seed(seed, 1)
+    # each trial's inputs stream
+    starts = [derive_seed(seed, 1) for seed in seeds]
     supplier_model = fx.supplier.model
-    claimed = robustness_benchmark(
+    claimed = robustness_benchmarks(
         lambda X, _owners: forward_batch(supplier_model, X), dim, classes,
-        ver["trials_per_class"], acfg, params, starts)
+        per_class, acfg, params, starts)
 
-    # attack k draws on its own stream, so the attacks are independent and
-    # advance in lockstep: each scorer call is one ask, which plans each
-    # attack's run of rows on its stream and answers them as one block
-    base = derive_seed(seed, 3)
-    streams = [derive_seed(base, k)
-               for k in range(len(classes) * ver["trials_per_class"])]
+    # attack k of trial s draws on its own stream derive_seed(derive_seed(s,
+    # 3), k), so the attacks are independent and advance in lockstep. A
+    # CachedReplay provider keeps a replay cache, so each trial asks its rows
+    # of its own provider and no trial replays another's; every other kind
+    # is stateless, and each scorer call is one ask over every trial's rows
+    n = len(classes) * per_class
+    streams = [derive_seed(derive_seed(seed, 3), k) for seed in seeds
+               for k in range(n)]
+    if fx.provider.kind == CACHED_REPLAY:
+        providers = [fx.fresh_provider() for _ in seeds]
+        bounds = np.arange(0, len(streams) + 1, n)
+    else:
+        providers = [fx.fresh_provider()] * len(seeds)
+        bounds = [0, len(streams)]
 
     def service(X, owners):
         nonlocal streams
-        answers, streams = ask(X, provider, streams, owners)
-        return answers.matrix
+        blocks = []
+        cuts = np.searchsorted(owners, bounds)
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                answers, streams = ask(X[a:b], providers[owners[a] // n],
+                                       streams, owners[a:b])
+                blocks.append(answers.matrix)
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    measured = robustness_benchmark(service, dim, classes,
-                                    ver["trials_per_class"], acfg, params, starts)
-    verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
-                          ver["tolerance"])
-    return verdict, {"claimed_scores": [s.to_dict() for s in claimed],
-                     "measured_scores": [s.to_dict() for s in measured]}
+    measured = robustness_benchmarks(service, dim, classes, per_class, acfg,
+                                     params, starts)
+    trials = []
+    for t, seed in enumerate(seeds):
+        verdict = claim_check(measured[t],
+                              [(s.class_id, s.score) for s in claimed[t]],
+                              ver["tolerance"])
+        trials.append({"seed": seed, "verdict": verdict.to_dict(),
+                       "latency_ms": _mean_latency(providers[t], dim, seed),
+                       "claimed_scores": [s.to_dict() for s in claimed[t]],
+                       "measured_scores": [s.to_dict() for s in measured[t]]})
+    return trials
 
 
 def _audit_setup(ver: dict) -> tuple[list[OracleProfile], bytes, Ledger]:
@@ -345,13 +378,19 @@ def _trial_auditor(fx: _Fixtures, raw: dict, seed: int) -> dict:
             "n_blocks": len(ledger.blocks)}
 
 
-_TRIAL_FNS = {
-    cfgmod.STEG_PROBE: _trial_steg,
-    cfgmod.DETERMINISTIC_BENCH: _trial_deterministic,
-    cfgmod.PROBABILISTIC_BENCH: _trial_probabilistic,
-    cfgmod.METARESULT: _trial_metaresult,
-    cfgmod.ROBUSTNESS: _trial_robustness,
-    cfgmod.AUDITOR: _trial_auditor,
+def _each(trial):
+    """The campaign of a per-trial scenario: its trials one after another."""
+    return lambda fx, raw, seeds: [trial(fx, raw, seed) for seed in seeds]
+
+
+# scenario -> campaign function (fixtures, raw config, trial seeds) -> trials
+_CAMPAIGNS = {
+    cfgmod.STEG_PROBE: _each(_trial_steg),
+    cfgmod.DETERMINISTIC_BENCH: _each(_trial_deterministic),
+    cfgmod.PROBABILISTIC_BENCH: _each(_trial_probabilistic),
+    cfgmod.METARESULT: _each(_trial_metaresult),
+    cfgmod.ROBUSTNESS: _campaign_robustness,
+    cfgmod.AUDITOR: _each(_trial_auditor),
 }
 
 
@@ -376,9 +415,8 @@ def _aggregate(scenario: str, trials: list[dict]) -> dict:
 def run_scenario(cfg: cfgmod.ScenarioConfig) -> dict:
     started = time.perf_counter()
     fx = build_fixtures(cfg)
-    trial_fn = _TRIAL_FNS[cfg.scenario]
-    results = [trial_fn(fx, cfg.raw, derive_seed(cfg.master_seed, t))
-               for t in range(cfg.trials)]
+    seeds = [derive_seed(cfg.master_seed, t) for t in range(cfg.trials)]
+    results = _CAMPAIGNS[cfg.scenario](fx, cfg.raw, seeds)
     return {
         "schema_version": cfgmod.SCHEMA_VERSION,
         "version": __version__,

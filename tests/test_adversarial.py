@@ -435,6 +435,33 @@ def test_benchmark_deterministic_and_failure_charging(victim):
     assert scores[0].mean_queries == 5.0
 
 
+def test_benchmarks_of_several_seeds_equal_one_benchmark_per_seed(victim,
+                                                                 monkeypatch):
+    """Over a stateless scorer, each seed's scores are its one-seed
+    benchmark's, repeated seeds included; all attacks run in one
+    blackbox_attacks call, attack k of seed t as owner t * n + k."""
+    scorer, cfg = _scorer(victim), _bb(tau=0.9, max_queries=400)
+    params = adv.SigmoidParams.for_budget(400)
+    seeds, classes, per_class = [9, 9, 4], [0, 1, 2], 2
+    want = [adv.robustness_benchmark(scorer, DIM, classes, per_class, cfg,
+                                     params, seed=s) for s in seeds]
+    calls, owners, real = [], [], adv.blackbox_attacks
+
+    def recorded(query, *args):
+        calls.append(args)
+        return real(lambda X, o: owners.append(list(o)) or query(X, o), *args)
+
+    monkeypatch.setattr(adv, "blackbox_attacks", recorded)
+    got = adv.robustness_benchmarks(scorer, DIM, classes, per_class, cfg,
+                                    params, seeds)
+    assert got == want
+    assert len(calls) == 1
+    n = len(classes) * per_class
+    assert owners[0] == list(range(len(seeds) * n))
+    assert adv.robustness_benchmarks(scorer, DIM, classes, per_class, cfg,
+                                     params, []) == []
+
+
 def test_benchmark_validation(victim):
     scorer = _scorer(victim)
     with pytest.raises(ParameterError):

@@ -134,6 +134,18 @@ def test_sweep_rejects_non_numeric_values(config_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [",", "", " , ,"])
+def test_sweep_rejects_values_that_hold_no_number(config_path, tmp_path,
+                                                  capsys, values):
+    # used to exit 0 and write a bundle with no reports
+    out = tmp_path / "sweep.json"
+    code = cli.main(["sweep", "--config", config_path, "--param",
+                     "verifier.n_queries", "--values", values, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "values:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["run"],
     ["sweep", "--param", "verifier.n_queries", "--values", "5"],

@@ -135,7 +135,7 @@ def _attack_by_definition(dim, x0, target, cfg):
 
 
 def _reference_trial_robustness(fx, raw, seed):
-    """_trial_robustness by its definition: one-row forward for the claim;
+    """A Robustness trial by its definition: one-row forward for the claim;
     for the measured side, attack k = class_index * trials + trial starts
     from derive_seed(derive_seed(seed, 1), k), on the trial's inputs stream,
     and asks one provider_classify per query on its own stream
@@ -233,7 +233,7 @@ def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
     monkeypatch.setattr(entities, "Response", Counted)
     for module in (entities, verifiers, runner):
         monkeypatch.setattr(module, "ask", ask)
-    runner._TRIAL_FNS[cfg.scenario](fx, cfg.raw, 17)
+    runner._CAMPAIGNS[cfg.scenario](fx, cfg.raw, [17])
     assert sum(rows) > runner._LATENCY_PINGS
     assert made == []
 
@@ -248,83 +248,158 @@ def _kind_fixtures(base, kind, mac):
         noise_sigma=0.05))
 
 
+class _RobustnessCalls:
+    """Records, while installed, every ask (its rows, owners, provider and
+    stream states before and after it; the reference's one-query calls are
+    blocks of one), the rows of each scorer call per robustness_benchmarks
+    call, and the providers `fx.fresh_provider` makes."""
+
+    def __init__(self, monkeypatch, fx):
+        self.asks, self.scored, self.made = [], [], []
+        real_ask, real_benchmarks = entities.ask, runner.robustness_benchmarks
+
+        def ask(X, provider, rng, owners=None):
+            before = rng if owners is None else list(rng)
+            answers, after = real_ask(X, provider, rng, owners)
+            self.asks.append((len(X), owners, before, after, provider))
+            return answers, after
+
+        def benchmarks(service, *args):
+            self.scored.append([])
+
+            def counted(X, owners):
+                self.scored[-1].append(len(X))
+                return service(X, owners)
+            return real_benchmarks(counted, *args)
+
+        for module in (entities, runner):
+            monkeypatch.setattr(module, "ask", ask)
+        monkeypatch.setattr(runner, "robustness_benchmarks", benchmarks)
+        real_fresh = fx.fresh_provider
+        monkeypatch.setattr(fx, "fresh_provider",
+                            lambda: self.made.append(real_fresh()) or self.made[-1])
+
+    def clear(self):
+        del self.asks[:], self.scored[:], self.made[:]
+
+
+def _reference_chains(calls, fx, raw, seed):
+    """The reference trial of `seed`, its provider, and each attack's chain
+    of stream states, from derive_seed(derive_seed(seed, 3), k) to its end
+    state, read off the reference's one-query asks; then the latency pings'
+    ask."""
+    calls.clear()
+    want, ref_provider, box = _reference_trial_robustness(fx, raw, seed)
+    # the reference asks one query at a time, then the latency pings
+    assert [n for n, *_ in calls.asks] == \
+        [1] * box["queries"] + [runner._LATENCY_PINGS]
+    chains = [[derive_seed(derive_seed(seed, 3), k)] for k in range(len(box["rngs"]))]
+    for (_, _, before, after, _), k in zip(calls.asks, box["owners"]):
+        assert before == chains[k][-1]
+        chains[k].append(after)
+    assert [chain[-1] for chain in chains] == box["rngs"]
+    if ref_provider.kind == CACHED_REPLAY:
+        assert 0 < box["attack_entries"] < box["queries"]
+    return want, ref_provider, chains, calls.asks[-1][:4]
+
+
+def _assert_same_cache(got, want):
+    assert got.cache.keys() == want.cache.keys()
+    for key, resp in want.cache.items():
+        assert canon.vec(got.cache[key].probs) == canon.vec(resp.probs)
+        assert got.cache[key].certificate == resp.certificate
+        assert got.cache[key].latency_ms == resp.latency_ms
+
+
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("seed", [5, 2 ** 40 + 3])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
 def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
                                                 kind, seed, mac):
+    """Every trial of a Robustness campaign, of 1 trial and of 3, equals the
+    reference trial of its seed: attack k of trial t asks on
+    derive_seed(derive_seed(s_t, 3), k) as owner t * n + k, each scorer call
+    of the measured side is one ask (one per trial with live attacks for
+    CachedReplay, each on its trial's own provider), and the latency pings
+    follow on each trial's provider."""
     cfg, base = robust_env
     fx = _kind_fixtures(base, kind, mac)
     raw = cfg.raw
-    # every ask: its rows, owners and stream states before and after it (the
-    # reference's one-query calls are blocks of one); the rows of each
-    # scorer call, per robustness_benchmark call; the providers the trials
-    # make
-    asks, scored, made = [], [], []
-    real_ask, real_benchmark = entities.ask, runner.robustness_benchmark
+    calls = _RobustnessCalls(monkeypatch, fx)
+    refs = {s: _reference_chains(calls, fx, raw, s)
+            for s in {seed, 7, 2 ** 63 + 11}}
+    for seeds in ([seed], [seed, 7, 2 ** 63 + 11]):
+        calls.clear()
+        got = runner._campaign_robustness(fx, raw, seeds)
+        assert got == [refs[s][0] for s in seeds]
+        T, n = len(seeds), len(refs[seed][2])
+        chains = [chain for s in seeds for chain in refs[s][2]]
+        # the attacks' asks, then one latency ping ask per trial, on the
+        # trial's provider
+        attack_asks, pings = calls.asks[:-T], calls.asks[-T:]
+        assert [ping[:4] for ping in pings] == [refs[s][3] for s in seeds]
+        stateful = kind == CACHED_REPLAY
+        assert len(calls.made) == (T if stateful else 1)
+        assert [ping[4] for ping in pings] == \
+            (calls.made if stateful else calls.made * T)
+        # each scorer call of the measured side is its trials' asks: one for
+        # a stateless provider, one per trial with rows on its own provider
+        per_call, rows = [], iter(attack_asks)
+        for m in calls.scored[1]:
+            asked = []
+            while sum(asked) < m:
+                n_rows, owners, _, _, provider = next(rows)
+                trial = int(owners[0]) // n
+                if stateful:
+                    assert set(np.asarray(owners) // n) == {trial}
+                    assert provider is calls.made[trial]
+                else:
+                    assert provider is calls.made[0]
+                asked.append(n_rows)
+            assert sum(asked) == m
+            per_call.append(len(asked))
+        assert next(rows, None) is None
+        if not stateful or T == 1:
+            assert per_call == [1] * len(calls.scored[1])
+        # each attack's runs of rows chain its own stream along the
+        # reference's states, from its first state to its end state
+        at = [0] * len(chains)
+        for n_rows, owners, before, after, _ in attack_asks:
+            assert len(owners) == n_rows and len(before) == len(chains)
+            cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), n_rows]
+            for a, b in zip(cuts, cuts[1:]):
+                k = int(owners[a])
+                assert before[k] == chains[k][at[k]]
+                at[k] += b - a
+                assert after[k] == chains[k][at[k]]
+        assert at == [len(chain) - 1 for chain in chains]
+        for t, s in enumerate(seeds):
+            _assert_same_cache(calls.made[t if stateful else 0], refs[s][1])
 
-    def ask(X, provider, rng, owners=None):
-        before = rng if owners is None else list(rng)
-        answers, after = real_ask(X, provider, rng, owners)
-        asks.append((len(X), owners, before, after))
-        return answers, after
 
-    def benchmark(service, *args):
-        scored.append([])
-
-        def counted(X, owners):
-            scored[-1].append(len(X))
-            return service(X, owners)
-        return real_benchmark(counted, *args)
-
-    for module in (entities, runner):
-        monkeypatch.setattr(module, "ask", ask)
-    monkeypatch.setattr(runner, "robustness_benchmark", benchmark)
-    real_fresh = fx.fresh_provider
-    monkeypatch.setattr(fx, "fresh_provider",
-                        lambda: made.append(real_fresh()) or made[-1])
-
-    want, ref_provider, box = _reference_trial_robustness(fx, raw, seed)
-    # the reference asks one query at a time, then the latency pings
-    assert [n for n, *_ in asks] == [1] * box["queries"] + [runner._LATENCY_PINGS]
-    chains = [[derive_seed(derive_seed(seed, 3), k)] for k in range(len(box["rngs"]))]
-    for (_, _, before, after), k in zip(asks, box["owners"]):
-        assert before == chains[k][-1]
-        chains[k].append(after)
-    assert [chain[-1] for chain in chains] == box["rngs"]
-    pings = asks[-1]
-    del asks[:], scored[:]
-    got = runner._trial_robustness(fx, raw, seed)
-    assert got == want
-    # one ask per scorer call of the measured side, then the latency pings
-    assert asks[-1] == pings
-    assert [n for n, *_ in asks[:-1]] == scored[1]
-    # each attack's runs of rows chain its own stream along the reference's
-    # states, from derive_seed(derive_seed(seed, 3), k) to its end state
-    at = [0] * len(chains)
-    for n, owners, before, after in asks[:-1]:
-        assert len(owners) == n
-        cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), n]
-        for a, b in zip(cuts, cuts[1:]):
-            k = int(owners[a])
-            assert before[k] == chains[k][at[k]]
-            at[k] += b - a
-            assert after[k] == chains[k][at[k]]
-    assert at == [len(chain) - 1 for chain in chains]
-    if kind == CACHED_REPLAY:
-        assert 0 < box["attack_entries"] < box["queries"]
-    assert made[-1].cache.keys() == ref_provider.cache.keys()
-    for key, resp in ref_provider.cache.items():
-        assert canon.vec(made[-1].cache[key].probs) == canon.vec(resp.probs)
-        assert made[-1].cache[key].certificate == resp.certificate
-        assert made[-1].cache[key].latency_ms == resp.latency_ms
+@pytest.mark.parametrize("mac", [False, True])
+def test_cached_replay_trials_replay_no_other_trials_rows(robust_env,
+                                                          monkeypatch, mac):
+    """Two trials of one seed ask the same inputs: each trial keeps its own
+    replay cache, so both equal the one-trial reference and neither replays
+    the other's rows."""
+    cfg, base = robust_env
+    fx = _kind_fixtures(base, CACHED_REPLAY, mac)
+    calls = _RobustnessCalls(monkeypatch, fx)
+    want, ref_provider, _, _ = _reference_chains(calls, fx, cfg.raw, 5)
+    calls.clear()
+    assert runner._campaign_robustness(fx, cfg.raw, [5, 5]) == [want, want]
+    assert len(calls.made) == 2
+    for provider in calls.made:
+        _assert_same_cache(provider, ref_provider)
 
 
 def test_robustness_attack_starts_take_no_other_stream(robust_env, monkeypatch):
-    """No attack start is drawn on a stream another purpose of the trial
-    uses: the root of the attacks' query streams derive_seed(seed, 3), any
-    attack's query stream, the query stream derive_seed(seed, 2) or the
-    latency pings' streams. Eight attacks, so k reaches 3 and 7."""
+    """No attack start is drawn on a stream another purpose of a campaign's
+    trials uses: the root of a trial's attack query streams
+    derive_seed(seed, 3), any attack's query stream, the query stream
+    derive_seed(seed, 2) or the latency pings' streams. Eight attacks per
+    trial, so k reaches 3 and 7."""
     cfg, fx = robust_env
     raw = copy.deepcopy(cfg.raw)
     raw["verifier"]["trials_per_class"] = 4
@@ -337,14 +412,17 @@ def test_robustness_attack_starts_take_no_other_stream(robust_env, monkeypatch):
         return real(state, count)
 
     monkeypatch.setattr(adversarial, "uniform_array", recorded)
-    for seed in (5, 2 ** 40 + 3):
+    for seeds in ([5], [2 ** 40 + 3], [5, 2 ** 40 + 3, 2 ** 63 + 11]):
         del starts[:]
-        runner._trial_robustness(fx, raw, seed)
-        assert len(starts) == 2 * n  # the claimed side, then the measured one
-        base, pings = derive_seed(seed, 3), derive_seed(seed, 7)
-        others = {base, pings, derive_seed(seed, 2), derive_seed(pings, 1),
-                  derive_seed(pings, 2)}
-        others.update(derive_seed(base, k) for k in range(n))
+        runner._campaign_robustness(fx, raw, seeds)
+        # the claimed side, then the measured one
+        assert len(starts) == 2 * n * len(seeds)
+        others = set()
+        for seed in seeds:
+            base, pings = derive_seed(seed, 3), derive_seed(seed, 7)
+            others.update({base, pings, derive_seed(seed, 2),
+                           derive_seed(pings, 1), derive_seed(pings, 2)})
+            others.update(derive_seed(base, k) for k in range(n))
         for state, dim in starts:
             window = [rng_advance(state, i) for i in range(dim + 1)]
             assert not others.intersection(window)
