@@ -5,13 +5,17 @@ certificates ("metaresults") that make supplier answers unforgeable.
 All classification and latency behavior is driven by explicit rng states
 threaded through the calls, so any interaction sequence replays exactly.
 Each provider fixes its answer routes (the supplier's, the substitute's)
-when it is made. Queries are asked with `ask`, one call per provider and
+when it is made. Every route answers in the supplier's answering width, as
+the service's API defines it: a substitute narrower than a reveal head
+answers with its probabilities in a zero block of that width, which keeps
+each row's argmax. Queries are asked with `ask`, one call per provider and
 block of rows: it plans the block, picking each row's route and counting its
 draws on the stream (or on each row's owner's stream), answers each route's
-rows as one block and returns the answers as columns. Certificates are
-issued and checked a block of rows at a time: one HMAC key schedule per
-block (RFC 2104 section 4) and the rows' canonical bytes encoded once for
-the block; issue_certificate and verify_certificate are the blocks of one.
+rows as one block and returns the answers as columns, one read-only matrix
+of the answering width. Certificates are issued and checked a block of rows
+at a time: one HMAC key schedule per block (RFC 2104 section 4) and the
+rows' canonical bytes encoded once for the block; issue_certificate and
+verify_certificate are the blocks of one.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import canon
 from .errors import ParameterError, ShapeError
-from .mlp import MlpModel, SeedConfig, TrainConfig, forward_batch
+from .mlp import SOFTMAX, MlpModel, SeedConfig, TrainConfig, forward_batch
 from .rng import (_CROSSOVER, _GOLDEN, _INV53, MASK64, draw_array, gauss_of, mix64,
                   mix64_array, rng_bytes, rng_gauss, rng_next, uniform_of)
 from .steg import RevealClassifier
@@ -132,13 +136,15 @@ class Supplier:
 
 
 class _Route(NamedTuple):
-    """One answer path: its model, the MAC key of a real certificate or
-    `forged` for a random one, its latency model and noise sigma. A query on
-    the path takes `count` draws after its start state: the certificate's
-    nonce (2) and forged tag (4), the latency at `latency_at`, then the noise
-    (2 per output) when sigma > 0."""
+    """One answer path: its model, the answering width its rows are padded
+    to, the MAC key of a real certificate or `forged` for a random one, its
+    latency model and noise sigma. A query on the path takes `count` draws
+    after its start state: the certificate's nonce (2) and forged tag (4),
+    the latency at `latency_at`, then the noise (2 per output) when
+    sigma > 0."""
 
     model: MlpModel
+    width: int
     key: bytes | None
     forged: bool
     latency: LatencyModel
@@ -147,10 +153,10 @@ class _Route(NamedTuple):
     count: int
 
 
-def _route(model: MlpModel, key: bytes | None, forged: bool,
+def _route(model: MlpModel, width: int, key: bytes | None, forged: bool,
            latency: LatencyModel, sigma: float = 0.0) -> _Route:
     at = 6 if forged else 0 if key is None else 2
-    return _Route(model, key, forged, latency, sigma, at,
+    return _Route(model, width, key, forged, latency, sigma, at,
                   at + 1 + (2 * model.n_out if sigma else 0))
 
 
@@ -164,7 +170,8 @@ class Provider:
     holds a MAC key, its latency, and NoisyPassthrough's noise. The
     cheat one (with a cheap model) is the substitute's: the cheap model, a
     forged certificate whenever the honest path carries a real one, and the
-    provider's own latency."""
+    provider's own latency. Both answer in the supplier's answering width,
+    so the cheap model must be a softmax classifier no wider than it."""
 
     kind: str
     backend: Supplier
@@ -190,12 +197,17 @@ class Provider:
             raise ParameterError("PartialCheat requires cheat_rate in [0, 1]")
         if self.kind == NOISY_PASSTHROUGH and not 0.0 < self.noise_sigma < math.inf:
             raise ParameterError("NoisyPassthrough requires a finite noise_sigma > 0")
-        s = self.backend
+        s, cheap = self.backend, self.cheap_model
+        width = s.answering_model.n_out
+        if cheap is not None and (cheap.output_kind != SOFTMAX
+                                  or cheap.n_out > width):
+            raise ParameterError(f"cheap_model must be a softmax classifier of "
+                                 f"at most the supplier's {width} classes")
         sigma = self.noise_sigma if self.kind == NOISY_PASSTHROUGH else 0.0
         object.__setattr__(self, "_honest", _route(
-            s.answering_model, s.mac_key, False, s.latency, sigma))
-        object.__setattr__(self, "_cheat", None if self.cheap_model is None else
-                           _route(self.cheap_model, None, s.mac_key is not None,
+            s.answering_model, width, s.mac_key, False, s.latency, sigma))
+        object.__setattr__(self, "_cheat", None if cheap is None else
+                           _route(cheap, width, None, s.mac_key is not None,
                                   self.latency))
         object.__setattr__(self, "_fixed", {
             HONEST_PASSTHROUGH: self._honest, NOISY_PASSTHROUGH: self._honest,
@@ -333,10 +345,10 @@ def _array_draws(route: _Route, starts: list[int]):
 
 class Answers:
     """A block's answers as columns, row i answering the i-th query planned:
-    the probabilities, as `matrix` (rows x classes) when every row has one
-    width (None otherwise) and as `probs`, one vector per row (views into
-    the matrix); `labels`, each row's argmax as an int array (from the
-    matrix in one pass); `certificates`, a Certificate or None per row; and
+    `matrix`, the probabilities (rows x the supplier's answering width,
+    read-only, so no replay-cache entry can be rewritten through it);
+    `probs`, its rows as vectors (views); `labels`, each row's argmax as an
+    int array; `certificates`, a Certificate or None per row; and
     `latencies`, a float per row. `probs` and `labels` are built on first
     use. `answers[i]` is row i as a Response: the replay-cache entry itself
     for a row a cache keeps, a new one otherwise."""
@@ -344,14 +356,12 @@ class Answers:
     __slots__ = ("matrix", "certificates", "latencies", "_probs", "_labels",
                  "_kept")
 
-    def __init__(self, matrix: np.ndarray | None, probs: list | None,
-                 labels: np.ndarray | None, certificates: list,
-                 latencies: list, kept: dict):
+    def __init__(self, matrix: np.ndarray, certificates: list, latencies: list,
+                 kept: dict):
         self.matrix = matrix
         self.certificates = certificates
         self.latencies = latencies
-        self._probs = probs
-        self._labels = labels
+        self._probs = self._labels = None
         self._kept = kept
 
     @property
@@ -374,7 +384,7 @@ class Answers:
         kept = self._kept.get(i)
         if kept is not None:
             return kept
-        return Response(self.probs[i], self.certificates[i], self.latencies[i])
+        return Response(self.matrix[i], self.certificates[i], self.latencies[i])
 
 
 def ask(X, provider: Provider, rng: int | list[int],
@@ -455,17 +465,16 @@ def ask(X, provider: Provider, rng: int | list[int],
               for c, rows in enumerate(rows_of) if rows]
     if len(blocks) == 1 and not replays:  # the usual case: one block, in order
         M, certs, latencies = blocks[0][1]
-        probs = labels = None
     else:
-        M, probs, labels, certs, latencies = _scatter(blocks, replays, m)
-    if misses and probs is None:
-        probs = list(M)  # row views, shared with the Answers
-    kept = {i: Response(probs[i], certs[i], latencies[i]) for i in misses}
-    if replays:
-        _replay_rows(replays, kept, M, probs, labels, certs, latencies)
+        M, certs, latencies = _scatter(table[0].width, blocks, replays, m)
+    # read-only before any row view is taken: a kept row is a cache entry
+    M.flags.writeable = False
+    kept = {i: Response(M[i], certs[i], latencies[i]) for i in misses}
+    for i, hit in replays.items():
+        kept[i] = kept[hit] if isinstance(hit, int) else hit
     for i, digest in misses.items():
         p.cache[digest] = kept[i]
-    return (Answers(M, probs, labels, certs, latencies, kept),
+    return (Answers(M, certs, latencies, kept),
             streams[0] if owners is None else streams)
 
 
@@ -478,51 +487,33 @@ def _runs(owners, m: int) -> list[tuple[int, int, int]]:
     return list(zip(cuts, cuts[1:], owners[cuts[:-1]].tolist())) if m else []
 
 
-def _replay_rows(replays: dict, kept: dict, M, probs, labels, certs,
-                 latencies) -> None:
-    """Fill the replay rows' columns from the Responses they replay: one the
-    replay cache held, or the one kept for the row of this call repeated."""
-    at, hits = list(replays), []
-    for i, hit in replays.items():
-        if isinstance(hit, int):
-            hit = kept[hit]
-        kept[i] = hit
-        hits.append(hit)
-        certs[i], latencies[i] = hit.certificate, hit.latency_ms
-    if M is not None:
-        M[at] = [hit.probs for hit in hits]
-    for i, hit in zip(at, hits) if M is None else ():
-        probs[i], labels[i] = hit.probs, hit.probs.argmax()
-
-
-def _scatter(blocks: list, replays: dict, n: int):
-    """The columns of n rows from their route blocks, with room for the
-    replay rows: one matrix when every row has one width (a row of this call
-    replayed has its width), else one vector and label per row."""
-    widths = {P.shape[1] for _, (P, _, _) in blocks}
-    widths.update(len(hit.probs) for hit in replays.values()
-                  if not isinstance(hit, int))
-    M = np.empty((n, widths.pop())) if len(widths) == 1 else None
-    probs, labels = ((None, None) if M is not None
-                     else ([None] * n, np.empty(n, np.intp)))
-    certs, latencies = [None] * n, np.empty(n)
+def _scatter(width: int, blocks: list, replays: dict, n: int):
+    """The columns of n rows of one width: each route block's rows, then
+    each replay row from the Response it replays (one the replay cache
+    held) or from the row of this call it repeats."""
+    M, certs, latencies = np.empty((n, width)), [None] * n, np.empty(n)
     for rows, (P, C, lat) in blocks:
         at = np.asarray(rows)
-        latencies[at] = lat
-        if M is not None:
-            M[at] = P
-        else:
-            labels[at] = P.argmax(axis=1)
-            for j, pr in zip(rows, P):
-                probs[j] = pr
+        M[at], latencies[at] = P, lat
         for j, cert in zip(rows, C) if C[0] is not None else ():
             certs[j] = cert
-    return M, probs, labels, certs, latencies.tolist()
+    if replays:
+        sources = []
+        for i, hit in replays.items():
+            if isinstance(hit, int):
+                certs[i], latencies[i] = certs[hit], latencies[hit]
+                sources.append(M[hit])
+            else:
+                certs[i], latencies[i] = hit.certificate, hit.latency_ms
+                sources.append(hit.probs)
+        M[list(replays)] = sources
+    return M, certs, latencies.tolist()
 
 
 def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
     """One route's rows answered as one block: their probabilities (noised
-    when the route adds noise), certificates and latencies."""
+    when the route adds noise, in a zero block of the route's width when its
+    model is narrower), certificates and latencies."""
     draws = (_scalar_draws if len(starts) * route.count < _CROSSOVER
              else _array_draws)
     nonces, tags, latencies, noise = draws(route, starts)
@@ -532,6 +523,9 @@ def _answer_block(route: _Route, starts: list[int], X: np.ndarray):
     if min(latencies) < 0:
         raise ParameterError("latency_ms must be >= 0")
     probs = P = forward_batch(route.model, X)
+    if route.model.n_out < route.width:  # a slice: cheaper than np.pad
+        probs = np.zeros((len(P), route.width))
+        probs[:, :P.shape[1]] = P
     if noise is not None:
         # perturb, clamp to [0,1], renormalize by the row sum (uniform if it
         # is 0); the supplier's certificate, issued over P below, rides along

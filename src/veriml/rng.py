@@ -130,7 +130,7 @@ def derive_seed(master: int, index: int) -> int:
     the splitmix64 output at state offset ``master + index``. The mix
     decorrelates adjacent offsets, but the value depends only on the sum:
     ``derive_seed(42, 1) == derive_seed(43, 0)``, so children of nearby
-    masters coincide and are not independent (ROADMAP item 2)."""
+    masters coincide and are not independent (ROADMAP item 3)."""
     return mix64((master + index + _GOLDEN) & MASK64)
 
 

@@ -251,40 +251,39 @@ def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
 
 def _verdict_trial(run):
     """The trial skeleton of the per-trial verdict scenarios: a fresh
-    provider, `run(fx, verifier block, seed, provider)` giving (verdict,
-    extra trial fields), then the latency pings on that provider."""
+    provider, `run(fx, verifier block, seed, provider)` giving the verdict,
+    then the latency pings on that provider."""
     def trial(fx: _Fixtures, raw: dict, seed: int) -> dict:
         provider = fx.fresh_provider()
-        verdict, extra = run(fx, raw["verifier"], seed, provider)
+        verdict = run(fx, raw["verifier"], seed, provider)
         lat = _mean_latency(provider, fx.data.recipe.dim, seed)
-        return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat,
-                **extra}
+        return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
     return trial
 
 
 @_verdict_trial
-def _trial_steg(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+def _trial_steg(fx, ver, seed, provider) -> Verdict:
     plan = ProbePlan(ver["k"], ver["frac_steg"], seed, ver["alpha"])
-    return steg_probe(provider, fx.suite, fx.probe_covers, plan), {}
+    return steg_probe(provider, fx.suite, fx.probe_covers, plan)
 
 
 @_verdict_trial
-def _trial_deterministic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+def _trial_deterministic(fx, ver, seed, provider) -> Verdict:
     X, rng = _uniform_block(seed, ver["n_queries"], fx.data.recipe.dim)
     return deterministic_benchmark(provider, fx.publication, fx.data.recipe,
-                                   X, rng=rng), {}
+                                   X, rng=rng)
 
 
 @_verdict_trial
-def _trial_probabilistic(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+def _trial_probabilistic(fx, ver, seed, provider) -> Verdict:
     return probabilistic_benchmark(provider, fx.supplier, fx.data.held,
-                                   ver["k"], ver["alpha"], seed), {}
+                                   ver["k"], ver["alpha"], seed)
 
 
 @_verdict_trial
-def _trial_metaresult(fx, ver, seed, provider) -> tuple[Verdict, dict]:
+def _trial_metaresult(fx, ver, seed, provider) -> Verdict:
     asked = _ask_uniform(provider, seed, ver["k"], fx.data.recipe.dim)
-    return metaresult_verify(asked, fx.supplier.mac_key), {}
+    return metaresult_verify(asked, fx.supplier.mac_key)
 
 
 def _campaign_robustness(fx: _Fixtures, raw: dict, seeds: list[int]) -> list[dict]:

@@ -18,12 +18,13 @@ against honesty, not a posterior probability of cheating.
 
 The verifiers ask only the provider under test, with entities.ask, one call
 per block of rows, and read its answers as columns; they read the supplier,
-their own model, with forward_batch. The steg probe and the probabilistic
-benchmark compare label arrays, the deterministic benchmark compares each
-block's probability bytes with the reference's in one pass,
-metaresult_verify checks a block's certificate column against its query and
-probability blocks with one key schedule, and no Response is built for a
-row no replay cache keeps.
+their own model, with forward_batch. Every block's answers are one
+probability matrix in the supplier's answering width. The steg probe and
+the probabilistic benchmark compare label arrays, the deterministic
+benchmark compares each block's matrix with the reference's as 64-bit words
+in one pass, metaresult_verify checks a block's certificate column against
+its query and probability matrices with one key schedule, and no Response
+is built for a row no replay cache keeps.
 
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import canon, stats
+from . import stats
 from .cache import shared_model
 from .data import BlobRecipe
 from .entities import (Answers, Provider, Response, SeedPublication, Supplier,
@@ -212,37 +213,33 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     """Retrain the reference model from the published seeds, then require the
     provider's probability vectors to match the local ones bit-for-bit on
     their canonical serialization. A single mismatch is proof of fraud; full
-    agreement certifies exactly the queried set. The reference is loaded
-    once per process (`cache.shared_model`)."""
-    if isinstance(queries, np.ndarray):
-        queries = np.asarray(queries, dtype=np.float64)
-    else:
-        queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    if not len(queries):
+    agreement certifies exactly the queried set. `queries` is one (m x n_in)
+    matrix. The reference is loaded once per process
+    (`cache.shared_model`)."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.shape[:1] == (0,):
         return _verdict(METHOD_DETERMINISTIC, 0, 0.0, 1.0, INCONCLUSIVE,
                         "no queries issued")
+    n_in = publication.architecture[0]
+    if queries.shape[1:] != (n_in,):
+        raise ShapeError(f"queries of shape {queries.shape} are not rows of "
+                         f"the published input width {n_in}")
     local = shared_model(publication.architecture, publication.train_config,
                          data_recipe, data_recipe.n_per_class)
-    if not (isinstance(queries, np.ndarray) and queries.shape[1:] == (local.n_in,)):
-        for x in queries:
-            if np.shape(x) != (local.n_in,):
-                raise ShapeError(f"query shape {np.shape(x)} does not match "
-                                 f"published input width {local.n_in}")
-        queries = np.array(queries)
     # queries go out in blocks of 1, 4, 16, ..., each checked against one
     # forward_batch of the reference, so a cheat caught early costs little
     state, start, size = rng, 0, 1
     while start < len(queries):
         chunk = queries[start:start + size]
         answers, state = ask(chunk, provider, state)
-        wants = forward_batch(local, chunk)
-        bad = _first_difference(answers, wants)
-        if bad is not None:
-            width = len(answers.probs[bad])
-            if width != wants.shape[1]:
-                raise ShapeError(f"response width {width} != published "
-                                 f"architecture width {wants.shape[1]}")
-            i = start + bad
+        got, wants = answers.matrix, forward_batch(local, chunk)
+        if got.shape[1] != wants.shape[1]:
+            raise ShapeError(f"response width {got.shape[1]} != published "
+                             f"architecture width {wants.shape[1]}")
+        # equal canonical bytes are equal 64-bit words
+        same = (got.view(np.uint64) == wants.view(np.uint64)).all(axis=1)
+        if not same.all():
+            i = start + int(np.argmin(same))
             return _verdict(
                 METHOD_DETERMINISTIC, i + 1, 1.0, 0.0, LIKELY_FRAUDULENT,
                 f"query {i} differs from the seed-retrained reference "
@@ -282,19 +279,6 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
         f"z={z:.4f}")
 
 
-def _first_difference(answers: Answers, wants: np.ndarray) -> int | None:
-    """The first answer whose width or canonical bytes differ from the same
-    row of `wants`, or None when every row is the same."""
-    width, M = wants.shape[1], answers.matrix
-    if M is not None and M.shape[1] == width:
-        # equal canonical bytes are equal 64-bit words
-        same = (M.view(np.uint64) == wants.view(np.uint64)).all(axis=1)
-    else:
-        same = np.array([len(p) == width and canon.vec(p) == canon.vec(w)
-                         for p, w in zip(answers.probs, wants)])
-    return None if same.all() else int(np.argmin(same))
-
-
 def metaresult_verify(responses: list[tuple[np.ndarray, Response]]
                       | tuple[np.ndarray, Answers], key: bytes) -> Verdict:
     """Verify the certificate of every (query, response) pair against the
@@ -304,8 +288,7 @@ def metaresult_verify(responses: list[tuple[np.ndarray, Response]]
     as one block (`first_invalid_certificate`)."""
     if len(responses) == 2 and isinstance(responses[1], Answers):
         X, answers = responses
-        probs = answers.probs if answers.matrix is None else answers.matrix
-        certificates = answers.certificates
+        probs, certificates = answers.matrix, answers.certificates
     else:
         X = [x for x, _ in responses]
         probs = [r.probs for _, r in responses]

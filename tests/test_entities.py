@@ -32,6 +32,14 @@ def _x(seed, dim=16):
     return x
 
 
+def _cheap_answer(p, x):
+    """The cheap model's probabilities for x in a zero block of the
+    supplier's answering width: what a provider's cheat route answers."""
+    probs = np.zeros(p.backend.answering_model.n_out)
+    probs[:p.cheap_model.n_out] = mlp.forward(p.cheap_model, x)
+    return probs
+
+
 # -- HMAC / certificates ----------------------------------------------------------
 
 
@@ -290,8 +298,10 @@ def test_substitute_answers_from_cheap_model(supplier_pair):
                           cheap_model=fx.cheap_model)
     x = _x(6)
     resp, _ = entities.provider_classify(p, x, 11)
-    assert len(resp.probs) == fx.cheap_model.n_out
-    assert np.array_equal(resp.probs, mlp.forward(fx.cheap_model, x))
+    # padded to the reveal head's width: the message class gets 0
+    assert len(resp.probs) == supplier.reveal.model.n_out > fx.cheap_model.n_out
+    assert np.array_equal(resp.probs, _cheap_answer(p, x))
+    assert resp.probs[supplier.reveal.message_class] == 0.0
     # forged certificate cannot verify
     assert resp.certificate is not None
     assert not entities.verify_certificate(KEY, x, resp.probs, resp.certificate)
@@ -314,7 +324,7 @@ def test_partial_cheat_rate_extremes(supplier_pair):
     always = entities.Provider(kind=entities.PARTIAL_CHEAT, backend=supplier,
                                cheap_model=fx.cheap_model, cheat_rate=1.0)
     resp, _ = entities.provider_classify(always, x, 50)
-    assert np.array_equal(resp.probs, mlp.forward(fx.cheap_model, x))
+    assert np.array_equal(resp.probs, _cheap_answer(always, x))
 
 
 def test_partial_cheat_mixes_at_half(supplier_pair):
@@ -327,9 +337,39 @@ def test_partial_cheat_mixes_at_half(supplier_pair):
     for i in range(n):
         x = _x(1000 + i)
         resp, rng = entities.provider_classify(p, x, rng)
-        cheap_hits += len(resp.probs) == fx.cheap_model.n_out and np.array_equal(
-            resp.probs, mlp.forward(fx.cheap_model, x))
+        cheap_hits += np.array_equal(resp.probs, _cheap_answer(p, x))
     assert 60 <= cheap_hits <= 140  # ~Bin(200, 0.5)
+
+
+def test_provider_rejects_a_cheap_model_it_cannot_answer_with(supplier_pair):
+    # every row answers in the supplier's answering width, so a substitute
+    # must be a softmax classifier no wider than it
+    supplier, _ = supplier_pair
+    width = supplier.answering_model.n_out
+    wide = mlp.init_mlp((16, width + 1), weight_seed=3)
+    with pytest.raises(ParameterError, match="softmax classifier of at most"):
+        entities.Provider(entities.SUBSTITUTE_MODEL, supplier, cheap_model=wide)
+    linear = mlp.init_mlp((16, width - 1), weight_seed=3, output_kind=mlp.LINEAR)
+    with pytest.raises(ParameterError, match="softmax classifier of at most"):
+        entities.Provider(entities.PARTIAL_CHEAT, supplier, cheap_model=linear,
+                          cheat_rate=0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_out=st.integers(2, 6), extra=st.integers(0, 3), rows=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32))
+def test_a_padded_block_labels_as_the_cheap_model(n_out, extra, rows, seed):
+    dim = 5
+    supplier = entities.Supplier(mlp.init_mlp((dim, n_out + extra), seed))
+    cheap = mlp.init_mlp((dim, 4, n_out), seed + 1)
+    p = entities.Provider(entities.SUBSTITUTE_MODEL, supplier, cheap_model=cheap)
+    X = uniform_array(seed, rows * dim)[0].reshape(rows, dim)
+    answers, _ = entities.ask(X, p, seed)
+    P = mlp.forward_batch(cheap, X)
+    assert answers.matrix.shape == (rows, n_out + extra)
+    assert answers.matrix[:, :n_out].tobytes() == P.tobytes()
+    assert not answers.matrix[:, n_out:].any()
+    assert answers.labels.tolist() == P.argmax(axis=1).tolist()
 
 
 def test_partial_cheat_rate_validation(supplier_pair):
@@ -467,7 +507,8 @@ def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
 def _reference_classify(p, x, rng):
     """One provider query by its plain definition: the path's draws in order
     on the stream (coin, nonce or forged tag, latency, noise), the model's
-    forward on x, the certificate over the un-noised probabilities."""
+    forward on x (the cheap model's padded to the answering width), the
+    certificate over the un-noised probabilities."""
     s = p.backend
 
     def supplier(rng, sigma=0.0):
@@ -494,7 +535,7 @@ def _reference_classify(p, x, rng):
             tag, rng = rng_bytes(rng, 32)
             cert = entities.Certificate(nonce, tag)
         latency, rng = p.latency.sample(rng)
-        return entities.Response(mlp.forward(p.cheap_model, x), cert, latency), rng
+        return entities.Response(_cheap_answer(p, x), cert, latency), rng
 
     if p.kind == entities.SUBSTITUTE_MODEL:
         return cheat(rng)
@@ -607,7 +648,7 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
     _same_answers(seq, got)
     _same_cache(one.cache, many.cache)
     # the first batch's n rows all draw (a cheat row is the cheap model's)
-    cheats = sum(np.array_equal(r.probs, mlp.forward(many.cheap_model, x))
+    cheats = sum(np.array_equal(r.probs, _cheap_answer(many, x))
                  for r, x in zip(got[:n], first))
     big = sorted(k for k, route in ((cheats, many._cheat),
                                     (n - cheats, many._honest))
@@ -706,8 +747,7 @@ def _same_columns(want, answers):
     assert [c is None for c in answers.certificates] == \
         [r.certificate is None for r in want]
     assert [canon.vec(v) for v in answers.probs] == [canon.vec(r.probs) for r in want]
-    if answers.matrix is not None:
-        assert answers.matrix.tobytes() == b"".join(canon.vec(r.probs) for r in want)
+    assert answers.matrix.tobytes() == b"".join(canon.vec(r.probs) for r in want)
 
 
 _POOL = [_x(9000 + i) for i in range(6)]
@@ -811,6 +851,39 @@ def test_a_failed_call_leaves_the_replay_cache_as_it_found_it(supplier_pair):
     assert list(p.cache.values()) == [resp]
     _same_response(resp, _reference_classify(
         entities.Provider(entities.CACHED_REPLAY, supplier), rows[0], 3)[0])
+
+
+def test_an_ask_of_replays_alone_has_the_answering_width(supplier_pair):
+    # no row of the second call is answered by a route block, and its
+    # matrix still has the supplier's width
+    supplier, fx = supplier_pair
+    p = entities.Provider(entities.CACHED_REPLAY, supplier,
+                          cheap_model=fx.cheap_model)
+    rows = np.array([_x(8300 + i) for i in range(3)])
+    first, rng = entities.ask(rows, p, 5)
+    again, end = entities.ask(rows[::-1], p, rng)
+    assert end == rng  # a replay takes no draw
+    assert again.matrix.shape == (3, supplier.answering_model.n_out)
+    assert again.matrix.tobytes() == first.matrix[::-1].tobytes()
+    assert all(again[i] is first[2 - i] for i in range(3))
+
+
+def test_the_answer_matrix_is_read_only_so_no_replay_is_rewritten(supplier_pair):
+    # a replay-cache entry is a row view of the matrix it was answered in
+    supplier, _ = supplier_pair
+    p = entities.Provider(entities.CACHED_REPLAY, supplier)
+    x = _x(8400)
+    answers, rng = entities.ask(x[None], p, 3)
+    want = answers.matrix.tobytes()
+    one_hot = np.eye(supplier.answering_model.n_out)[0]
+    for row in (answers.matrix, answers.matrix[0], answers.probs[0],
+                answers[0].probs, next(iter(p.cache.values())).probs):
+        with pytest.raises(ValueError, match="read-only"):
+            row[...] = one_hot
+    replay, _ = entities.ask(x[None], p, rng)
+    assert replay.matrix.tobytes() == want
+    assert entities.verify_certificate(KEY, x, replay.matrix[0],
+                                       replay.certificates[0])
 
 
 def test_actors_are_frozen(supplier_pair):

@@ -554,15 +554,40 @@ def test_deterministic_empty_queries_inconclusive(det_env):
     assert verdict.n_probes == 0
 
 
-def test_deterministic_rejects_width_mismatch(det_env):
+def test_deterministic_convicts_a_narrower_substitute_at_query_0(det_env):
+    # its answers are padded to the supplier's width, and a zero class
+    # probability is never the reference's softmax
     _, fx = det_env
     dim = fx.data.recipe.dim
     narrow = mlp.init_mlp((dim, 2), weight_seed=3)
     provider = Provider(kind=SUBSTITUTE_MODEL, backend=fx.supplier,
                         cheap_model=narrow)
-    with pytest.raises(ShapeError):
+    verdict = deterministic_benchmark(provider, fx.publication,
+                                      fx.data.recipe, _queries(33, 5, dim))
+    assert verdict.decision == LIKELY_FRAUDULENT
+    assert verdict.n_probes == 1 and "query 0 " in verdict.detail
+
+
+def test_deterministic_rejects_width_mismatch(det_env):
+    # a supplier answering through a reveal head (n + 1 classes), checked
+    # against the publication of its n-class model
+    _, fx = det_env
+    dim, n = fx.data.recipe.dim, fx.supplier.model.n_out
+    reveal = RevealClassifier(mlp.init_mlp((dim, n + 1), weight_seed=4), n)
+    provider = Provider(kind=HONEST_PASSTHROUGH,
+                        backend=dataclasses.replace(fx.supplier, reveal=reveal))
+    with pytest.raises(ShapeError, match=f"response width {n + 1}"):
         deterministic_benchmark(provider, fx.publication, fx.data.recipe,
                                 _queries(33, 5, dim))
+
+
+def test_deterministic_takes_one_query_matrix(det_env):
+    _, fx = det_env
+    dim = fx.data.recipe.dim
+    for queries in (_queries(35, 1, dim)[0], _queries(35, 4, dim + 1)):
+        with pytest.raises(ShapeError, match="published input width"):
+            deterministic_benchmark(_honest(fx), fx.publication,
+                                    fx.data.recipe, queries)
 
 
 # -- probabilistic benchmark -------------------------------------------------------
