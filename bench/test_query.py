@@ -9,8 +9,8 @@ moved point, each run on its attack's own stream, in one `ask`), for four
 provider kinds over a supplier of the built-in shape (8, 24, 3) with
 jittered latency and no MAC key; and one `verifiers.probabilistic_benchmark`
 of the built-in k = 200 labeled rows for each of the five kinds, over that
-supplier and over the same supplier with a MAC key. A CachedReplay provider
-starts each call with an empty replay cache, so every row misses.
+supplier and over the same supplier with a MAC key. Every call is given a
+new, empty replay store, so every CachedReplay row misses.
 `BENCH_*.json` files at the repository root record medians from this
 harness."""
 
@@ -45,13 +45,11 @@ STREAMS = [derive_seed(5, k) for k in range(ATTACKS)]
 
 
 def _ask_and_answer(provider: Provider, X: np.ndarray):
-    provider.cache.clear()
-    return ask(X, provider, 5)[0]
+    return ask(X, provider, 5, replays={})[0]
 
 
 def _robustness_step(provider: Provider, X: np.ndarray, owners: np.ndarray):
-    provider.cache.clear()
-    return ask(X, provider, STREAMS, owners)[0]
+    return ask(X, provider, STREAMS, owners, [{}] * ATTACKS)[0]
 
 
 @pytest.mark.parametrize("rows", [1, 4, 16, 256])
@@ -78,14 +76,14 @@ KINDS = {**PROVIDERS, "SubstituteModel": Provider(SUBSTITUTE_MODEL, _SUPPLIER,
 _MAC_SUPPLIER = dataclasses.replace(_SUPPLIER, mac_key=bytes(range(32)))
 BACKENDS = {
     "no-mac": KINDS,
-    "mac": {kind: dataclasses.replace(p, backend=_MAC_SUPPLIER, cache={})
+    "mac": {kind: dataclasses.replace(p, backend=_MAC_SUPPLIER)
             for kind, p in KINDS.items()},
 }
 
 
 def _probabilistic_benchmark(provider: Provider):
-    provider.cache.clear()
-    return probabilistic_benchmark(provider, provider.backend, HELD, 200, 0.05, 17)
+    return probabilistic_benchmark(provider, provider.backend, HELD, 200, 0.05,
+                                   17, {})
 
 
 @pytest.mark.parametrize("mac", BACKENDS)

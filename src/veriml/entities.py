@@ -16,6 +16,11 @@ of the answering width. Certificates are issued and checked a block of rows
 at a time: one HMAC key schedule per block (RFC 2104 section 4) and the
 rows' canonical bytes encoded once for the block; issue_certificate and
 verify_certificate are the blocks of one.
+
+A provider holds no mutable state, so one serves any number of trials.
+CachedReplay's replays live in a replay store, a dict its caller holds (one
+per trial) and passes to `ask` beside the streams, keyed on each row's
+canonical bytes.
 """
 
 from __future__ import annotations
@@ -171,13 +176,14 @@ class Provider:
     cheat one (with a cheap model) is the substitute's: the cheap model, a
     forged certificate whenever the honest path carries a real one, and the
     provider's own latency. Both answer in the supplier's answering width,
-    so the cheap model must be a softmax classifier no wider than it."""
+    so the cheap model must be a softmax classifier no wider than it. It
+    holds no mutable state: CachedReplay replays from the store `ask` is
+    given."""
 
     kind: str
     backend: Supplier
     cheap_model: MlpModel | None = None
     cheat_rate: float = 0.0
-    cache: dict = field(default_factory=dict)
     noise_sigma: float = 0.0
     latency: LatencyModel = field(default_factory=LatencyModel)
     _honest: _Route = field(init=False, repr=False, compare=False)
@@ -346,23 +352,19 @@ def _array_draws(route: _Route, starts: list[int]):
 class Answers:
     """A block's answers as columns, row i answering the i-th query planned:
     `matrix`, the probabilities (rows x the supplier's answering width,
-    read-only, so no replay-cache entry can be rewritten through it);
+    read-only, so no replay-store entry can be rewritten through it);
     `probs`, its rows as vectors (views); `labels`, each row's argmax as an
     int array; `certificates`, a Certificate or None per row; and
     `latencies`, a float per row. `probs` and `labels` are built on first
-    use. `answers[i]` is row i as a Response: the replay-cache entry itself
-    for a row a cache keeps, a new one otherwise."""
+    use. `answers[i]` is row i as a new Response."""
 
-    __slots__ = ("matrix", "certificates", "latencies", "_probs", "_labels",
-                 "_kept")
+    __slots__ = ("matrix", "certificates", "latencies", "_probs", "_labels")
 
-    def __init__(self, matrix: np.ndarray, certificates: list, latencies: list,
-                 kept: dict):
+    def __init__(self, matrix: np.ndarray, certificates: list, latencies: list):
         self.matrix = matrix
         self.certificates = certificates
         self.latencies = latencies
         self._probs = self._labels = None
-        self._kept = kept
 
     @property
     def probs(self) -> list:
@@ -381,40 +383,45 @@ class Answers:
 
     def __getitem__(self, i: int) -> Response:
         i = range(len(self.latencies))[i]
-        kept = self._kept.get(i)
-        if kept is not None:
-            return kept
         return Response(self.matrix[i], self.certificates[i], self.latencies[i])
 
 
-def ask(X, provider: Provider, rng: int | list[int],
-        owners=None) -> tuple[Answers, int | list[int]]:
+def ask(X, provider: Provider, rng: int | list[int], owners=None,
+        replays: dict | list[dict] | None = None
+        ) -> tuple[Answers, int | list[int]]:
     """Plan and answer every row of X (m x n_in), asked of `provider`:
     return the answers as columns in row order and the stream's end state.
 
-    With no `owners`, `rng` is one stream. With `owners` (one int per row,
-    each owner's rows consecutive), `rng` is a list of stream states indexed
-    by owner: each run of an owner's rows is planned on its owner's stream,
-    and the states come back advanced, in a new list. Planning picks each
-    row's route and the state its draws start from, and counts the draws
-    without taking them (PartialCheat's coin, which picks the route, is the
-    one draw taken then). The rows of a provider with one route start on one
-    arithmetic progression of their run's stream; PartialCheat's coins and
-    CachedReplay's replay-cache lookups (digests cut from the block's
-    canonical bytes) take one walk over each run.
+    With no `owners`, `rng` is one stream and `replays` one replay store.
+    With `owners` (one int per row, each owner's rows consecutive), `rng`
+    and `replays` are lists indexed by owner: each run of an owner's rows is
+    planned on its owner's stream and store, and the states come back
+    advanced, in a new list. Planning picks each row's route and the state
+    its draws start from, and counts the draws without taking them
+    (PartialCheat's coin, which picks the route, is the one draw taken
+    then). The rows of a provider with one route start on one arithmetic
+    progression of their run's stream; PartialCheat's coins and
+    CachedReplay's store lookups take one walk over each run.
+
+    A replay store is a dict its caller holds, from a row's canonical bytes
+    (cut from the block's) to the (probability row, certificate, latency)
+    that row was first answered with. The provider holds no state: only
+    CachedReplay reads and fills a store, it raises ParameterError when
+    asked without one, and the other kinds ignore the argument.
 
     Each route's rows are answered as one block, in row order: their draws
     in one pass (with Python ints below `rng._CROSSOVER` draws), one forward
     over them (batch-invariant, so the bytes equal one-at-a-time answers),
     noise on the block, all real certificates (signed as one block, one key
-    schedule) or all forged or none, and Response's latency check once. A
-    Response is built only for a row a replay cache keeps. A CachedReplay
-    input repeated within the call replays the row it was first asked in,
-    without a draw, and the misses enter the replay cache, in plan order,
-    only after every block is answered: a call that raises leaves the cache
-    as it found it."""
+    schedule) or all forged or none, and Response's latency check once. No
+    Response is built. A CachedReplay input repeated within the call, under
+    one store, replays the row it was first asked in, without a draw, and
+    the misses enter their stores, in plan order, only after every block is
+    answered: a call that raises leaves every store as it found it."""
     X = np.asarray(X, dtype=np.float64)
     p = provider
+    if p.kind == CACHED_REPLAY and replays is None:
+        raise ParameterError("a CachedReplay provider needs a replay store")
     # route 0 is the provider's only or honest route, route 1 its cheat one
     table = (p._fixed or p._honest, p._cheat if p.kind == PARTIAL_CHEAT else None)
     width = X.shape[1] if X.ndim == 2 else None
@@ -424,13 +431,13 @@ def ask(X, provider: Provider, rng: int | list[int],
                              f"model input {route.model.n_in}")
     m = len(X)
     if owners is None:  # one stream: one run of every row
-        streams, runs = [rng], [(0, m, 0)] if m else []
+        streams, stores, runs = [rng], [replays], [(0, m, 0)] if m else []
     else:
-        streams, runs = list(rng), _runs(owners, m)
+        streams, stores, runs = list(rng), replays, _runs(owners, m)
     # per route: the rows it answers and the states their draws start from;
-    # replay rows' sources (a Response the cache held, or the row of this
-    # call it repeats); misses' digests
-    rows_of, starts_of, replays, misses = [[], []], [[], []], {}, {}
+    # replay rows' sources (a store entry, or the row of this call it
+    # repeats); misses' stores and keys
+    rows_of, starts_of, hits, misses = [[], []], [[], []], {}, {}
     if p._fixed:  # every row its route's draw count after the one before
         step = table[0].count * _GOLDEN
         for a, b, k in runs:
@@ -441,21 +448,24 @@ def ask(X, provider: Provider, rng: int | list[int],
     else:
         if p.kind == CACHED_REPLAY:
             xb, w = canon.vec(X), 8 * width
-            first = {}  # digest: the row a miss is asked in
+            firsts = {}  # per store: {key: the row a miss is asked in}
         for a, b, k in runs:
             state = streams[k]
+            if p.kind == CACHED_REPLAY:
+                store = stores[k]
+                first = firsts.setdefault(id(store), {})
             for i in range(a, b):
                 code = 0
                 if p.kind == PARTIAL_CHEAT:  # its coin, as rng_uniform
                     state = (state + _GOLDEN) & MASK64
                     code = (mix64(state) >> 11) * _INV53 < p.cheat_rate
                 else:
-                    digest = canon.sha256(xb[i * w:(i + 1) * w])
-                    hit = p.cache.get(digest) or first.get(digest)
+                    key = xb[i * w:(i + 1) * w]
+                    hit = store.get(key) or first.get(key)
                     if hit is not None:
-                        replays[i] = hit
+                        hits[i] = hit
                         continue
-                    first[digest], misses[i] = i, digest
+                    first[key], misses[i] = i, (store, key)
                 rows_of[code].append(i)
                 starts_of[code].append(state & MASK64)
                 state = (state + table[code].count * _GOLDEN) & MASK64
@@ -463,18 +473,15 @@ def ask(X, provider: Provider, rng: int | list[int],
     blocks = [(rows, _answer_block(table[c], starts_of[c],
                                    X if len(rows) == m else X[rows]))
               for c, rows in enumerate(rows_of) if rows]
-    if len(blocks) == 1 and not replays:  # the usual case: one block, in order
+    if len(blocks) == 1 and not hits:  # the usual case: one block, in order
         M, certs, latencies = blocks[0][1]
     else:
-        M, certs, latencies = _scatter(table[0].width, blocks, replays, m)
-    # read-only before any row view is taken: a kept row is a cache entry
+        M, certs, latencies = _scatter(table[0].width, blocks, hits, m)
+    # read-only before any row view is taken: a store entry is one
     M.flags.writeable = False
-    kept = {i: Response(M[i], certs[i], latencies[i]) for i in misses}
-    for i, hit in replays.items():
-        kept[i] = kept[hit] if isinstance(hit, int) else hit
-    for i, digest in misses.items():
-        p.cache[digest] = kept[i]
-    return (Answers(M, certs, latencies, kept),
+    for i, (store, key) in misses.items():
+        store[key] = (M[i], certs[i], latencies[i])
+    return (Answers(M, certs, latencies),
             streams[0] if owners is None else streams)
 
 
@@ -487,26 +494,24 @@ def _runs(owners, m: int) -> list[tuple[int, int, int]]:
     return list(zip(cuts, cuts[1:], owners[cuts[:-1]].tolist())) if m else []
 
 
-def _scatter(width: int, blocks: list, replays: dict, n: int):
+def _scatter(width: int, blocks: list, hits: dict, n: int):
     """The columns of n rows of one width: each route block's rows, then
-    each replay row from the Response it replays (one the replay cache
-    held) or from the row of this call it repeats."""
+    each replay row from the store entry it replays or from the row of this
+    call it repeats."""
     M, certs, latencies = np.empty((n, width)), [None] * n, np.empty(n)
     for rows, (P, C, lat) in blocks:
         at = np.asarray(rows)
         M[at], latencies[at] = P, lat
         for j, cert in zip(rows, C) if C[0] is not None else ():
             certs[j] = cert
-    if replays:
+    if hits:
         sources = []
-        for i, hit in replays.items():
+        for i, hit in hits.items():
             if isinstance(hit, int):
-                certs[i], latencies[i] = certs[hit], latencies[hit]
-                sources.append(M[hit])
-            else:
-                certs[i], latencies[i] = hit.certificate, hit.latency_ms
-                sources.append(hit.probs)
-        M[list(replays)] = sources
+                hit = M[hit], certs[hit], latencies[hit]
+            sources.append(hit[0])
+            certs[i], latencies[i] = hit[1], hit[2]
+        M[list(hits)] = sources
     return M, certs, latencies.tolist()
 
 
@@ -554,7 +559,10 @@ def supplier_classify(s: Supplier, x, rng: int) -> tuple[Response, int]:
     return provider_classify(Provider(HONEST_PASSTHROUGH, s), x, rng)
 
 
-def provider_classify(p: Provider, x, rng: int) -> tuple[Response, int]:
-    """One query against the provider: the block of one row."""
-    answers, rng = ask(np.asarray(x, dtype=np.float64)[None], p, rng)
+def provider_classify(p: Provider, x, rng: int,
+                      replays: dict | None = None) -> tuple[Response, int]:
+    """One query against the provider, on the replay store `replays` (see
+    `ask`): the block of one row."""
+    answers, rng = ask(np.asarray(x, dtype=np.float64)[None], p, rng,
+                       replays=replays)
     return answers[0], rng

@@ -5,16 +5,19 @@ fixtures), run a campaign's seeded verification trials, and aggregate into a
 machine-readable report that is byte-reproducible apart from wall time.
 
 Each scenario has one campaign function, (fixtures, config, trial seeds) ->
-trials. Robustness runs every trial's attacks at once, in lockstep, so each
-step of the attacks is one ask for the whole campaign; the other scenarios
-run their trials one after another.
+trials. One stateless provider serves every trial of a campaign; each trial
+holds its own replay store (see entities.ask), so no trial replays another
+trial's rows. Robustness runs every trial's attacks at once, in lockstep,
+so each step of the attacks is one ask for the whole campaign, and asks
+every trial's latency pings in one more; the other scenarios run their
+trials one after another.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +31,8 @@ from .auditor import (BYZANTINE, HONEST, Ledger, ModelSpec, OracleProfile,
                       run_audit_round)
 from .cache import _cached, _cached_f64s, _model_cache_key, trained_model
 from .data import BlobRecipe, Dataset, split_per_class
-from .entities import (CACHED_REPLAY, Answers, LatencyModel, Provider,
-                       SeedPublication, Supplier, ask)
+from .entities import (Answers, LatencyModel, Provider, SeedPublication,
+                       Supplier, ask)
 from .errors import (FixtureError, GenerationFailureError, ParameterError,
                      TrainingFailureError)
 from .mlp import MlpModel, SeedConfig, TrainConfig, accuracy, forward_batch
@@ -107,7 +110,7 @@ def _latency_from(block: dict) -> LatencyModel:
 @dataclass
 class _Fixtures:
     data: _DataBundle
-    provider: Provider | None = None  # the prototype; its cache stays empty
+    provider: Provider | None = None  # stateless: it serves every trial
     suite: StegSuite | None = None
     probe_covers: np.ndarray | None = None
     publication: SeedPublication | None = None
@@ -124,11 +127,6 @@ class _Fixtures:
     @property
     def mac_key(self) -> bytes | None:  # read by acceptance criterion c6
         return self.supplier.mac_key if self.supplier else None
-
-    def fresh_provider(self) -> Provider:
-        """Providers carry per-run mutable state (the replay cache), so each
-        trial gets its own instance over the shared immutable fixtures."""
-        return replace(self.provider, cache={})
 
 
 def _check_supplier(model_key: bytes, model: MlpModel, train: Dataset) -> None:
@@ -226,8 +224,9 @@ def build_fixtures(cfg: cfgmod.ScenarioConfig) -> _Fixtures:
 # Robustness attacks' query streams under derive_seed(s, 3), and the latency
 # pings under derive_seed(s, 7), split as s is. A Robustness campaign asks
 # all its trials' attacks together, attack k of trial t as owner t * n + k
-# (n attacks per trial), each on its own trial's streams, so a trial draws
-# the same values alone or in a campaign.
+# (n attacks per trial), and all its trials' pings together, trial t's as
+# owner t, each on its own trial's streams and replay store, so a trial
+# draws the same values alone or in a campaign.
 
 
 def _uniform_block(seed: int, n: int, dim: int) -> tuple[np.ndarray, int]:
@@ -237,52 +236,70 @@ def _uniform_block(seed: int, n: int, dim: int) -> tuple[np.ndarray, int]:
     return flat.reshape(n, dim), derive_seed(seed, 2)
 
 
-def _ask_uniform(provider: Provider, seed: int, n: int,
-                 dim: int) -> tuple[np.ndarray, Answers]:
-    """The inputs of `_uniform_block`, asked of the provider as one block."""
+def _ask_uniform(provider: Provider, seed: int, n: int, dim: int,
+                 replays: dict) -> tuple[np.ndarray, Answers]:
+    """The inputs of `_uniform_block`, asked of the provider as one block on
+    the replay store `replays`."""
     X, rng = _uniform_block(seed, n, dim)
-    return X, ask(X, provider, rng)[0]
+    return X, ask(X, provider, rng, replays=replays)[0]
 
 
-def _mean_latency(provider: Provider, dim: int, seed: int) -> float:
-    _, answers = _ask_uniform(provider, derive_seed(seed, 7), _LATENCY_PINGS, dim)
+def _mean_latency(provider: Provider, dim: int, seed: int,
+                  replays: dict) -> float:
+    _, answers = _ask_uniform(provider, derive_seed(seed, 7), _LATENCY_PINGS,
+                              dim, replays)
     return sum(answers.latencies) / _LATENCY_PINGS
 
 
+def _mean_latencies(provider: Provider, dim: int, seeds: list[int],
+                    stores: list[dict]) -> list[float]:
+    """`_mean_latency` of every trial, in one ask: trial t's pings as owner
+    t, on its own ping stream and replay store."""
+    blocks = [_uniform_block(derive_seed(seed, 7), _LATENCY_PINGS, dim)
+              for seed in seeds]
+    answers, _ = ask(np.concatenate([X for X, _ in blocks]), provider,
+                     [rng for _, rng in blocks],
+                     np.repeat(np.arange(len(seeds)), _LATENCY_PINGS), stores)
+    lat = answers.latencies
+    return [sum(lat[a:a + _LATENCY_PINGS]) / _LATENCY_PINGS
+            for a in range(0, len(lat), _LATENCY_PINGS)]
+
+
 def _verdict_trial(run):
-    """The trial skeleton of the per-trial verdict scenarios: a fresh
-    provider, `run(fx, verifier block, seed, provider)` giving the verdict,
-    then the latency pings on that provider."""
+    """The trial skeleton of the per-trial verdict scenarios: a replay store
+    of the trial's own, `run(fx, verifier block, seed, store)` giving the
+    verdict, then the latency pings on that store."""
     def trial(fx: _Fixtures, raw: dict, seed: int) -> dict:
-        provider = fx.fresh_provider()
-        verdict = run(fx, raw["verifier"], seed, provider)
-        lat = _mean_latency(provider, fx.data.recipe.dim, seed)
+        replays = {}
+        verdict = run(fx, raw["verifier"], seed, replays)
+        lat = _mean_latency(fx.provider, fx.data.recipe.dim, seed, replays)
         return {"seed": seed, "verdict": verdict.to_dict(), "latency_ms": lat}
     return trial
 
 
 @_verdict_trial
-def _trial_steg(fx, ver, seed, provider) -> Verdict:
+def _trial_steg(fx, ver, seed, replays) -> Verdict:
     plan = ProbePlan(ver["k"], ver["frac_steg"], seed, ver["alpha"])
-    return steg_probe(provider, fx.suite, fx.probe_covers, plan)
+    return steg_probe(fx.provider, fx.suite, fx.probe_covers, plan, replays)
 
 
 @_verdict_trial
-def _trial_deterministic(fx, ver, seed, provider) -> Verdict:
+def _trial_deterministic(fx, ver, seed, replays) -> Verdict:
     X, rng = _uniform_block(seed, ver["n_queries"], fx.data.recipe.dim)
-    return deterministic_benchmark(provider, fx.publication, fx.data.recipe,
-                                   X, rng=rng)
+    return deterministic_benchmark(fx.provider, fx.publication, fx.data.recipe,
+                                   X, rng, replays)
 
 
 @_verdict_trial
-def _trial_probabilistic(fx, ver, seed, provider) -> Verdict:
-    return probabilistic_benchmark(provider, fx.supplier, fx.data.held,
-                                   ver["k"], ver["alpha"], seed)
+def _trial_probabilistic(fx, ver, seed, replays) -> Verdict:
+    return probabilistic_benchmark(fx.provider, fx.supplier, fx.data.held,
+                                   ver["k"], ver["alpha"], seed, replays)
 
 
 @_verdict_trial
-def _trial_metaresult(fx, ver, seed, provider) -> Verdict:
-    asked = _ask_uniform(provider, seed, ver["k"], fx.data.recipe.dim)
+def _trial_metaresult(fx, ver, seed, replays) -> Verdict:
+    asked = _ask_uniform(fx.provider, seed, ver["k"], fx.data.recipe.dim,
+                         replays)
     return metaresult_verify(asked, fx.supplier.mac_key)
 
 
@@ -290,7 +307,8 @@ def _campaign_robustness(fx: _Fixtures, raw: dict, seeds: list[int]) -> list[dic
     """Every trial's attacks at once: the claimed side in one
     `blackbox_attacks` call over the supplier's model, the measured side in
     one over the service, whose owners are t * n + k (attack k of trial t),
-    then each trial's claim check and latency pings."""
+    then every trial's latency pings in one ask and each trial's claim
+    check."""
     ver = raw["verifier"]
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
@@ -309,40 +327,31 @@ def _campaign_robustness(fx: _Fixtures, raw: dict, seeds: list[int]) -> list[dic
         per_class, acfg, params, starts)
 
     # attack k of trial s draws on its own stream derive_seed(derive_seed(s,
-    # 3), k), so the attacks are independent and advance in lockstep. A
-    # CachedReplay provider keeps a replay cache, so each trial asks its rows
-    # of its own provider and no trial replays another's; every other kind
-    # is stateless, and each scorer call is one ask over every trial's rows
+    # 3), k), so the attacks are independent and advance in lockstep; all of
+    # a trial's attacks share its replay store, and each scorer call is one
+    # ask over every trial's rows
     n = len(classes) * per_class
     streams = [derive_seed(derive_seed(seed, 3), k) for seed in seeds
                for k in range(n)]
-    if fx.provider.kind == CACHED_REPLAY:
-        providers = [fx.fresh_provider() for _ in seeds]
-        bounds = np.arange(0, len(streams) + 1, n)
-    else:
-        providers = [fx.fresh_provider()] * len(seeds)
-        bounds = [0, len(streams)]
+    stores = [{} for _ in seeds]
+    replays = [store for store in stores for _ in range(n)]
+    provider = fx.provider
 
     def service(X, owners):
         nonlocal streams
-        blocks = []
-        cuts = np.searchsorted(owners, bounds)
-        for a, b in zip(cuts, cuts[1:]):
-            if a < b:
-                answers, streams = ask(X[a:b], providers[owners[a] // n],
-                                       streams, owners[a:b])
-                blocks.append(answers.matrix)
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        answers, streams = ask(X, provider, streams, owners, replays)
+        return answers.matrix
 
     measured = robustness_benchmarks(service, dim, classes, per_class, acfg,
                                      params, starts)
+    latencies = _mean_latencies(provider, dim, seeds, stores)
     trials = []
     for t, seed in enumerate(seeds):
         verdict = claim_check(measured[t],
                               [(s.class_id, s.score) for s in claimed[t]],
                               ver["tolerance"])
         trials.append({"seed": seed, "verdict": verdict.to_dict(),
-                       "latency_ms": _mean_latency(providers[t], dim, seed),
+                       "latency_ms": latencies[t],
                        "claimed_scores": [s.to_dict() for s in claimed[t]],
                        "measured_scores": [s.to_dict() for s in measured[t]]})
     return trials

@@ -22,9 +22,10 @@ their own model, with forward_batch. Every block's answers are one
 probability matrix in the supplier's answering width. The steg probe and
 the probabilistic benchmark compare label arrays, the deterministic
 benchmark compares each block's matrix with the reference's as 64-bit words
-in one pass, metaresult_verify checks a block's certificate column against
-its query and probability matrices with one key schedule, and no Response
-is built for a row no replay cache keeps.
+in one pass, and metaresult_verify checks a block's certificate column
+against its query and probability matrices with one key schedule; no
+Response is built. The methods that ask take the trial's replay store
+(`replays`, see entities.ask) and pass it to every ask they make.
 
 steg_probe and the steg calibration (measure_roundtrip) share one probe
 core: it draws all the containers first, with one steg.draw_containers call
@@ -171,7 +172,8 @@ def measure_roundtrip(supplier: Supplier, steg: StegModel,
     return (detect + 1) / (n + 2), (clean + 1) / (n + 2)
 
 
-def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) -> Verdict:
+def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan,
+               replays: dict | None = None) -> Verdict:
     """Interleave containers and clean covers per the plan, query the
     provider once each, and test the container hit count against the honest
     binomial null Bin(n_steg, p_detect): p = P(X <= hits). Before judging,
@@ -188,8 +190,9 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
     is_steg[steg_pos] = True
     try:
         hits, clean_ok = _probe_counts(
-            lambda rows: ask(rows, provider, state)[0].labels, suite.steg,
-            suite.reveal, suite.checker, covers[cover_idx], is_steg, plan.seed)
+            lambda rows: ask(rows, provider, state, replays=replays)[0].labels,
+            suite.steg, suite.reveal, suite.checker, covers[cover_idx], is_steg,
+            plan.seed)
     except GenerationFailureError as exc:
         raise ProbeSetupError(f"container generation failed: {exc}") from exc
 
@@ -208,8 +211,8 @@ def steg_probe(provider: Provider, suite: StegSuite, covers, plan: ProbePlan) ->
 
 
 def deterministic_benchmark(provider: Provider, publication: SeedPublication,
-                            data_recipe: BlobRecipe, queries,
-                            rng: int = 0) -> Verdict:
+                            data_recipe: BlobRecipe, queries, rng: int = 0,
+                            replays: dict | None = None) -> Verdict:
     """Retrain the reference model from the published seeds, then require the
     provider's probability vectors to match the local ones bit-for-bit on
     their canonical serialization. A single mismatch is proof of fraud; full
@@ -231,7 +234,7 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
     state, start, size = rng, 0, 1
     while start < len(queries):
         chunk = queries[start:start + size]
-        answers, state = ask(chunk, provider, state)
+        answers, state = ask(chunk, provider, state, replays=replays)
         got, wants = answers.matrix, forward_batch(local, chunk)
         if got.shape[1] != wants.shape[1]:
             raise ShapeError(f"response width {got.shape[1]} != published "
@@ -253,7 +256,8 @@ def deterministic_benchmark(provider: Provider, publication: SeedPublication,
 
 
 def probabilistic_benchmark(provider: Provider, supplier: Supplier,
-                            labeled, k: int, alpha: float, rng: int) -> Verdict:
+                            labeled, k: int, alpha: float, rng: int,
+                            replays: dict | None = None) -> Verdict:
     """Send k seeded labeled inputs to the provider, label them with the
     supplier's answering model, and compare accuracies with the pooled
     two-proportion z-test (null: provider at least as accurate as supplier).
@@ -267,7 +271,7 @@ def probabilistic_benchmark(provider: Provider, supplier: Supplier,
         raise ParameterError("alpha must be in (0,1)")
     idx, state = sample_indices(rng, len(labeled), k)
     X, y = labeled.inputs[idx], labeled.labels[idx]
-    said_p = ask(X, provider, state)[0].labels
+    said_p = ask(X, provider, state, replays=replays)[0].labels
     said_s = forward_batch(supplier.answering_model, X).argmax(axis=1)
     correct_p, correct_s = int((said_p == y).sum()), int((said_s == y).sum())
     z, p_value = two_proportion_z(correct_s, k, correct_p, k)

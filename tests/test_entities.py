@@ -382,13 +382,14 @@ def test_partial_cheat_rate_validation(supplier_pair):
 def test_cached_replay_returns_first_answer(supplier_pair):
     supplier, fx = supplier_pair
     p = entities.Provider(kind=entities.CACHED_REPLAY, backend=supplier)
-    x = _x(8)
-    first, rng = entities.provider_classify(p, x, 60)
-    second, rng2 = entities.provider_classify(p, x, rng)
-    assert second is first
+    x, store = _x(8), {}
+    first, rng = entities.provider_classify(p, x, 60, store)
+    second, rng2 = entities.provider_classify(p, x, rng, store)
+    _same_response(second, first)
     assert rng2 == rng  # replay consumes no randomness
-    other, _ = entities.provider_classify(p, _x(9), rng2)
-    assert other is not first
+    other, rng3 = entities.provider_classify(p, _x(9), rng2, store)
+    assert rng3 != rng2 and len(store) == 2  # a miss, answered afresh
+    assert other.certificate.nonce != first.certificate.nonce
 
 
 def test_noisy_passthrough_stays_normalized(supplier_pair):
@@ -445,7 +446,7 @@ def _variant(steg_env, kind, mac, reveal):
     def provider():
         return entities.Provider(
             kind=kind, backend=supplier, cheap_model=fx.cheap_model,
-            cheat_rate=0.5, cache={},
+            cheat_rate=0.5,
             noise_sigma=0.05 if kind == entities.NOISY_PASSTHROUGH else 0.0,
             latency=entities.LatencyModel(2.0, 4.0, 9))
     return supplier, provider
@@ -461,20 +462,28 @@ def _same_response(a, b):
             (b.certificate.nonce, b.certificate.tag)
 
 
+def _answered(r):
+    """What a row answers: its probability bytes, certificate and latency."""
+    return r.probs.tobytes(), r.certificate, r.latency_ms
+
+
 def _same_answers(seq, got):
-    got = list(got)  # an Answers builds a fresh Response for an unkept row
+    got = list(got)  # an Answers builds a fresh Response for every row
     assert len(seq) == len(got)
     for a, b in zip(seq, got):
         _same_response(a, b)
-    # replays are the very object answered first, one call at a time or not
-    assert [[j for j, o in enumerate(seq) if o is a] for a in seq] == \
-        [[j for j, o in enumerate(got) if o is b] for b in got]
+    # replays answer what was answered first, one call at a time or not
+    assert [[j for j, o in enumerate(seq) if _answered(o) == _answered(a)]
+            for a in seq] == \
+        [[j for j, o in enumerate(got) if _answered(o) == _answered(b)]
+         for b in got]
 
 
 def _same_cache(a, b):
+    """Two replay stores hold the same keys, in order, and entries."""
     assert list(a) == list(b)
     for key in a:
-        _same_response(a[key], b[key])
+        _same_response(entities.Response(*a[key]), entities.Response(*b[key]))
 
 
 @pytest.mark.parametrize("reveal", [False, True], ids=["plain", "reveal"])
@@ -483,32 +492,35 @@ def _same_cache(a, b):
 def test_query_batch_equals_provider_calls(steg_env, kind, mac, reveal):
     _, provider = _variant(steg_env, kind, mac, reveal)
     rows = _query_rows()
-    one, rng = provider(), 99
+    one, one_store, rng = provider(), {}, 99
     seq = []
     for x in rows:
-        resp, rng = entities.provider_classify(one, x, rng)
+        resp, rng = entities.provider_classify(one, x, rng, one_store)
         seq.append(resp)
 
     # two calls: the second replays entries the first committed
-    many, rng_b, got = provider(), 99, []
+    many, many_store, rng_b, got = provider(), {}, 99, []
     for part in (rows[:7], rows[7:]):
-        answers, rng_b = entities.ask(np.array(part), many, rng_b)
+        answers, rng_b = entities.ask(np.array(part), many, rng_b,
+                                      replays=many_store)
         got += answers
     assert rng_b == rng
     _same_answers(seq, got)
-    _same_cache(one.cache, many.cache)
+    _same_cache(one_store, many_store)
     if kind == entities.CACHED_REPLAY:
-        assert len(many.cache) == 11
+        assert len(many_store) == 11
 
 
 # -- columnar batches: one uint64 pass equals one query at a time ---------------
 
 
-def _reference_classify(p, x, rng):
+def _reference_classify(p, x, rng, store=None):
     """One provider query by its plain definition: the path's draws in order
     on the stream (coin, nonce or forged tag, latency, noise), the model's
     forward on x (the cheap model's padded to the answering width), the
-    certificate over the un-noised probabilities."""
+    certificate over the un-noised probabilities. CachedReplay answers from
+    `store`, keyed on x's canonical bytes, or answers as the supplier and
+    stores (probabilities, certificate, latency) there."""
     s = p.backend
 
     def supplier(rng, sigma=0.0):
@@ -545,10 +557,11 @@ def _reference_classify(p, x, rng):
     if p.kind == entities.NOISY_PASSTHROUGH:
         return supplier(rng, p.noise_sigma)
     if p.kind == entities.CACHED_REPLAY:
-        digest = canon.sha256(canon.vec(x))
-        if digest not in p.cache:
-            p.cache[digest], rng = supplier(rng)
-        return p.cache[digest], rng
+        key = canon.vec(x)
+        if key not in store:
+            resp, rng = supplier(rng)
+            store[key] = (resp.probs, resp.certificate, resp.latency_ms)
+        return entities.Response(*store[key]), rng
     return supplier(rng)
 
 
@@ -564,7 +577,7 @@ def _wide_variant(steg_env, kind, mac, reveal):
     def provider():
         return entities.Provider(
             kind=kind, backend=supplier, cheap_model=fx.cheap_model,
-            cheat_rate=0.5, cache={},
+            cheat_rate=0.5,
             noise_sigma=3.3 if kind == entities.NOISY_PASSTHROUGH else 0.0,
             latency=entities.LatencyModel(2.0, 4.0, -(2 ** 40 + 7)))
     return provider
@@ -595,16 +608,16 @@ _GRID = pytest.mark.parametrize("kind,mac,reveal", [
 def test_provider_classify_is_the_plain_definition(steg_env, kind, mac, reveal):
     provider = _wide_variant(steg_env, kind, mac, reveal)
     first, second = _two_batches(12)
-    one, rng, seq = provider(), 5, []
-    ref, rng_r, want = provider(), 5, []
+    one, one_store, rng, seq = provider(), {}, 5, []
+    ref, ref_store, rng_r, want = provider(), {}, 5, []
     for x in first + second:
-        resp, rng = entities.provider_classify(one, x, rng)
+        resp, rng = entities.provider_classify(one, x, rng, one_store)
         seq.append(resp)
-        resp, rng_r = _reference_classify(ref, x, rng_r)
+        resp, rng_r = _reference_classify(ref, x, rng_r, ref_store)
         want.append(resp)
     assert rng == rng_r
     _same_answers(want, seq)
-    _same_cache(ref.cache, one.cache)
+    _same_cache(ref_store, one_store)
 
 
 @pytest.mark.parametrize("n", _COLUMNAR_SIZES)
@@ -613,9 +626,9 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
                                              reveal, n):
     provider = _wide_variant(steg_env, kind, mac, reveal)
     first, second = _two_batches(n)
-    one, rng, seq = provider(), 99, []
+    one, one_store, rng, seq = provider(), {}, 99, []
     for x in first + second:
-        resp, rng = entities.provider_classify(one, x, rng)
+        resp, rng = entities.provider_classify(one, x, rng, one_store)
         seq.append(resp)
 
     passes = []
@@ -634,10 +647,11 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
 
     monkeypatch.setattr(entities, "_array_draws", counted)
     monkeypatch.setattr(entities, "_answer_block", block)
-    many, rng_b, got, ends = provider(), 99, [], []
+    many, many_store, rng_b, got, ends = provider(), {}, 99, [], []
     for part in (first, second):
         begin, at = len(passes), len(blocks)
-        answers, rng_b = entities.ask(np.array(part), many, rng_b)
+        answers, rng_b = entities.ask(np.array(part), many, rng_b,
+                                      replays=many_store)
         got += answers
         ends.append(len(passes))
         # the rows that draw, one block per route: one uint64 pass for each
@@ -646,7 +660,7 @@ def test_columnar_batch_equals_one_at_a_time(steg_env, monkeypatch, kind, mac,
             k for k, count in blocks[at:] if k * count >= _CROSSOVER)
     assert rng_b == rng
     _same_answers(seq, got)
-    _same_cache(one.cache, many.cache)
+    _same_cache(one_store, many_store)
     # the first batch's n rows all draw (a cheat row is the cheap model's)
     cheats = sum(np.array_equal(r.probs, _cheap_answer(many, x))
                  for r, x in zip(got[:n], first))
@@ -669,23 +683,24 @@ def test_columnar_batch_takes_any_int_state(steg_env, kind, state):
     # with 6 or more of the rows takes the pass
     provider = _wide_variant(steg_env, kind, True, True)
     rows, _ = _two_batches(_CROSSOVER)
-    one, rng, seq = provider(), state, []
+    one, one_store, rng, seq = provider(), {}, state, []
     for x in rows:
-        resp, rng = entities.provider_classify(one, x, rng)
+        resp, rng = entities.provider_classify(one, x, rng, one_store)
         seq.append(resp)
-    answers, rng_b = entities.ask(np.array(rows), provider(), state)
+    answers, rng_b = entities.ask(np.array(rows), provider(), state,
+                                  replays={})
     assert rng_b == rng
     _same_answers(seq, answers)
 
 
 def test_query_batch_rejects_wrong_width_while_planning(supplier_pair):
     supplier, _ = supplier_pair
-    p = entities.Provider(entities.CACHED_REPLAY, supplier)
+    p, store = entities.Provider(entities.CACHED_REPLAY, supplier), {}
     with pytest.raises(ShapeError):
-        entities.ask(np.zeros((1, 5)), p, 1)
+        entities.ask(np.zeros((1, 5)), p, 1, replays=store)
     with pytest.raises(ShapeError, match="3 owners for 2 rows"):
-        entities.ask(np.zeros((2, 16)), p, [1], [0, 0, 0])
-    assert p.cache == {}
+        entities.ask(np.zeros((2, 16)), p, [1], [0, 0, 0], [store])
+    assert store == {}
 
 
 def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch):
@@ -719,14 +734,14 @@ def test_partial_cheat_batch_mixes_scalar_and_array_routes(steg_env, monkeypatch
 # -- block plans: a block of rows equals asking one query at a time -------------
 
 
-def _reference_walk(p, x, state):
+def _reference_walk(p, x, state, store):
     """One query walked by its definition: the route from the kind (the
-    coin with rng_uniform, the replay lookup), the start state, the draws
-    skipped with rng_advance, and the answer by `_reference_classify`.
-    Returns (response, start state, end state)."""
+    coin with rng_uniform, the lookup in the replay store), the start state,
+    the draws skipped with rng_advance, and the answer by
+    `_reference_classify`. Returns (response, start state, end state)."""
     route, after = p._honest, state
     if p.kind == entities.CACHED_REPLAY:
-        if canon.sha256(canon.vec(x)) in p.cache:
+        if canon.vec(x) in store:
             route = None
     elif p.kind == entities.PARTIAL_CHEAT:
         u, after = rng_uniform(state)
@@ -735,7 +750,7 @@ def _reference_walk(p, x, state):
         route = p._cheat
     start = after & MASK64
     end = after if route is None else rng_advance(after, route.count)
-    resp, rng = _reference_classify(p, x, state)
+    resp, rng = _reference_classify(p, x, state, store)
     assert rng == end
     return resp, start, end
 
@@ -757,15 +772,17 @@ _POOL = [_x(9000 + i) for i in range(6)]
 @given(kind=st.sampled_from(entities.PROVIDER_KINDS), mac=st.booleans(),
        reveal=st.booleans(), rate=st.sampled_from([0.0, 0.37, 1.0]),
        picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=24),
-       data=st.data())
+       shared=st.booleans(), data=st.data())
 def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate,
-                                               picks, data):
-    """The first `early` rows asked in one call on one stream, then the rest
-    split into runs of random lengths, each run owned by another owner, in
-    one call on the owners' streams: every answer, draw start, end state and
-    replay-cache entry equals each run asked alone on its owner's stream,
-    one query at a time, in order. CachedReplay inputs repeat within a run,
-    across runs and from the earlier call."""
+                                               picks, shared, data):
+    """The first `early` rows asked in one call on one stream and store,
+    then the rest split into runs of random lengths, each run owned by
+    another owner, in one call on the owners' streams and stores: every
+    answer, draw start, end state and replay-store entry equals each run
+    asked alone on its owner's stream and store, one query at a time, in
+    order. CachedReplay inputs repeat within a run, across runs and from
+    the earlier call. The owners share the first call's store, as one
+    trial's owners do, or each holds one of its own, as trials do."""
     _, variant = _variant(steg_env, kind, mac, reveal)
 
     def provider():
@@ -781,20 +798,26 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
     streams = [rng_advance(99, 1000 * k + 1) for k in range(len(runs))]
 
     one, many = provider(), provider()
+    if shared:
+        one_stores, many_stores = [{}] * (len(runs) + 1), [{}] * (len(runs) + 1)
+    else:
+        one_stores = [{} for _ in range(len(runs) + 1)]
+        many_stores = [{} for _ in range(len(runs) + 1)]
     want, want_starts = [], []
 
-    def walk(xs, state):
+    def walk(xs, state, store):
         for x in xs:
-            resp, start, end = _reference_walk(one, x, state)
+            resp, start, end = _reference_walk(one, x, state, store)
             want.append(resp)
             if end != start:  # a replay takes no draws
                 want_starts.append(start)
             state = end
         return state
 
-    ref_end, ref_streams = walk(rows[:early], 99), list(streams)
+    # the first call's store is the last; owner k's is store k
+    ref_end, ref_streams = walk(rows[:early], 99, one_stores[-1]), list(streams)
     for (a, b), k in zip(runs, order):
-        ref_streams[k] = walk(later[a:b], ref_streams[k])
+        ref_streams[k] = walk(later[a:b], ref_streams[k], one_stores[k])
 
     starts, answer_block = [], entities._answer_block
 
@@ -803,15 +826,18 @@ def test_block_plan_equals_one_query_at_a_time(steg_env, kind, mac, reveal, rate
         return answer_block(route, route_starts, X)
 
     with mock.patch.object(entities, "_answer_block", block):
-        first, end = entities.ask(rows[:early], many, 99)
-        second, ends = entities.ask(later, many, streams, owners)
+        first, end = entities.ask(rows[:early], many, 99,
+                                  replays=many_stores[-1])
+        second, ends = entities.ask(later, many, streams, owners,
+                                    many_stores[:-1])
     assert end == ref_end
     assert ends == ref_streams and ends is not streams
     assert sorted(starts) == sorted(want_starts)
     _same_answers(want, [*first, *second])
     _same_columns(want[:early], first)
     _same_columns(want[early:], second)
-    _same_cache(one.cache, many.cache)
+    for one_store, many_store in zip(one_stores, many_stores):
+        _same_cache(one_store, many_store)
 
 
 # -- what the column path guarantees ----------------------------------------------
@@ -837,20 +863,21 @@ def test_overflowing_latency_is_rejected_from_a_block_and_one_query(supplier_pai
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_failed_call_leaves_the_replay_cache_as_it_found_it(supplier_pair):
     # a 40-row CachedReplay block whose latency overflows raises; none of its
-    # misses enters the cache, so a later query of the same input, from a
-    # provider with finite latency sharing the cache, is a plain miss
+    # misses enters the store, so a later query of the same input, from a
+    # provider with finite latency on the same store, is a plain miss
     supplier, _ = supplier_pair
     huge = dataclasses.replace(supplier, latency=entities.LatencyModel(1e308, 1e308))
-    p = entities.Provider(entities.CACHED_REPLAY, huge)
+    p, store = entities.Provider(entities.CACHED_REPLAY, huge), {}
     rows = np.array([_x(8200 + i) for i in range(40)])
     with pytest.raises(ParameterError, match="latency_ms must be finite"):
-        entities.ask(rows, p, 3)
-    assert p.cache == {}
-    sane = entities.Provider(entities.CACHED_REPLAY, supplier, cache=p.cache)
-    resp, _ = entities.provider_classify(sane, rows[0], 3)
-    assert list(p.cache.values()) == [resp]
+        entities.ask(rows, p, 3, replays=store)
+    assert store == {}
+    sane = entities.Provider(entities.CACHED_REPLAY, supplier)
+    resp, _ = entities.provider_classify(sane, rows[0], 3, store)
+    assert [_answered(entities.Response(*e)) for e in store.values()] == \
+        [_answered(resp)]
     _same_response(resp, _reference_classify(
-        entities.Provider(entities.CACHED_REPLAY, supplier), rows[0], 3)[0])
+        entities.Provider(entities.CACHED_REPLAY, supplier), rows[0], 3, {})[0])
 
 
 def test_an_ask_of_replays_alone_has_the_answering_width(supplier_pair):
@@ -859,28 +886,29 @@ def test_an_ask_of_replays_alone_has_the_answering_width(supplier_pair):
     supplier, fx = supplier_pair
     p = entities.Provider(entities.CACHED_REPLAY, supplier,
                           cheap_model=fx.cheap_model)
-    rows = np.array([_x(8300 + i) for i in range(3)])
-    first, rng = entities.ask(rows, p, 5)
-    again, end = entities.ask(rows[::-1], p, rng)
+    rows, store = np.array([_x(8300 + i) for i in range(3)]), {}
+    first, rng = entities.ask(rows, p, 5, replays=store)
+    again, end = entities.ask(rows[::-1], p, rng, replays=store)
     assert end == rng  # a replay takes no draw
     assert again.matrix.shape == (3, supplier.answering_model.n_out)
     assert again.matrix.tobytes() == first.matrix[::-1].tobytes()
-    assert all(again[i] is first[2 - i] for i in range(3))
+    for i in range(3):
+        _same_response(again[i], first[2 - i])
 
 
 def test_the_answer_matrix_is_read_only_so_no_replay_is_rewritten(supplier_pair):
-    # a replay-cache entry is a row view of the matrix it was answered in
+    # a replay-store entry is a row view of the matrix it was answered in
     supplier, _ = supplier_pair
-    p = entities.Provider(entities.CACHED_REPLAY, supplier)
+    p, store = entities.Provider(entities.CACHED_REPLAY, supplier), {}
     x = _x(8400)
-    answers, rng = entities.ask(x[None], p, 3)
+    answers, rng = entities.ask(x[None], p, 3, replays=store)
     want = answers.matrix.tobytes()
     one_hot = np.eye(supplier.answering_model.n_out)[0]
     for row in (answers.matrix, answers.matrix[0], answers.probs[0],
-                answers[0].probs, next(iter(p.cache.values())).probs):
+                answers[0].probs, next(iter(store.values()))[0]):
         with pytest.raises(ValueError, match="read-only"):
             row[...] = one_hot
-    replay, _ = entities.ask(x[None], p, rng)
+    replay, _ = entities.ask(x[None], p, rng, replays=store)
     assert replay.matrix.tobytes() == want
     assert entities.verify_certificate(KEY, x, replay.matrix[0],
                                        replay.certificates[0])
@@ -896,11 +924,86 @@ def test_actors_are_frozen(supplier_pair):
         supplier.mac_key = None
 
 
-def test_replace_rebuilds_routes_with_an_empty_cache(supplier_pair):
+def test_replace_rebuilds_routes_and_the_provider_holds_no_state(supplier_pair):
+    # a query fills the caller's replay store and leaves every field of the
+    # provider as it was
     supplier, fx = supplier_pair
     provider = entities.Provider(entities.CACHED_REPLAY, supplier,
                                  cheap_model=fx.cheap_model)
-    entities.provider_classify(provider, _x(41), 3)
-    fresh = dataclasses.replace(provider, cache={})
-    assert len(provider.cache) == 1 and fresh.cache == {}
+    names = [f.name for f in dataclasses.fields(provider)]
+    before = [getattr(provider, name) for name in names]
+    store = {}
+    entities.provider_classify(provider, _x(41), 3, store)
+    assert len(store) == 1
+    assert all(getattr(provider, n) is v for n, v in zip(names, before))
+    assert not any(isinstance(v, (dict, list, set)) for v in before)
+    fresh = dataclasses.replace(provider)
+    assert fresh == provider
     assert fresh._honest == provider._honest and fresh._cheat == provider._cheat
+
+
+def test_cached_replay_without_a_store_raises(supplier_pair):
+    # its replays live in a store the caller holds; without one it fails
+    # loudly, and the other kinds take none
+    supplier, fx = supplier_pair
+    x = _x(8500)
+    replay = entities.Provider(entities.CACHED_REPLAY, supplier)
+    with pytest.raises(ParameterError, match="replay store"):
+        entities.ask(x[None], replay, 3)
+    with pytest.raises(ParameterError, match="replay store"):
+        entities.ask(np.array([x, x]), replay, [3], [0, 0])
+    with pytest.raises(ParameterError, match="replay store"):
+        entities.provider_classify(replay, x, 3)
+    for kind in entities.PROVIDER_KINDS:
+        if kind != entities.CACHED_REPLAY:
+            p = entities.Provider(kind, supplier, cheap_model=fx.cheap_model,
+                                  cheat_rate=0.5, noise_sigma=0.05)
+            assert len(entities.ask(x[None], p, 3)[0]) == 1
+
+
+def _with_bits(row, at, bits):
+    row = np.array(row, dtype=np.float64)
+    row[at] = np.array([bits], dtype=np.uint64).view(np.float64)[0]
+    return row
+
+
+_QUIET_NAN = 0x7FF8000000000000
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       at=st.integers(0, 3), nan=st.booleans(),
+       payloads=st.lists(st.integers(0, 2 ** 51 - 1), min_size=2, max_size=2,
+                         unique=True),
+       state=st.integers(0, 2 ** 64 - 1))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_replay_keys_are_each_rows_canonical_bytes(base, at, nan, payloads,
+                                                   state):
+    """Rows that differ only in the sign of a zero, or only in a NaN's
+    payload, compare equal (or unequal) as floats but are distinct keys; a
+    row asked again, within the call or in a later call on the same store,
+    replays its first answer's bytes, certificate and latency, and takes no
+    draw."""
+    supplier = entities.Supplier(mlp.init_mlp((4, 3), weight_seed=at + 1),
+                                 mac_key=KEY,
+                                 latency=entities.LatencyModel(1.0, 2.0, 3))
+    p, store = entities.Provider(entities.CACHED_REPLAY, supplier), {}
+    if nan:
+        a, b = (_with_bits(base, at, _QUIET_NAN | q) for q in payloads)
+    else:
+        a, b = _with_bits(base, at, 0), _with_bits(base, at, 1 << 63)
+        assert (a == b).all()
+    assert a.tobytes() != b.tobytes()
+    first, end = entities.ask(np.array([a, b, a, b]), p, state, replays=store)
+    assert list(store) == [canon.vec(a), canon.vec(b)]
+    # two misses take their draws, the two repeats none
+    assert end == rng_advance(state, 2 * p._honest.count)
+    assert first[0].certificate.nonce != first[1].certificate.nonce
+    for i in (0, 1):
+        _same_response(first[i + 2], first[i])
+        _same_response(entities.Response(*store[canon.vec((a, b)[i])]), first[i])
+    again, after = entities.ask(np.array([b, a]), p, end, replays=store)
+    assert after == end
+    _same_response(again[0], first[1])
+    _same_response(again[1], first[0])
+    assert len(store) == 2

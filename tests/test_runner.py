@@ -141,10 +141,11 @@ def _reference_trial_robustness(fx, raw, seed):
     and asks one provider_classify per query on its own stream
     derive_seed(derive_seed(seed, 3), k). The attacks go in
     lockstep: every start, then per step each live attack's 2*dim probes
-    (attack-major), then each live attack's moved point. Returns the trial,
-    the provider and a box holding each query's attack ("owners"), each
-    attack's end state ("rngs"), the number of attack queries and the
-    number of replay-cache entries the attacks made ("attack_entries")."""
+    (attack-major), then each live attack's moved point, every query on the
+    trial's one replay store. Returns the trial, that store and a box
+    holding each query's attack ("owners"), each attack's end state
+    ("rngs"), the number of attack queries and the number of replay-store
+    entries the attacks made ("attack_entries")."""
     ver = raw["verifier"]
     dim = fx.data.recipe.dim
     classes = list(range(fx.data.recipe.n_classes))
@@ -155,7 +156,7 @@ def _reference_trial_robustness(fx, raw, seed):
     claimed = robustness_benchmark(
         lambda X, _owners: np.array([forward(fx.supplier.model, x) for x in X]),
         dim, classes, trials, acfg, params, derive_seed(seed, 1))
-    provider = fx.fresh_provider()
+    provider, store = fx.provider, {}
     n = len(classes) * trials
     box = {"rngs": [derive_seed(derive_seed(seed, 3), k) for k in range(n)],
            "owners": [], "queries": 0}
@@ -167,7 +168,7 @@ def _reference_trial_robustness(fx, raw, seed):
 
     def ask(k):
         resp, box["rngs"][k] = provider_classify(provider, asking[k],
-                                                 box["rngs"][k])
+                                                 box["rngs"][k], store)
         box["owners"].append(k)
         box["queries"] += 1
         try:
@@ -199,20 +200,21 @@ def _reference_trial_robustness(fx, raw, seed):
             cls, mean_q, robustness_score(mean_q, params), trials, failures))
     verdict = claim_check(measured, [(s.class_id, s.score) for s in claimed],
                           ver["tolerance"])
-    box["attack_entries"] = len(provider.cache)
+    box["attack_entries"] = len(store)
     trial = {"seed": seed, "verdict": verdict.to_dict(),
-             "latency_ms": runner._mean_latency(provider, dim, seed),
+             "latency_ms": runner._mean_latency(provider, dim, seed, store),
              "claimed_scores": [s.to_dict() for s in claimed],
              "measured_scores": [s.to_dict() for s in measured]}
-    return trial, provider, box
+    return trial, store, box
 
 
-@pytest.mark.parametrize("kind", [k for k in PROVIDER_KINDS if k != CACHED_REPLAY])
-@pytest.mark.parametrize("env", ["prob_env", "steg_env", "det_env", "meta_env"])
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+@pytest.mark.parametrize("env", ["prob_env", "steg_env", "det_env", "meta_env",
+                                 "robust_env"])
 def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
                                                       env, kind):
-    """The verifiers and the latency pings read the answers' columns: a trial
-    whose provider keeps no replay cache makes no Response at all."""
+    """The verifiers and the latency pings read the answers' columns, and a
+    replay store keeps columns too: a trial makes no Response at all."""
     cfg, base = request.getfixturevalue(env)
     fx = dataclasses.replace(base, provider=dataclasses.replace(
         base.provider, kind=kind, cheat_rate=0.5, noise_sigma=0.05))
@@ -225,8 +227,8 @@ def test_warm_trial_builds_no_response_for_fresh_rows(request, monkeypatch,
 
     real_ask = entities.ask
 
-    def ask(*args):
-        answers, rng = real_ask(*args)
+    def ask(*args, **kwargs):
+        answers, rng = real_ask(*args, **kwargs)
         rows.append(len(answers))
         return answers, rng
 
@@ -249,19 +251,19 @@ def _kind_fixtures(base, kind, mac):
 
 
 class _RobustnessCalls:
-    """Records, while installed, every ask (its rows, owners, provider and
-    stream states before and after it; the reference's one-query calls are
-    blocks of one), the rows of each scorer call per robustness_benchmarks
-    call, and the providers `fx.fresh_provider` makes."""
+    """Records, while installed, every ask (its rows, owners, stream states
+    before and after it, provider and replay stores; the reference's
+    one-query calls are blocks of one) and the rows of each scorer call per
+    robustness_benchmarks call."""
 
-    def __init__(self, monkeypatch, fx):
-        self.asks, self.scored, self.made = [], [], []
+    def __init__(self, monkeypatch):
+        self.asks, self.scored = [], []
         real_ask, real_benchmarks = entities.ask, runner.robustness_benchmarks
 
-        def ask(X, provider, rng, owners=None):
+        def ask(X, provider, rng, owners=None, replays=None):
             before = rng if owners is None else list(rng)
-            answers, after = real_ask(X, provider, rng, owners)
-            self.asks.append((len(X), owners, before, after, provider))
+            answers, after = real_ask(X, provider, rng, owners, replays)
+            self.asks.append((len(X), owners, before, after, provider, replays))
             return answers, after
 
         def benchmarks(service, *args):
@@ -275,40 +277,41 @@ class _RobustnessCalls:
         for module in (entities, runner):
             monkeypatch.setattr(module, "ask", ask)
         monkeypatch.setattr(runner, "robustness_benchmarks", benchmarks)
-        real_fresh = fx.fresh_provider
-        monkeypatch.setattr(fx, "fresh_provider",
-                            lambda: self.made.append(real_fresh()) or self.made[-1])
 
     def clear(self):
-        del self.asks[:], self.scored[:], self.made[:]
+        del self.asks[:], self.scored[:]
 
 
 def _reference_chains(calls, fx, raw, seed):
-    """The reference trial of `seed`, its provider, and each attack's chain
-    of stream states, from derive_seed(derive_seed(seed, 3), k) to its end
-    state, read off the reference's one-query asks; then the latency pings'
-    ask."""
+    """The reference trial of `seed`, its replay store, and each attack's
+    chain of stream states, from derive_seed(derive_seed(seed, 3), k) to its
+    end state, read off the reference's one-query asks; then the latency
+    pings' ask."""
     calls.clear()
-    want, ref_provider, box = _reference_trial_robustness(fx, raw, seed)
-    # the reference asks one query at a time, then the latency pings
+    want, ref_store, box = _reference_trial_robustness(fx, raw, seed)
+    # the reference asks one query at a time, then the latency pings, every
+    # ask on the trial's store
     assert [n for n, *_ in calls.asks] == \
         [1] * box["queries"] + [runner._LATENCY_PINGS]
+    assert all(ask[5] is ref_store for ask in calls.asks)
     chains = [[derive_seed(derive_seed(seed, 3), k)] for k in range(len(box["rngs"]))]
-    for (_, _, before, after, _), k in zip(calls.asks, box["owners"]):
+    for (_, _, before, after, _, _), k in zip(calls.asks, box["owners"]):
         assert before == chains[k][-1]
         chains[k].append(after)
     assert [chain[-1] for chain in chains] == box["rngs"]
-    if ref_provider.kind == CACHED_REPLAY:
+    if fx.provider.kind == CACHED_REPLAY:
         assert 0 < box["attack_entries"] < box["queries"]
-    return want, ref_provider, chains, calls.asks[-1][:4]
+    return want, ref_store, chains, calls.asks[-1][:4]
 
 
 def _assert_same_cache(got, want):
-    assert got.cache.keys() == want.cache.keys()
-    for key, resp in want.cache.items():
-        assert canon.vec(got.cache[key].probs) == canon.vec(resp.probs)
-        assert got.cache[key].certificate == resp.certificate
-        assert got.cache[key].latency_ms == resp.latency_ms
+    """Two replay stores hold the same keys, in order, and each entry's
+    probability bytes, certificate and latency."""
+    assert list(got) == list(want)
+    for key, (probs, certificate, latency) in want.items():
+        assert canon.vec(got[key][0]) == canon.vec(probs)
+        assert got[key][1] == certificate
+        assert got[key][2] == latency
 
 
 @pytest.mark.parametrize("mac", [False, True])
@@ -318,14 +321,14 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
                                                 kind, seed, mac):
     """Every trial of a Robustness campaign, of 1 trial and of 3, equals the
     reference trial of its seed: attack k of trial t asks on
-    derive_seed(derive_seed(s_t, 3), k) as owner t * n + k, each scorer call
-    of the measured side is one ask (one per trial with live attacks for
-    CachedReplay, each on its trial's own provider), and the latency pings
-    follow on each trial's provider."""
+    derive_seed(derive_seed(s_t, 3), k) as owner t * n + k, on trial t's
+    replay store, each scorer call of the measured side is one ask of the
+    one provider, for every kind, and the latency pings follow in one ask,
+    trial t's as owner t on its own ping stream and store."""
     cfg, base = robust_env
     fx = _kind_fixtures(base, kind, mac)
     raw = cfg.raw
-    calls = _RobustnessCalls(monkeypatch, fx)
+    calls = _RobustnessCalls(monkeypatch)
     refs = {s: _reference_chains(calls, fx, raw, s)
             for s in {seed, 7, 2 ** 63 + 11}}
     for seeds in ([seed], [seed, 7, 2 ** 63 + 11]):
@@ -334,37 +337,26 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
         assert got == [refs[s][0] for s in seeds]
         T, n = len(seeds), len(refs[seed][2])
         chains = [chain for s in seeds for chain in refs[s][2]]
-        # the attacks' asks, then one latency ping ask per trial, on the
-        # trial's provider
-        attack_asks, pings = calls.asks[:-T], calls.asks[-T:]
-        assert [ping[:4] for ping in pings] == [refs[s][3] for s in seeds]
-        stateful = kind == CACHED_REPLAY
-        assert len(calls.made) == (T if stateful else 1)
-        assert [ping[4] for ping in pings] == \
-            (calls.made if stateful else calls.made * T)
-        # each scorer call of the measured side is its trials' asks: one for
-        # a stateless provider, one per trial with rows on its own provider
-        per_call, rows = [], iter(attack_asks)
-        for m in calls.scored[1]:
-            asked = []
-            while sum(asked) < m:
-                n_rows, owners, _, _, provider = next(rows)
-                trial = int(owners[0]) // n
-                if stateful:
-                    assert set(np.asarray(owners) // n) == {trial}
-                    assert provider is calls.made[trial]
-                else:
-                    assert provider is calls.made[0]
-                asked.append(n_rows)
-            assert sum(asked) == m
-            per_call.append(len(asked))
-        assert next(rows, None) is None
-        if not stateful or T == 1:
-            assert per_call == [1] * len(calls.scored[1])
+        # the attacks' asks, then one ask of every trial's latency pings
+        attack_asks, ping = calls.asks[:-1], calls.asks[-1]
+        pings = runner._LATENCY_PINGS
+        n_rows, owners, before, after, _, stores = ping
+        assert n_rows == T * pings
+        assert np.asarray(owners).tolist() == np.repeat(range(T), pings).tolist()
+        assert [(pings, None, b, a) for b, a in zip(before, after)] == \
+            [refs[s][3] for s in seeds]
+        assert len(stores) == T and len(set(map(id, stores))) == T
+        # every ask is of the campaign's one provider, and each scorer call
+        # of the measured side is one ask, its owners on their trials' stores
+        assert all(ask[4] is fx.provider for ask in calls.asks)
+        assert [ask[0] for ask in attack_asks] == calls.scored[1]
+        for ask in attack_asks:
+            assert len(ask[5]) == T * n
+            assert all(ask[5][o] is stores[o // n] for o in range(T * n))
         # each attack's runs of rows chain its own stream along the
         # reference's states, from its first state to its end state
         at = [0] * len(chains)
-        for n_rows, owners, before, after, _ in attack_asks:
+        for n_rows, owners, before, after, _, _ in attack_asks:
             assert len(owners) == n_rows and len(before) == len(chains)
             cuts = [0, *(np.flatnonzero(np.diff(owners)) + 1).tolist(), n_rows]
             for a, b in zip(cuts, cuts[1:]):
@@ -374,24 +366,39 @@ def test_trial_robustness_equals_its_definition(robust_env, monkeypatch,
                 assert after[k] == chains[k][at[k]]
         assert at == [len(chain) - 1 for chain in chains]
         for t, s in enumerate(seeds):
-            _assert_same_cache(calls.made[t if stateful else 0], refs[s][1])
+            _assert_same_cache(stores[t], refs[s][1])
+
+
+@pytest.mark.parametrize("kind", PROVIDER_KINDS)
+def test_robustness_asks_once_per_scorer_call_for_every_kind(robust_env,
+                                                             monkeypatch, kind):
+    """A 4-trial campaign asks one provider once per measured scorer call,
+    CachedReplay as the stateless kinds, and once more for the pings."""
+    cfg, base = robust_env
+    fx = _kind_fixtures(base, kind, True)
+    calls = _RobustnessCalls(monkeypatch)
+    runner._campaign_robustness(fx, cfg.raw, [derive_seed(42, t) for t in range(4)])
+    assert len(calls.scored) == 2 and len(calls.scored[1]) > 1
+    assert len(calls.asks) == len(calls.scored[1]) + 1
+    assert {id(ask[4]) for ask in calls.asks} == {id(fx.provider)}
 
 
 @pytest.mark.parametrize("mac", [False, True])
 def test_cached_replay_trials_replay_no_other_trials_rows(robust_env,
                                                           monkeypatch, mac):
     """Two trials of one seed ask the same inputs: each trial keeps its own
-    replay cache, so both equal the one-trial reference and neither replays
+    replay store, so both equal the one-trial reference and neither replays
     the other's rows."""
     cfg, base = robust_env
     fx = _kind_fixtures(base, CACHED_REPLAY, mac)
-    calls = _RobustnessCalls(monkeypatch, fx)
-    want, ref_provider, _, _ = _reference_chains(calls, fx, cfg.raw, 5)
+    calls = _RobustnessCalls(monkeypatch)
+    want, ref_store, _, _ = _reference_chains(calls, fx, cfg.raw, 5)
     calls.clear()
     assert runner._campaign_robustness(fx, cfg.raw, [5, 5]) == [want, want]
-    assert len(calls.made) == 2
-    for provider in calls.made:
-        _assert_same_cache(provider, ref_provider)
+    stores = calls.asks[-1][5]
+    assert len(stores) == 2 and stores[0] is not stores[1]
+    for store in stores:
+        _assert_same_cache(store, ref_store)
 
 
 def test_robustness_attack_starts_take_no_other_stream(robust_env, monkeypatch):
@@ -430,13 +437,14 @@ def test_robustness_attack_starts_take_no_other_stream(robust_env, monkeypatch):
             assert not others.intersection(map(mix64, window[1:]))
 
 
-def _reference_uniform_asks(provider, dim, seed, n):
+def _reference_uniform_asks(provider, dim, seed, n, store):
     """n inputs of `dim` uniforms from uniform_array(derive_seed(seed, 1)),
-    each asked with provider_classify, row by row, on derive_seed(seed, 2)."""
+    each asked with provider_classify, row by row, on derive_seed(seed, 2)
+    and the replay store `store`."""
     flat, _ = uniform_array(derive_seed(seed, 1), n * dim)
     xs, state, responses = flat.reshape(n, dim), derive_seed(seed, 2), []
     for x in xs:
-        resp, state = provider_classify(provider, x, state)
+        resp, state = provider_classify(provider, x, state, store)
         responses.append(resp)
     return xs, responses
 
@@ -448,49 +456,66 @@ def test_trial_metaresult_equals_its_definition(meta_env, monkeypatch, kind,
                                                 seed, mac):
     """The queries are the trial seed's uniform inputs asked on its query
     stream, then the latency pings are derive_seed(seed, 7)'s, asked of the
-    same provider."""
+    same provider on the same replay store."""
     cfg, base = meta_env
     fx = _kind_fixtures(base, kind, mac)
     dim, k = fx.data.recipe.dim, cfg.raw["verifier"]["k"]
-    ref = fx.fresh_provider()
-    xs, responses = _reference_uniform_asks(ref, dim, seed, k)
+    ref = {}
+    xs, responses = _reference_uniform_asks(fx.provider, dim, seed, k, ref)
     verdict = verifiers.metaresult_verify(list(zip(xs, responses)),
                                           fx.supplier.mac_key)
-    _, pings = _reference_uniform_asks(ref, dim, derive_seed(seed, 7),
-                                       runner._LATENCY_PINGS)
+    _, pings = _reference_uniform_asks(fx.provider, dim, derive_seed(seed, 7),
+                                       runner._LATENCY_PINGS, ref)
     want = {"seed": seed, "verdict": verdict.to_dict(),
             "latency_ms": sum(r.latency_ms for r in pings) / runner._LATENCY_PINGS}
-    made, real_fresh = [], fx.fresh_provider
-    monkeypatch.setattr(fx, "fresh_provider",
-                        lambda: made.append(real_fresh()) or made[-1])
+    stores, real_ask = [], entities.ask
+
+    def ask(X, provider, rng, owners=None, replays=None):
+        stores.append(replays)
+        return real_ask(X, provider, rng, owners, replays)
+
+    monkeypatch.setattr(runner, "ask", ask)
     assert runner._trial_metaresult(fx, cfg.raw, seed) == want
-    assert made[0].cache.keys() == ref.cache.keys()
+    assert len(stores) == 2 and stores[0] is stores[1]
+    assert stores[0].keys() == ref.keys()
     if kind == CACHED_REPLAY:
-        assert len(ref.cache) == k + runner._LATENCY_PINGS
+        assert len(ref) == k + runner._LATENCY_PINGS
 
 
 @pytest.mark.parametrize("mac", [False, True])
 @pytest.mark.parametrize("kind", PROVIDER_KINDS)
 def test_latency_pings_equal_their_definition(meta_env, kind, mac):
-    """A CachedReplay provider that already holds ping 1's input replays it
+    """A CachedReplay store that already holds ping 1's input replays it
     without a draw, so the later pings start one query earlier on the query
-    stream; their inputs are drawn on a stream of their own and stay."""
+    stream; their inputs are drawn on a stream of their own and stay. One
+    trial's pings alone and a campaign's, each trial on its own store and
+    all in one ask, are the same."""
     _, base = meta_env
     fx = _kind_fixtures(base, kind, mac)
-    dim, seed, n = fx.data.recipe.dim, 11, runner._LATENCY_PINGS
-    one, many = fx.fresh_provider(), fx.fresh_provider()
+    provider, dim, seed, n = fx.provider, fx.data.recipe.dim, 11, runner._LATENCY_PINGS
+    one, many, campaign = {}, {}, [{}, {}]
     if kind == CACHED_REPLAY:
         flat, _ = uniform_array(derive_seed(derive_seed(seed, 7), 1), n * dim)
         x1 = flat.reshape(n, dim)[1]
-        held, _ = provider_classify(fx.fresh_provider(), x1, 123)
-        one.cache[canon.sha256(canon.vec(x1))] = held
-        many.cache[canon.sha256(canon.vec(x1))] = held
-    _, responses = _reference_uniform_asks(one, dim, derive_seed(seed, 7), n)
+        held, _ = provider_classify(provider, x1, 123, {})
+        for store in (one, many, campaign[0]):
+            store[canon.vec(x1)] = (held.probs, held.certificate, held.latency_ms)
+    _, responses = _reference_uniform_asks(provider, dim, derive_seed(seed, 7),
+                                           n, one)
     want = sum(r.latency_ms for r in responses) / n
-    assert runner._mean_latency(many, dim, seed) == want
-    assert many.cache.keys() == one.cache.keys()
+    assert runner._mean_latency(provider, dim, seed, many) == want
+    assert many.keys() == one.keys()
     if kind == CACHED_REPLAY:
-        assert responses[1] is held
+        assert (responses[1].probs.tobytes(), responses[1].certificate,
+                responses[1].latency_ms) == \
+            (held.probs.tobytes(), held.certificate, held.latency_ms)
+    # a campaign of two trials, the second on a store of its own
+    other = {}
+    _, responses = _reference_uniform_asks(provider, dim, derive_seed(12, 7),
+                                           n, other)
+    assert runner._mean_latencies(provider, dim, [seed, 12], campaign) == \
+        [want, sum(r.latency_ms for r in responses) / n]
+    assert [s.keys() for s in campaign] == [one.keys(), other.keys()]
 
 
 def test_cold_build_fixtures_makes_each_pool_once(tmp_path, monkeypatch):

@@ -69,7 +69,7 @@ def test_steg_probe_honest_passes(steg_env):
 def test_steg_probe_catches_substitute(steg_env):
     _, fx = steg_env
     plan = ProbePlan(k=50, frac_steg=0.5, seed=902, alpha=0.01)
-    verdict = steg_probe(fx.fresh_provider(), fx.suite, fx.probe_covers, plan)
+    verdict = steg_probe(fx.provider, fx.suite, fx.probe_covers, plan)
     assert verdict.decision == LIKELY_FRAUDULENT
     assert verdict.p_value < plan.alpha
     assert verdict.statistic <= 2  # a blind substitute almost never hits
@@ -136,8 +136,8 @@ def sent_log(monkeypatch):
     log = []
     real_ask = entities.ask
 
-    def ask(X, provider, rng, owners=None):
-        answers, rng = real_ask(X, provider, rng, owners)
+    def ask(X, provider, rng, owners=None, replays=None):
+        answers, rng = real_ask(X, provider, rng, owners, replays)
         log.extend((x.tobytes(), canon.vec(probs)) for x, probs in zip(
             np.asarray(X, dtype=np.float64), answers.probs))
         return answers, rng
@@ -272,17 +272,27 @@ def test_draw_message_instance_equals_one_at_a_time(steg_env, reject_third,
     assert resampled > 0 and failed > 0
 
 
-def _kind_provider(fx, kind, mac, cache=None):
+def _kind_provider(fx, kind, mac):
     backend = fx.supplier
     if mac:
         backend = dataclasses.replace(backend, mac_key=bytes(range(32)))
     return Provider(kind=kind, backend=backend, cheap_model=fx.cheap_model,
-                    cheat_rate=0.5, cache={} if cache is None else cache,
-                    noise_sigma=0.05, latency=LatencyModel(1.0, 2.0, 9))
+                    cheat_rate=0.5, noise_sigma=0.05,
+                    latency=LatencyModel(1.0, 2.0, 9))
 
 
-def _plain_steg_probe(provider, suite, covers, plan):
-    """steg_probe by its definition; returns the verdict and the sent log."""
+def _same_store(got, want):
+    """Two replay stores hold the same keys, in order, and each entry's
+    probability bytes and certificate."""
+    assert list(got) == list(want)
+    for key, (probs, certificate, _) in want.items():
+        assert canon.vec(got[key][0]) == canon.vec(probs)
+        assert got[key][1] == certificate
+
+
+def _plain_steg_probe(provider, suite, covers, plan, store):
+    """steg_probe by its definition, asking on the replay store `store`;
+    returns the verdict and the sent log."""
     state = plan.seed
     cover_idx, state = sample_indices(state, len(covers), plan.k)
     steg_pos, state = sample_indices(state, plan.k, plan.n_steg)
@@ -296,7 +306,7 @@ def _plain_steg_probe(provider, suite, covers, plan):
     mc = suite.reveal.message_class
     for i, x in enumerate(rows):
         query = next(containers) if i in steg_set else x
-        resp, state = provider_classify(provider, query, state)
+        resp, state = provider_classify(provider, query, state, store)
         sent.append((query.tobytes(), canon.vec(resp.probs)))
         flagged = int(np.argmax(resp.probs)) == mc
         if i in steg_set:
@@ -329,24 +339,23 @@ def test_steg_probe_equals_its_definition(steg_env, reject_third, sent_log,
     cover_idx, state = sample_indices(plan.seed, len(fx.probe_covers), plan.k)
     steg_pos, _ = sample_indices(state, plan.k, plan.n_steg)
     stored = {}
-    filler = _kind_provider(fx, CACHED_REPLAY, mac, cache=stored)
+    filler = _kind_provider(fx, CACHED_REPLAY, mac)
     state = 77
     for i in [i for i in range(plan.k) if i not in steg_pos][3::4]:
-        _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
+        _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]],
+                                     state, stored)
     assert len(stored) >= 4
 
     ref_cache, cache = dict(stored), dict(stored)
-    want, want_sent = _plain_steg_probe(_kind_provider(fx, kind, mac, ref_cache),
-                                        fx.suite, fx.probe_covers, plan)
+    want, want_sent = _plain_steg_probe(_kind_provider(fx, kind, mac),
+                                        fx.suite, fx.probe_covers, plan,
+                                        ref_cache)
     del sent_log[:]  # the one-query reference calls are blocks of one
-    got = steg_probe(_kind_provider(fx, kind, mac, cache), fx.suite,
-                     fx.probe_covers, plan)
+    got = steg_probe(_kind_provider(fx, kind, mac), fx.suite,
+                     fx.probe_covers, plan, cache)
     assert got == want
     assert sent_log == want_sent
-    assert cache.keys() == ref_cache.keys()
-    for key, resp in ref_cache.items():
-        assert canon.vec(cache[key].probs) == canon.vec(resp.probs)
-        assert cache[key].certificate == resp.certificate
+    _same_store(cache, ref_cache)
 
 
 def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
@@ -359,32 +368,28 @@ def test_speculative_steg_probe_recovers_from_replay_hits(steg_env, sent_log):
     steg_pos, _ = sample_indices(state, plan.k, plan.n_steg)
     clean = [i for i in range(plan.k) if i not in steg_pos]
     stored = {}
-    filler = _kind_provider(fx, CACHED_REPLAY, False, cache=stored)
+    provider = _kind_provider(fx, CACHED_REPLAY, False)
     state = 77
     for i in clean[3::4]:
-        _, state = provider_classify(filler, fx.probe_covers[cover_idx[i]], state)
+        _, state = provider_classify(provider, fx.probe_covers[cover_idx[i]],
+                                     state, stored)
     assert len(stored) >= 4
     del sent_log[:]
 
-    steg_probe(_kind_provider(fx, CACHED_REPLAY, False), fx.suite,
-               fx.probe_covers, plan)
+    steg_probe(provider, fx.suite, fx.probe_covers, plan, {})
     cold_sent = list(sent_log)
     del sent_log[:]
     ref_cache, cache = dict(stored), dict(stored)
-    want, want_sent = _plain_steg_probe(
-        _kind_provider(fx, CACHED_REPLAY, False, cache=ref_cache),
-        fx.suite, fx.probe_covers, plan)
+    want, want_sent = _plain_steg_probe(provider, fx.suite, fx.probe_covers,
+                                        plan, ref_cache)
     del sent_log[:]
-    got = steg_probe(_kind_provider(fx, CACHED_REPLAY, False, cache=cache),
-                     fx.suite, fx.probe_covers, plan)
+    got = steg_probe(provider, fx.suite, fx.probe_covers, plan, cache)
     assert got == want
     assert sent_log == want_sent
     assert len(sent_log) == len(cold_sent) == plan.k
     for i in sorted(steg_pos):
         assert sent_log[i][0] == cold_sent[i][0]
-    assert cache.keys() == ref_cache.keys()
-    for key, resp in ref_cache.items():
-        assert canon.vec(cache[key].probs) == canon.vec(resp.probs)
+    _same_store(cache, ref_cache)
 
 
 @pytest.mark.parametrize("mac", [False, True])
@@ -539,7 +544,7 @@ def test_deterministic_reference_is_loaded_once_per_process(det_env,
 def test_deterministic_convicts_substitute_on_first_divergence(det_env):
     _, fx = det_env
     queries = _queries(32, 20, fx.data.recipe.dim)
-    verdict = deterministic_benchmark(fx.fresh_provider(), fx.publication,
+    verdict = deterministic_benchmark(fx.provider, fx.publication,
                                       fx.data.recipe, queries, rng=7)
     assert verdict.decision == LIKELY_FRAUDULENT
     assert verdict.p_value == 0.0
@@ -605,7 +610,7 @@ def test_probabilistic_honest_is_a_coin_toss(prob_env):
 
 def test_probabilistic_catches_weak_substitute(prob_env):
     _, fx = prob_env
-    verdict = probabilistic_benchmark(fx.fresh_provider(), fx.supplier,
+    verdict = probabilistic_benchmark(fx.provider, fx.supplier,
                                       fx.data.held, k=200, alpha=0.05, rng=42)
     assert verdict.decision == LIKELY_FRAUDULENT
     assert verdict.statistic > 0.0
@@ -630,29 +635,31 @@ def test_probabilistic_benchmark_equals_its_definition(prob_env, monkeypatch,
     _, fx = prob_env
     held, k, seed, alpha = fx.data.held, 60, 23, 0.05
     provider, ref = _kind_provider(fx, kind, mac), _kind_provider(fx, kind, mac)
+    store, ref_store = {}, {}
     supplier = provider.backend
     idx, state = sample_indices(seed, len(held), k)
     want_p, want_s, end_p, end_s = [], [], state, state
     for x in held.inputs[idx]:
-        resp, end_p = provider_classify(ref, x, end_p)
+        resp, end_p = provider_classify(ref, x, end_p, ref_store)
         want_p.append(resp)
         resp, end_s = supplier_classify(supplier, x, end_s)
         want_s.append(int(resp.probs.argmax()))
 
     calls, real_ask = [], entities.ask
 
-    def ask(X, asked, rng, owners=None):
-        answers, end = real_ask(X, asked, rng, owners)
-        calls.append((asked, rng, end, answers))
+    def ask(X, asked, rng, owners=None, replays=None):
+        answers, end = real_ask(X, asked, rng, owners, replays)
+        calls.append((asked, rng, end, answers, replays))
         return answers, end
 
     monkeypatch.setattr(verifiers, "ask", ask)
     del labeled_log[:]
-    got = probabilistic_benchmark(provider, supplier, held, k, alpha, seed)
-    assert [(rng, end) for _, rng, end, _ in calls] == [(state, end_p)]
-    assert calls[0][0] is provider
+    got = probabilistic_benchmark(provider, supplier, held, k, alpha, seed,
+                                  store)
+    assert [(rng, end) for _, rng, end, _, _ in calls] == [(state, end_p)]
+    assert calls[0][0] is provider and calls[0][4] is store
     assert _rows(calls[0][3]) == _rows(want_p)
-    assert provider.cache.keys() == ref.cache.keys()
+    assert store.keys() == ref_store.keys()
     assert len(labeled_log) == 1
     model, sent, labels = labeled_log[0]
     assert model is supplier.answering_model
@@ -726,7 +733,7 @@ def test_metaresult_convicts_missing_certificate(meta_env, det_env):
 
 def test_metaresult_convicts_forged_substitute(meta_env):
     _, fx = meta_env
-    provider = fx.fresh_provider()
+    provider = fx.provider
     state = 54
     pairs = []
     for _ in range(5):
